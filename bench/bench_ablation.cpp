@@ -16,155 +16,68 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/coreapi.h"
-#include "verify/verify.h"
-#include "core/seqcore.h"
-#include "kernel/guestlib.h"
-#include "mem/coherence.h"
-#include "xasm/assembler.h"
+#include <algorithm>
+#include <memory>
+
+#include "bench_util.h"
 
 namespace ptl {
 namespace {
 
-constexpr U64 CODE_BASE = 0x400000;
-constexpr U64 DATA_BASE = 0x600000;
-constexpr U64 STACK_TOP = 0x800000;
+/** Cycle bound for runs that are expected to halt well before it. */
+constexpr U64 MAX_CYCLES = 2'000'000'000;
 
-class Rig : public SystemInterface
+/** Load `kernel` on every VCPU and build the cores. */
+void
+start(BareMachine &m, void (*kernel)(Assembler &))
 {
-  public:
-    Rig(const SimConfig &config, int ncores)
-        : cfg(config), mem(32 << 20, 7, true), aspace(mem),
-          bbcache(stats.counter("bbcache/hits"),
-                  stats.counter("bbcache/misses"),
-                  stats.counter("bbcache/smc_invalidations")),
-          interlocks(stats),
-          coherence(config.coherence, config.interconnect_latency, stats)
-    {
-        aspace.transCache().setShadowEnabled(cfg.verify);
-        cr3 = aspace.createRoot();
-        aspace.mapRange(cr3, GuestVirt(CODE_BASE), 64 * PAGE_SIZE, Pte::RW | Pte::US);
-        aspace.mapRange(cr3, GuestVirt(DATA_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US | Pte::NX);
-        aspace.mapRange(cr3, GuestVirt(STACK_TOP - 64 * PAGE_SIZE), 64 * PAGE_SIZE,
-                        Pte::RW | Pte::US | Pte::NX);
-        for (int i = 0; i < ncores; i++) {
-            contexts.push_back(std::make_unique<Context>());
-            contexts[i]->cr3 = cr3;
-            contexts[i]->kernel_mode = true;
-            contexts[i]->regs[REG_rsp] =
-                STACK_TOP - 64 - (U64)i * 0x8000;
-            contexts[i]->vcpu_id = i;
-        }
-    }
+    loadBareKernel(m, kernel);
+    m.finalizeCores();
+}
 
-    void
-    loadAndStart(Assembler &assembler)
-    {
-        std::vector<U8> image = assembler.finalize();
-        for (size_t i = 0; i < image.size(); i++) {
-            GuestAccess a = guestTranslate(aspace, *contexts[0],
-                                           GuestVirt(assembler.baseVa() + i),
-                                           MemAccess::Write);
-            mem.writeBytes(a.paddr, &image[i], 1);
-        }
-        for (size_t i = 0; i < contexts.size(); i++) {
-            contexts[i]->rip = GuestVirt(CODE_BASE);
-            CoreBuildParams p;
-            p.config = &cfg;
-            p.contexts = {contexts[i].get()};
-            p.aspace = &aspace;
-            p.bbcache = &bbcache;
-            p.sys = this;
-            p.stats = &stats;
-            p.prefix = "core" + std::to_string(i) + "/";
-            p.coherence = contexts.size() > 1 ? &coherence : nullptr;
-            p.interlocks = &interlocks;
-            hierarchies.push_back(std::make_unique<MemoryHierarchy>(
-                cfg, aspace, stats, p.prefix, p.coherence));
-            p.hierarchy = hierarchies.back().get();
-            cores.push_back(createCoreModel(cfg.core, p));
-            cores.back()->attachAuditor(
-                makeVerifyAuditor(cfg, stats, p.prefix));
-        }
+/** Run to completion, invalidating every translated block each 64
+ *  cycles; returns simulated cycles. */
+U64
+runThrashingBbcache(BareMachine &m)
+{
+    U64 c = 0;
+    while (!m.allIdle()) {
+        c += m.run(64);
+        // Invalidation frees the blocks the cores are fetching from, so
+        // squash their in-flight work, as a self-modifying-code flush
+        // does.
+        m.bbCache().invalidateAll();
+        for (int i = 0; i < m.coreCount(); i++)
+            m.core(i).flushPipeline();
     }
+    return c;
+}
 
-    /** Run to completion; returns simulated cycles. */
-    U64
-    run(bool thrash_bbcache = false)
-    {
-        U64 c = 0;
-        while (true) {
-            bool idle = true;
-            for (auto &core : cores) {
-                core->cycle(SimCycle(c));
-                idle &= core->allIdle();
-            }
-            c++;
-            if (thrash_bbcache && (c % 64) == 0)
-                bbcache.invalidateAll();
-            if (idle)
-                break;
-            if (c > 2'000'000'000ULL)
-                break;
-        }
-        return c;
+/** Run to completion honouring CoreModel::sleepUntil — the driver
+ *  jumps straight to each core's next-interesting cycle instead of
+ *  evaluating quiesced stall cycles one by one (the machine busy
+ *  loop's skip-ahead contract). With cfg.skip_ahead off, sleepUntil
+ *  always returns `now` and this degenerates to a plain run. */
+U64
+runWithSleep(BareMachine &m)
+{
+    U64 c = 0;
+    while (true) {
+        for (int i = 0; i < m.coreCount(); i++)
+            m.core(i).cycle(SimCycle(c));
+        c++;
+        if (m.allIdle())
+            break;
+        if (c > MAX_CYCLES)
+            break;
+        SimCycle next = CYCLE_NEVER;
+        for (int i = 0; i < m.coreCount(); i++)
+            next = std::min(next, m.core(i).sleepUntil(SimCycle(c)));
+        if (next != CYCLE_NEVER && next.raw() > c)
+            c = next.raw();
     }
-
-    /** Like run(), but honours CoreModel::sleepUntil — the driver jumps
-     *  straight to each core's next-interesting cycle instead of
-     *  evaluating quiesced stall cycles one by one (the machine busy
-     *  loop's skip-ahead contract). With cfg.skip_ahead off,
-     *  sleepUntil always returns `now` and this degenerates to run(). */
-    U64
-    runWithSleep()
-    {
-        U64 c = 0;
-        while (true) {
-            bool idle = true;
-            for (auto &core : cores) {
-                core->cycle(SimCycle(c));
-                idle &= core->allIdle();
-            }
-            c++;
-            if (idle)
-                break;
-            if (c > 2'000'000'000ULL)
-                break;
-            SimCycle next = CYCLE_NEVER;
-            for (auto &core : cores) {
-                SimCycle s = core->sleepUntil(SimCycle(c));
-                if (s < next)
-                    next = s;
-            }
-            if (next != CYCLE_NEVER && next.raw() > c)
-                c = next.raw();
-        }
-        return c;
-    }
-
-    U64 hypercall(Context &, U64, U64, U64, U64) override { return 0; }
-    U64 readTsc(const Context &) override { return 0; }
-    void vcpuBlock(Context &c) override { c.running = false; }
-    U64 ptlcall(Context &, U64, U64, U64) override { return 0; }
-    void notifyCodeWrite(Pfn mfn) override { bbcache.invalidateMfn(mfn); }
-    bool isCodeMfn(Pfn mfn) const override
-    {
-        return bbcache.isCodeMfn(mfn);
-    }
-
-    SimConfig cfg;
-    PhysMem mem;
-    AddressSpace aspace;
-    StatsTree stats;
-    BasicBlockCache bbcache;
-    InterlockController interlocks;
-    CoherenceController coherence;
-    std::vector<std::unique_ptr<Context>> contexts;
-    std::vector<std::unique_ptr<MemoryHierarchy>> hierarchies;
-    std::vector<std::unique_ptr<CoreModel>> cores;
-    Pfn cr3;
-};
+    return c;
+}
 
 void
 branchyKernel(Assembler &a)
@@ -189,40 +102,32 @@ branchyKernel(Assembler &a)
     a.hlt();
 }
 
+/** Thrashing invalidates every translated block each 64 cycles, forcing
+ *  constant re-decode. Architecturally invisible: the same instructions
+ *  commit; only the host-time column (simulation speed) degrades. */
 void
-BM_BbCacheOn(benchmark::State &state)
+bbcacheAblation(benchmark::State &state, bool thrash)
 {
     U64 cycles = 0, insns = 0;
     for (auto _ : state) {
-        Rig rig(SimConfig::preset("k8"), 1);
-        rig.cfg.core = "ooo";
-        Assembler a(CODE_BASE);
-        branchyKernel(a);
-        rig.loadAndStart(a);
-        cycles = rig.run(false);
-        insns = rig.stats.get("core0/commit/insns");
+        BareMachine m(bareBenchConfig());
+        start(m, branchyKernel);
+        cycles = thrash ? runThrashingBbcache(m) : m.run(MAX_CYCLES);
+        insns = m.stats().get("core0/commit/insns");
     }
     state.counters["sim_cycles"] = (double)cycles;
     state.counters["guest_insns"] = (double)insns;
 }
 
 void
+BM_BbCacheOn(benchmark::State &state)
+{
+    bbcacheAblation(state, false);
+}
+void
 BM_BbCacheThrashed(benchmark::State &state)
 {
-    U64 cycles = 0, insns = 0;
-    for (auto _ : state) {
-        Rig rig(SimConfig::preset("k8"), 1);
-        rig.cfg.core = "ooo";
-        Assembler a(CODE_BASE);
-        branchyKernel(a);
-        rig.loadAndStart(a);
-        cycles = rig.run(true);   // re-decode constantly
-        insns = rig.stats.get("core0/commit/insns");
-    }
-    // Architecturally invisible: same instructions commit; only the
-    // host-time column (simulation speed) degrades.
-    state.counters["sim_cycles"] = (double)cycles;
-    state.counters["guest_insns"] = (double)insns;
+    bbcacheAblation(state, true);
 }
 
 void
@@ -230,15 +135,12 @@ predictorAblation(benchmark::State &state, PredictorKind kind)
 {
     U64 cycles = 0, mispredicts = 0;
     for (auto _ : state) {
-        SimConfig cfg = SimConfig::preset("k8");
-        cfg.core = "ooo";
+        SimConfig cfg = bareBenchConfig();
         cfg.predictor = kind;
-        Rig rig(cfg, 1);
-        Assembler a(CODE_BASE);
-        branchyKernel(a);
-        rig.loadAndStart(a);
-        cycles = rig.run();
-        mispredicts = rig.stats.get("core0/branches/mispredicted");
+        BareMachine m(cfg);
+        start(m, branchyKernel);
+        cycles = m.run(MAX_CYCLES);
+        mispredicts = m.stats().get("core0/branches/mispredicted");
     }
     state.counters["sim_cycles"] = (double)cycles;
     state.counters["mispredicts"] = (double)mispredicts;
@@ -276,21 +178,18 @@ skipAheadAblation(benchmark::State &state, bool skip)
 {
     U64 cycles = 0, evaluated = 0;
     for (auto _ : state) {
-        // Rig setup (32 MB guest memory init) dwarfs the simulation
-        // itself here; measure only the run loop.
+        // Machine setup (32 MB guest memory init) dwarfs the
+        // simulation itself here; measure only the run loop.
         state.PauseTiming();
-        SimConfig cfg = SimConfig::preset("k8");
-        cfg.core = "ooo";
+        SimConfig cfg = bareBenchConfig();
         cfg.skip_ahead = skip;
-        auto rig = std::make_unique<Rig>(cfg, 1);
-        Assembler a(CODE_BASE);
-        missChainKernel(a);
-        rig->loadAndStart(a);
+        auto m = std::make_unique<BareMachine>(cfg);
+        start(*m, missChainKernel);
         state.ResumeTiming();
-        cycles = rig->runWithSleep();
+        cycles = runWithSleep(*m);
         state.PauseTiming();
-        evaluated = rig->stats.get("core0/cycles");
-        rig.reset();
+        evaluated = m->stats().get("core0/cycles");
+        m.reset();
         state.ResumeTiming();
     }
     state.counters["sim_cycles"] = (double)cycles;
@@ -354,15 +253,12 @@ hoistAblation(benchmark::State &state, bool hoisting)
 {
     U64 cycles = 0, flushes = 0;
     for (auto _ : state) {
-        SimConfig cfg = SimConfig::preset("k8");
-        cfg.core = "ooo";
+        SimConfig cfg = bareBenchConfig();
         cfg.load_hoisting = hoisting;
-        Rig rig(cfg, 1);
-        Assembler a(CODE_BASE);
-        hoistKernel(a);
-        rig.loadAndStart(a);
-        cycles = rig.run();
-        flushes = rig.stats.get("core0/lsq/hoist_flushes");
+        BareMachine m(cfg);
+        start(m, hoistKernel);
+        cycles = m.run(MAX_CYCLES);
+        flushes = m.stats().get("core0/lsq/hoist_flushes");
     }
     state.counters["sim_cycles"] = (double)cycles;
     state.counters["hoist_flushes"] = (double)flushes;
@@ -379,27 +275,31 @@ BM_LoadHoistingOff(benchmark::State &state)
     hoistAblation(state, false);
 }
 
+/** Two cores ping-pong one line with locked increments. */
+void
+pingPongKernel(Assembler &a)
+{
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rcx, 2000);
+    Label top = a.label();
+    a.lockInc(Mem::at(R::rbx));
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+}
+
 void
 coherenceAblation(benchmark::State &state, CoherenceKind kind)
 {
     U64 cycles = 0, xfers = 0;
     for (auto _ : state) {
-        SimConfig cfg = SimConfig::preset("k8");
-        cfg.core = "ooo";
+        SimConfig cfg = bareBenchConfig();
         cfg.coherence = kind;
-        Rig rig(cfg, 2);
-        Assembler a(CODE_BASE);
-        // Two cores ping-pong one line with locked increments.
-        a.movImm64(R::rbx, DATA_BASE);
-        a.mov(R::rcx, 2000);
-        Label top = a.label();
-        a.lockInc(Mem::at(R::rbx));
-        a.dec(R::rcx);
-        a.jcc(COND_ne, top);
-        a.hlt();
-        rig.loadAndStart(a);
-        cycles = rig.run();
-        xfers = rig.stats.get("coherence/cache_to_cache_transfers");
+        cfg.vcpu_count = 2;
+        BareMachine m(cfg);
+        start(m, pingPongKernel);
+        cycles = m.run(MAX_CYCLES);
+        xfers = m.stats().get("coherence/cache_to_cache_transfers");
     }
     state.counters["sim_cycles"] = (double)cycles;
     state.counters["c2c_transfers"] = (double)xfers;

@@ -11,8 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/coreapi.h"
-#include "verify/verify.h"
+#include "bench_util.h"
 #include "core/seqcore.h"
 #include "kernel/guestkernel.h"
 #include "kernel/guestlib.h"
@@ -23,63 +22,6 @@
 
 namespace ptl {
 namespace {
-
-constexpr U64 CODE_BASE = 0x400000;
-constexpr U64 DATA_BASE = 0x600000;
-constexpr U64 STACK_TOP = 0x800000;
-
-class BareRig : public SystemInterface
-{
-  public:
-    explicit BareRig(const SimConfig &config)
-        : cfg(config), mem(32 << 20, 7, true), aspace(mem),
-          bbcache(stats.counter("bbcache/hits"),
-                  stats.counter("bbcache/misses"),
-                  stats.counter("bbcache/smc_invalidations")),
-          interlocks(stats)
-    {
-        aspace.attachStats(stats);
-        aspace.transCache().setShadowEnabled(cfg.verify);
-        cr3 = aspace.createRoot();
-        aspace.mapRange(cr3, GuestVirt(CODE_BASE), 64 * PAGE_SIZE, Pte::RW | Pte::US);
-        aspace.mapRange(cr3, GuestVirt(DATA_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US | Pte::NX);
-        aspace.mapRange(cr3, GuestVirt(STACK_TOP - 64 * PAGE_SIZE), 64 * PAGE_SIZE,
-                        Pte::RW | Pte::US | Pte::NX);
-        ctx.cr3 = cr3;
-        ctx.kernel_mode = true;
-        ctx.regs[REG_rsp] = STACK_TOP - 64;
-    }
-
-    void
-    load(Assembler &assembler)
-    {
-        std::vector<U8> image = assembler.finalize();
-        guestCopyOut(aspace, ctx, GuestVirt(assembler.baseVa()), image.data(),
-                     image.size());
-        ctx.rip = GuestVirt(CODE_BASE);
-    }
-
-    // SystemInterface (minimal bare-metal behaviour).
-    U64 hypercall(Context &, U64, U64, U64, U64) override { return 0; }
-    U64 readTsc(const Context &) override { return 0; }
-    void vcpuBlock(Context &c) override { c.running = false; }
-    U64 ptlcall(Context &, U64, U64, U64) override { return 0; }
-    void notifyCodeWrite(Pfn mfn) override { bbcache.invalidateMfn(mfn); }
-    bool isCodeMfn(Pfn mfn) const override
-    {
-        return bbcache.isCodeMfn(mfn);
-    }
-
-    SimConfig cfg;
-    PhysMem mem;
-    AddressSpace aspace;
-    StatsTree stats;
-    BasicBlockCache bbcache;
-    InterlockController interlocks;
-    Context ctx;
-    Pfn cr3;
-};
 
 /** The measured kernel: a hash-and-update loop with real memory
  *  traffic and data-dependent branches. */
@@ -111,40 +53,22 @@ computeKernel(Assembler &a)
 void
 runCore(benchmark::State &state, const char *core_name)
 {
-    SimConfig cfg = SimConfig::preset("k8");
+    SimConfig cfg = bareBenchConfig();
     cfg.core = core_name;
-    BareRig rig(cfg);
-    Assembler a(CODE_BASE);
-    computeKernel(a);
-    rig.load(a);
-
-    CoreBuildParams p;
-    p.config = &cfg;
-    p.contexts = {&rig.ctx};
-    p.aspace = &rig.aspace;
-    p.bbcache = &rig.bbcache;
-    p.sys = &rig;
-    p.stats = &rig.stats;
-    p.prefix = "core0/";
-    p.interlocks = &rig.interlocks;
-    auto hierarchy = std::make_unique<MemoryHierarchy>(
-        cfg, rig.aspace, rig.stats, p.prefix);
-    p.hierarchy = hierarchy.get();
-    std::unique_ptr<CoreModel> core = createCoreModel(core_name, p);
-    core->attachAuditor(makeVerifyAuditor(cfg, rig.stats, p.prefix));
+    BareMachine m(cfg);
+    loadBareKernel(m, computeKernel);
+    m.finalizeCores();
 
     U64 now = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 10000; i++)
-            core->cycle(SimCycle(now++));
-    }
+    for (auto _ : state)
+        now += m.run(10000);
     state.counters["sim_cycles_per_s"] = benchmark::Counter(
         (double)now, benchmark::Counter::kIsRate);
     state.counters["guest_insns_per_s"] = benchmark::Counter(
-        (double)rig.stats.get("core0/commit/insns"),
+        (double)m.stats().get("core0/commit/insns"),
         benchmark::Counter::kIsRate);
     state.counters["ipc"] =
-        (double)rig.stats.get("core0/commit/insns") / (double)now;
+        (double)m.stats().get("core0/commit/insns") / (double)now;
 }
 
 void
@@ -162,13 +86,10 @@ BM_SeqCore(benchmark::State &state)
 void
 BM_NativeFunctional(benchmark::State &state)
 {
-    SimConfig cfg = SimConfig::preset("k8");
-    BareRig rig(cfg);
-    Assembler a(CODE_BASE);
-    computeKernel(a);
-    rig.load(a);
-    FunctionalEngine engine(rig.ctx, rig.aspace, rig.bbcache, rig,
-                            rig.stats, "");
+    BareMachine m(bareBenchConfig());
+    loadBareKernel(m, computeKernel);
+    FunctionalEngine engine(m.vcpu(0), m.addressSpace(), m.bbCache(), m,
+                            m.stats(), "");
     U64 insns = 0;
     for (auto _ : state) {
         for (int i = 0; i < 10000; i++) {

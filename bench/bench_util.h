@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared helpers for the table/figure regeneration harnesses.
+ * Shared helpers for the table/figure regeneration harnesses and the
+ * bare-metal kernel benchmarks (bench_simspeed, bench_ablation).
  */
 
 #ifndef PTLSIM_BENCH_BENCH_UTIL_H_
@@ -11,7 +12,9 @@
 #include <cstring>
 #include <string>
 
+#include "sys/baremachine.h"
 #include "workload/k8preset.h"
+#include "xasm/assembler.h"
 
 namespace ptl {
 
@@ -56,6 +59,39 @@ printRunBanner(const char *what, const BenchScale &scale)
                 scale.params.file_count,
                 (unsigned long long)scale.params.mean_file_bytes,
                 (unsigned long long)scale.params.seed);
+}
+
+// ---- bare-metal kernels ----
+
+constexpr U64 CODE_BASE = 0x400000;
+constexpr U64 DATA_BASE = 0x600000;
+constexpr U64 STACK_TOP = 0x800000;
+
+/** The bare-metal benchmarks' machine: K8, 32 MB of guest memory, MFN
+ *  seed 7. */
+inline SimConfig
+bareBenchConfig()
+{
+    SimConfig cfg = SimConfig::preset("k8");
+    cfg.guest_mem_bytes = 32 << 20;
+    cfg.seed = 7;
+    return cfg;
+}
+
+/** Map 256 KB of code, 1 MB of data and 256 KB of stack, start VCPU i's
+ *  stack 32 KB below VCPU i-1's, and load `kernel` on every VCPU. */
+inline void
+loadBareKernel(BareMachine &m, void (*kernel)(Assembler &))
+{
+    m.map(CODE_BASE, 64 * PAGE_SIZE, Pte::RW | Pte::US);
+    m.map(DATA_BASE, 256 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
+    m.map(STACK_TOP - 64 * PAGE_SIZE, 64 * PAGE_SIZE,
+          Pte::RW | Pte::US | Pte::NX);
+    for (int i = 0; i < m.vcpuCount(); i++)
+        m.vcpu(i).regs[REG_rsp] = STACK_TOP - 64 - (U64)i * 0x8000;
+    Assembler a(CODE_BASE);
+    kernel(a);
+    m.load(a);
 }
 
 }  // namespace ptl

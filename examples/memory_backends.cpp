@@ -22,31 +22,12 @@
 
 #include <cstdio>
 
-#include "core/coreapi.h"
-#include "core/seqcore.h"
+#include "sys/baremachine.h"
 #include "xasm/assembler.h"
 
 using namespace ptl;
 
 namespace {
-
-class BareSystem : public SystemInterface
-{
-  public:
-    explicit BareSystem(BasicBlockCache &bbs) : bbcache(&bbs) {}
-    U64 hypercall(Context &, U64, U64, U64, U64) override { return 0; }
-    U64 readTsc(const Context &) override { return 0; }
-    void vcpuBlock(Context &ctx) override { ctx.running = false; }
-    U64 ptlcall(Context &, U64, U64, U64) override { return 0; }
-    void notifyCodeWrite(Pfn mfn) override { bbcache->invalidateMfn(mfn); }
-    bool isCodeMfn(Pfn mfn) const override
-    {
-        return bbcache->isCodeMfn(mfn);
-    }
-
-  private:
-    BasicBlockCache *bbcache;
-};
 
 constexpr U64 BUF_BASE = 0x600000;
 constexpr U64 BUF_BYTES = 1 << 20;
@@ -57,23 +38,12 @@ runWorkload(const char *label, const char *memory_json)
 {
     SimConfig cfg = SimConfig::preset("k8");
     cfg.applyMemoryJson(memory_json);
-    cfg.validate();
-
-    PhysMem mem(32 << 20, 1, true);
-    AddressSpace aspace(mem);
-    StatsTree stats;
-    BasicBlockCache bbcache(stats.counter("bbcache/hits"),
-                            stats.counter("bbcache/misses"),
-                            stats.counter("bbcache/smc_invalidations"));
-    BareSystem sys(bbcache);
-    InterlockController interlocks(stats);
-
-    Pfn cr3 = aspace.createRoot();
-    aspace.mapRange(cr3, GuestVirt(0x400000), 16 * PAGE_SIZE, Pte::RW | Pte::US);
-    aspace.mapRange(cr3, GuestVirt(BUF_BASE), BUF_BYTES + PAGE_SIZE,
-                    Pte::RW | Pte::US | Pte::NX);
-    aspace.mapRange(cr3, GuestVirt(0x7F0000), 16 * PAGE_SIZE,
-                    Pte::RW | Pte::US | Pte::NX);
+    cfg.guest_mem_bytes = 32 << 20;
+    cfg.seed = 1;
+    BareMachine m(cfg);
+    m.map(0x400000, 16 * PAGE_SIZE, Pte::RW | Pte::US);
+    m.map(BUF_BASE, BUF_BYTES + PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
+    m.map(0x7F0000, 16 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
 
     // Two passes over the buffer, one line per iteration; the next
     // address depends on the loaded value (masked to zero, but the
@@ -97,38 +67,12 @@ runWorkload(const char *label, const char *memory_json)
     a.dec(R::r8);
     a.jcc(COND_ne, pass);
     a.hlt();
-    std::vector<U8> image = a.finalize();
+    m.load(a);
+    m.vcpu(0).regs[REG_rsp] = 0x7FF000;
+    m.finalizeCores();
+    U64 cycle = m.run(100'000'000);
 
-    Context ctx;
-    ctx.cr3 = cr3;
-    ctx.kernel_mode = true;
-    ctx.rip = GuestVirt(0x400000);
-    ctx.regs[REG_rsp] = 0x7FF000;
-    for (size_t i = 0; i < image.size(); i++) {
-        GuestAccess acc =
-            guestTranslate(aspace, ctx, GuestVirt(0x400000 + i),
-                           MemAccess::Write);
-        mem.writeBytes(acc.paddr, &image[i], 1);
-    }
-
-    CoreBuildParams params;
-    params.config = &cfg;
-    params.contexts = {&ctx};
-    params.aspace = &aspace;
-    params.bbcache = &bbcache;
-    params.sys = &sys;
-    params.stats = &stats;
-    params.prefix = "core0/";
-    params.interlocks = &interlocks;
-    auto hierarchy = std::make_unique<MemoryHierarchy>(cfg, aspace, stats,
-                                                       params.prefix);
-    params.hierarchy = hierarchy.get();
-    auto core = createCoreModel("ooo", params);
-
-    U64 cycle = 0;
-    while (!core->allIdle() && cycle < 100'000'000)
-        core->cycle(SimCycle(cycle++));
-
+    StatsTree &stats = m.stats();
     std::printf("%-8s %9llu cycles  (IPC %.3f, %llu line fills)\n",
                 label, (unsigned long long)cycle,
                 (double)stats.get("core0/commit/insns") / (double)cycle,

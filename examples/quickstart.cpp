@@ -8,58 +8,26 @@
 
 #include <cstdio>
 
-#include "core/coreapi.h"
-#include "verify/verify.h"
-#include "core/seqcore.h"
+#include "sys/baremachine.h"
 #include "xasm/assembler.h"
 
 using namespace ptl;
 
-namespace {
-
-/** Minimal bare-metal system interface: hlt just stops the VCPU. */
-class BareSystem : public SystemInterface
-{
-  public:
-    explicit BareSystem(BasicBlockCache &bbs) : bbcache(&bbs) {}
-    U64 hypercall(Context &, U64, U64, U64, U64) override { return 0; }
-    U64 readTsc(const Context &) override { return 0; }
-    void vcpuBlock(Context &ctx) override { ctx.running = false; }
-    U64 ptlcall(Context &, U64, U64, U64) override { return 0; }
-    void notifyCodeWrite(Pfn mfn) override { bbcache->invalidateMfn(mfn); }
-    bool isCodeMfn(Pfn mfn) const override
-    {
-        return bbcache->isCodeMfn(mfn);
-    }
-
-  private:
-    BasicBlockCache *bbcache;
-};
-
-}  // namespace
-
 int
 main()
 {
-    // 1. A guest machine: physical memory, page tables, decoded-code
-    //    cache, statistics.
-    PhysMem mem(32 << 20, /*seed=*/1, /*shuffle=*/true);
-    AddressSpace aspace(mem);
-    StatsTree stats;
-    BasicBlockCache bbcache(stats.counter("bbcache/hits"),
-                            stats.counter("bbcache/misses"),
-                            stats.counter("bbcache/smc_invalidations"));
-    BareSystem sys(bbcache);
-    InterlockController interlocks(stats);
+    // 1. A bare-metal guest machine built from the K8 configuration:
+    //    physical memory, page tables, decoded-code cache, statistics.
+    SimConfig cfg = SimConfig::preset("k8");
+    cfg.guest_mem_bytes = 32 << 20;
+    cfg.seed = 1;
+    BareMachine m(cfg);
 
     // 2. Map code, data and a stack; 4-level x86-64 page tables are
     //    built for real in guest memory.
-    Pfn cr3 = aspace.createRoot();
-    aspace.mapRange(cr3, GuestVirt(0x400000), 16 * PAGE_SIZE, Pte::RW | Pte::US);
-    aspace.mapRange(cr3, GuestVirt(0x600000), 16 * PAGE_SIZE,
-                    Pte::RW | Pte::US | Pte::NX);
-    aspace.mapRange(cr3, GuestVirt(0x7F0000), 16 * PAGE_SIZE,
-                    Pte::RW | Pte::US | Pte::NX);
+    m.map(0x400000, 16 * PAGE_SIZE, Pte::RW | Pte::US);
+    m.map(0x600000, 16 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
+    m.map(0x7F0000, 16 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
 
     // 3. Assemble a program: sum of squares of 1..100, kept in memory.
     Assembler a(0x400000);
@@ -74,48 +42,20 @@ main()
     a.dec(R::rcx);
     a.jcc(COND_ne, top);
     a.hlt();
-    std::vector<U8> image = a.finalize();
-
-    Context ctx;
-    ctx.cr3 = cr3;
-    ctx.kernel_mode = true;              // bare metal: allow hlt
-    ctx.rip = GuestVirt(0x400000);
-    ctx.regs[REG_rsp] = 0x7FF000;
-    for (size_t i = 0; i < image.size(); i++) {
-        GuestAccess acc =
-            guestTranslate(aspace, ctx, GuestVirt(0x400000 + i),
-                           MemAccess::Write);
-        mem.writeBytes(acc.paddr, &image[i], 1);
-    }
+    m.load(a);
+    m.vcpu(0).regs[REG_rsp] = 0x7FF000;
 
     // 4. Instantiate the K8-configured out-of-order core model from
     //    the plug-in registry and clock it until the program halts.
-    SimConfig cfg = SimConfig::preset("k8");
-    CoreBuildParams params;
-    params.config = &cfg;
-    params.contexts = {&ctx};
-    params.aspace = &aspace;
-    params.bbcache = &bbcache;
-    params.sys = &sys;
-    params.stats = &stats;
-    params.prefix = "core0/";
-    params.interlocks = &interlocks;
-    auto hierarchy = std::make_unique<MemoryHierarchy>(cfg, aspace, stats,
-                                                       params.prefix);
-    params.hierarchy = hierarchy.get();
-    auto core = createCoreModel("ooo", params);
-    core->attachAuditor(makeVerifyAuditor(cfg, stats, params.prefix));
-
-    U64 cycle = 0;
-    while (!core->allIdle() && cycle < 1'000'000)
-        core->cycle(SimCycle(cycle++));
+    m.finalizeCores();
+    U64 cycle = m.run(1'000'000);
 
     // 5. Results: architectural state + the PTLstats counter tree.
-    U64 result = 0;
-    guestRead(aspace, ctx, GuestVirt(0x600000), 8, result);
+    U64 result = m.readGuest(0x600000, 8);
+    StatsTree &stats = m.stats();
     std::printf("sum of squares 1..100 = %llu (expected 338350)\n",
                 (unsigned long long)result);
-    std::printf("rax = %llu\n", (unsigned long long)ctx.regs[REG_rax]);
+    std::printf("rax = %llu\n", (unsigned long long)m.vcpu(0).regs[REG_rax]);
     std::printf("\nsimulated %llu cycles, IPC %.2f\n",
                 (unsigned long long)cycle,
                 (double)stats.get("core0/commit/insns") / (double)cycle);

@@ -12,32 +12,12 @@
 
 #include <cstdio>
 
-#include "core/coreapi.h"
-#include "verify/verify.h"
-#include "core/seqcore.h"
+#include "sys/baremachine.h"
 #include "xasm/assembler.h"
 
 using namespace ptl;
 
 namespace {
-
-class BareSystem : public SystemInterface
-{
-  public:
-    explicit BareSystem(BasicBlockCache &bbs) : bbcache(&bbs) {}
-    U64 hypercall(Context &, U64, U64, U64, U64) override { return 0; }
-    U64 readTsc(const Context &) override { return 0; }
-    void vcpuBlock(Context &ctx) override { ctx.running = false; }
-    U64 ptlcall(Context &, U64, U64, U64) override { return 0; }
-    void notifyCodeWrite(Pfn mfn) override { bbcache->invalidateMfn(mfn); }
-    bool isCodeMfn(Pfn mfn) const override
-    {
-        return bbcache->isCodeMfn(mfn);
-    }
-
-  private:
-    BasicBlockCache *bbcache;
-};
 
 constexpr int ITERS = 2000;
 
@@ -46,21 +26,17 @@ constexpr int ITERS = 2000;
 int
 main()
 {
-    PhysMem mem(32 << 20, 3, true);
-    AddressSpace aspace(mem);
-    StatsTree stats;
-    BasicBlockCache bbcache(stats.counter("bbcache/hits"),
-                            stats.counter("bbcache/misses"),
-                            stats.counter("bbcache/smc_invalidations"));
-    BareSystem sys(bbcache);
-    InterlockController interlocks(stats);
-
-    Pfn cr3 = aspace.createRoot();
-    aspace.mapRange(cr3, GuestVirt(0x400000), 16 * PAGE_SIZE, Pte::RW | Pte::US);
-    aspace.mapRange(cr3, GuestVirt(0x600000), 16 * PAGE_SIZE,
-                    Pte::RW | Pte::US | Pte::NX);
-    aspace.mapRange(cr3, GuestVirt(0x7E0000), 32 * PAGE_SIZE,
-                    Pte::RW | Pte::US | Pte::NX);
+    // One K8-like SMT core hosting both VCPUs as hardware threads.
+    SimConfig cfg = SimConfig::preset("k8");
+    cfg.core = "smt";
+    cfg.smt_threads = 2;
+    cfg.vcpu_count = 2;
+    cfg.guest_mem_bytes = 32 << 20;
+    cfg.seed = 3;
+    BareMachine m(cfg);
+    m.map(0x400000, 16 * PAGE_SIZE, Pte::RW | Pte::US);
+    m.map(0x600000, 16 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
+    m.map(0x7E0000, 32 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
 
     // Each thread adds (thread_id + 1) to the shared counter with
     // `lock xadd`, ITERS times, and also bumps a private counter.
@@ -76,50 +52,18 @@ main()
     a.dec(R::rcx);
     a.jcc(COND_ne, top);
     a.hlt();
-    std::vector<U8> image = a.finalize();
-
-    Context ctx[2];
+    m.load(a);
     for (int t = 0; t < 2; t++) {
-        ctx[t].vcpu_id = t;
-        ctx[t].cr3 = cr3;
-        ctx[t].kernel_mode = true;
-        ctx[t].rip = GuestVirt(0x400000);
-        ctx[t].regs[REG_rsp] = 0x7FF000 - (U64)t * 0x8000;
-        ctx[t].regs[REG_rdi] = (U64)t;      // thread id
-    }
-    for (size_t i = 0; i < image.size(); i++) {
-        GuestAccess acc = guestTranslate(aspace, ctx[0],
-                                         GuestVirt(0x400000 + i),
-                                         MemAccess::Write);
-        mem.writeBytes(acc.paddr, &image[i], 1);
+        m.vcpu(t).regs[REG_rsp] = 0x7FF000 - (U64)t * 0x8000;
+        m.vcpu(t).regs[REG_rdi] = (U64)t;      // thread id
     }
 
-    SimConfig cfg = SimConfig::preset("k8");
-    cfg.core = "smt";
-    cfg.smt_threads = 2;
-    CoreBuildParams params;
-    params.config = &cfg;
-    params.contexts = {&ctx[0], &ctx[1]};
-    params.aspace = &aspace;
-    params.bbcache = &bbcache;
-    params.sys = &sys;
-    params.stats = &stats;
-    params.prefix = "core0/";
-    params.interlocks = &interlocks;
-    auto hierarchy = std::make_unique<MemoryHierarchy>(cfg, aspace, stats,
-                                                       params.prefix);
-    params.hierarchy = hierarchy.get();
-    auto core = createCoreModel("smt", params);
-    core->attachAuditor(makeVerifyAuditor(cfg, stats, params.prefix));
+    m.finalizeCores();
+    U64 cycle = m.run(100'000'000);
 
-    U64 cycle = 0;
-    while (!core->allIdle() && cycle < 100'000'000)
-        core->cycle(SimCycle(cycle++));
-
-    U64 shared = 0, p0 = 0, p1 = 0;
-    guestRead(aspace, ctx[0], GuestVirt(0x600000), 8, shared);
-    guestRead(aspace, ctx[0], GuestVirt(0x600040), 8, p0);
-    guestRead(aspace, ctx[0], GuestVirt(0x600048), 8, p1);
+    U64 shared = m.readGuest(0x600000, 8);
+    U64 p0 = m.readGuest(0x600040, 8);
+    U64 p1 = m.readGuest(0x600048, 8);
     U64 expected = (U64)ITERS * 3;  // 1 + 2 per round
 
     std::printf("two SMT threads x %d locked xadds\n", ITERS);
@@ -131,10 +75,10 @@ main()
                 (unsigned long long)p0, (unsigned long long)p1);
     std::printf("cycles: %llu; committed insns: %llu (both threads)\n",
                 (unsigned long long)cycle,
-                (unsigned long long)stats.get("core0/commit/insns"));
+                (unsigned long long)m.stats().get("core0/commit/insns"));
     std::printf("interlock acquires: %llu, lsq replays (incl. lock "
                 "contention): %llu\n",
-                (unsigned long long)stats.get("interlock/acquires"),
-                (unsigned long long)stats.get("core0/lsq/replays"));
+                (unsigned long long)m.stats().get("interlock/acquires"),
+                (unsigned long long)m.stats().get("core0/lsq/replays"));
     return shared == expected ? 0 : 1;
 }

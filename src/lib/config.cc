@@ -447,6 +447,16 @@ SimConfig::validate() const
         fatal("vcpu_count %d out of range [1, 32]", vcpu_count);
     if (smt_threads < 1 || smt_threads > 16)
         fatal("smt_threads %d out of range [1, 16] (paper limit)", smt_threads);
+    if (snapshot_interval == 0)
+        fatal("snapshot_interval %llu must be positive",
+              (unsigned long long)snapshot_interval);
+    if (timer_hz < 1 || timer_hz > core_freq_hz)
+        fatal("timer_hz %llu out of range [1, core_freq_hz %llu]",
+              (unsigned long long)timer_hz,
+              (unsigned long long)core_freq_hz);
+    if (native_ipc_x1000 == 0)
+        fatal("native_ipc_x1000 %llu must be positive",
+              (unsigned long long)native_ipc_x1000);
     if (rob_size < 4 || ldq_size < 2 || stq_size < 2)
         fatal("pipeline structure sizes too small");
     if (int_prf_size < rob_size / 2)

@@ -1,7 +1,5 @@
 #include "sys/machine.h"
 
-#include <cstdlib>
-
 #include "lib/logging.h"
 #include "verify/verify.h"
 
@@ -23,10 +21,9 @@ Machine::Machine(const SimConfig &config)
     aspace = std::make_unique<AddressSpace>(*physmem);
     aspace->attachStats(stats_tree);
     // Shadow-walk every translation-cache hit only when verification is
-    // requested (same gate as makeVerifyAuditor); the re-walk costs four
-    // physical reads per hit on the hottest guest-access path.
-    aspace->transCache().setShadowEnabled(
-        cfg.verify || std::getenv("PTLSIM_VERIFY") != nullptr);
+    // requested; the re-walk costs four physical reads per hit on the
+    // hottest guest-access path.
+    aspace->transCache().setShadowEnabled(verifyRequested(cfg));
     bbcache = std::make_unique<BasicBlockCache>(
         stats_tree.counter("bbcache/hits"),
         stats_tree.counter("bbcache/misses"),
@@ -60,7 +57,7 @@ Machine::Machine(const SimConfig &config)
 
     // CR3 switches and SMC invalidations must flush core-side state.
     hv->setCr3SwitchHook([this](Context & /*ctx*/) {
-        for (auto &core : cores) {
+        for (auto &core : hw.cores) {
             core->flushPipeline();
             core->flushTlbs();
         }
@@ -70,7 +67,7 @@ Machine::Machine(const SimConfig &config)
             h->flushTlbs();
     });
     hv->setCodeWriteHook([this](Pfn /*mfn*/) {
-        for (auto &core : cores)
+        for (auto &core : hw.cores)
             core->flushPipeline();
     });
 
@@ -95,44 +92,9 @@ Machine::~Machine() = default;
 void
 Machine::finalizeCores()
 {
-    ptl_assert(cores.empty());
-    // Distribute VCPUs: smt_threads per core.
-    int threads_per_core = std::max(1, cfg.smt_threads);
-    int core_count =
-        (cfg.vcpu_count + threads_per_core - 1) / threads_per_core;
-    if (core_count > 1 || cfg.coherence == CoherenceKind::Moesi) {
-        coherence = std::make_unique<CoherenceController>(
-            cfg.coherence, cfg.interconnect_latency, stats_tree);
-    }
-    for (int c = 0; c < core_count; c++) {
-        CoreBuildParams params;
-        params.config = &cfg;
-        for (int t = 0; t < threads_per_core; t++) {
-            int v = c * threads_per_core + t;
-            if (v < cfg.vcpu_count)
-                params.contexts.push_back(contexts[v].get());
-        }
-        params.aspace = aspace.get();
-        params.bbcache = bbcache.get();
-        params.sys = hv.get();
-        params.stats = &stats_tree;
-        params.prefix = "core" + std::to_string(c) + "/";
-        params.coherence = coherence.get();
-        params.interlocks = interlock_ctrl.get();
-        params.core_id = c;
-        // Memory-hierarchy assembly happens here, at machine level:
-        // the composition (cache geometry, replacement policies, the
-        // memory backend) is pure config, and the core receives only
-        // the narrow handle.
-        hierarchies.push_back(std::make_unique<MemoryHierarchy>(
-            cfg, *aspace, stats_tree, params.prefix, coherence.get()));
-        params.hierarchy = hierarchies.back().get();
-        cores.push_back(createCoreModel(cfg.core, params));
-        // Verification is opt-in wiring done here, at machine assembly,
-        // so the core layer itself never depends on src/verify.
-        cores.back()->attachAuditor(
-            makeVerifyAuditor(cfg, stats_tree, params.prefix));
-    }
+    ptl_assert(hw.cores.empty());
+    hw = assembleCores(cfg, contexts, *aspace, *bbcache, *hv,
+                       *interlock_ctrl, stats_tree);
 }
 
 void
@@ -145,7 +107,7 @@ Machine::setMode(Mode mode)
     // Strict continuity (Section 4.1): all in-flight state is squashed
     // at an instruction boundary; architectural state lives in the
     // Contexts, so the other engine resumes seamlessly.
-    for (auto &core : cores)
+    for (auto &core : hw.cores)
         core->flushPipeline();
     for (auto &engine : native_engines)
         engine->reposition();
@@ -329,7 +291,7 @@ Machine::flushCores()
     // predictors, and absolute-cycle timing stamps (checkpoint restore
     // may have rolled virtual time backwards). Capture and restore
     // both come through here so the two sides resume identically.
-    for (auto &core : cores)
+    for (auto &core : hw.cores)
         core->resetMicroarch(time.cycle());
     for (auto &engine : native_engines)
         engine->reposition();
@@ -339,7 +301,7 @@ U64
 Machine::totalCommittedInsns() const
 {
     U64 total = 0;
-    for (size_t c = 0; c < cores.size(); c++) {
+    for (size_t c = 0; c < hw.cores.size(); c++) {
         total += stats_tree.get("core" + std::to_string(c)
                                 + "/commit/insns");
     }
@@ -375,7 +337,7 @@ Machine::run(U64 max_cycles)
 
         if (allVcpusIdle()) {
             SimCycle core_wake = CYCLE_NEVER;
-            for (auto &core : cores)
+            for (auto &core : hw.cores)
                 core_wake = std::min(core_wake, core->sleepUntil(now));
             if (eventq.wakePendingCount() == 0
                 && core_wake == CYCLE_NEVER) {
@@ -410,7 +372,7 @@ Machine::run(U64 max_cycles)
             do {
                 accountModeCycles(cycles(1));
                 SimCycle c = time.cycle();
-                for (auto &core : cores)
+                for (auto &core : hw.cores)
                     core->cycle(c);
                 time.tick();
             } while (time.cycle() < deadline

@@ -31,6 +31,7 @@
 
 #include "core/coreapi.h"
 #include "core/seqcore.h"
+#include "sys/coreset.h"
 #include "sys/eventq.h"
 #include "sys/hypervisor.h"
 #include "sys/tracereplay.h"
@@ -73,15 +74,14 @@ class Machine
 
     /**
      * Instantiate core models (config.core) once the guest image and
-     * initial VCPU state are in place. VCPUs are distributed across
-     * config-selected cores: with smt_threads > 1 a single core hosts
-     * several VCPUs as hardware threads; otherwise one core per VCPU.
+     * initial VCPU state are in place, via assembleCores
+     * (sys/coreset.h): smt_threads VCPUs per core.
      */
     void finalizeCores();
 
     /** The memory hierarchy assembled for core i (finalizeCores). */
-    MemoryHierarchy &coreHierarchy(int i) { return *hierarchies[i]; }
-    int coreCount() const { return (int)cores.size(); }
+    MemoryHierarchy &coreHierarchy(int i) { return *hw.hierarchies[i]; }
+    int coreCount() const { return (int)hw.cores.size(); }
 
     enum class Mode { Simulation, Native };
     Mode mode() const { return run_mode; }
@@ -162,12 +162,7 @@ class Machine
     std::unique_ptr<VirtualNet> net_dev;
     std::unique_ptr<Hypervisor> hv;
     std::unique_ptr<InterlockController> interlock_ctrl;
-    std::unique_ptr<CoherenceController> coherence;
-    // Per-core memory hierarchies, assembled here (machine level) and
-    // handed to cores as narrow handles; declared before `cores` so
-    // cores are destroyed first.
-    std::vector<std::unique_ptr<MemoryHierarchy>> hierarchies;
-    std::vector<std::unique_ptr<CoreModel>> cores;
+    CoreSet hw;   ///< cores, their hierarchies, coherence (finalizeCores)
     std::vector<std::unique_ptr<FunctionalEngine>> native_engines;
     TraceReplayer *replayer = nullptr;
 

@@ -71,11 +71,17 @@ InvariantChecker::InvariantChecker(StatsTree &stats,
 {
 }
 
+bool
+verifyRequested(const SimConfig &cfg)
+{
+    return cfg.verify || std::getenv("PTLSIM_VERIFY") != nullptr;
+}
+
 std::unique_ptr<CoreAuditor>
 makeVerifyAuditor(const SimConfig &cfg, StatsTree &stats,
                   const std::string &prefix)
 {
-    if (!cfg.verify && std::getenv("PTLSIM_VERIFY") == nullptr)
+    if (!verifyRequested(cfg))
         return nullptr;
     return std::make_unique<InvariantChecker>(
         stats, prefix, InvariantChecker::Action::Panic);

@@ -107,8 +107,13 @@ class InvariantChecker final : public CoreAuditor
     Action action;
 };
 
+/** True when the config or the PTLSIM_VERIFY environment variable
+ *  asks for verification: the one gate for the per-cycle auditor and
+ *  the translation-cache shadow walk. */
+bool verifyRequested(const SimConfig &cfg);
+
 /**
- * Standard wiring used by the machine and the test harnesses: build a
+ * Standard wiring used by core assembly (sys/coreset.h): build a
  * Panic-mode InvariantChecker when the config (or the PTLSIM_VERIFY
  * environment variable) opts in, nullptr otherwise. The result is
  * handed to CoreModel::attachAuditor(), which accepts nullptr.

@@ -1,125 +1,112 @@
 /**
  * @file
- * Shared test harness: assembles guest code, builds a page-table-backed
- * address space, and runs it on a FunctionalEngine with a stub system
- * interface. Used by the decode/exec/core test suites.
+ * Shared test harness: the tests' bare-metal memory layout on a
+ * BareMachine, and GuestRunner, which runs one VCPU on the functional
+ * engine. Used by the decode/exec/core test suites.
  */
 
 #ifndef PTLSIM_TESTS_GUEST_HARNESS_H_
 #define PTLSIM_TESTS_GUEST_HARNESS_H_
 
-#include <cstdlib>
-#include <memory>
-#include <vector>
-
 #include "core/seqcore.h"
 #include "lib/logging.h"
-#include "verify/verify.h"
+#include "sys/baremachine.h"
 #include "xasm/assembler.h"
 
 namespace ptl {
 
-/** Minimal SystemInterface for bare-metal style tests. */
-class StubSystem : public SystemInterface
+constexpr U64 CODE_BASE = 0x400000;
+constexpr U64 DATA_BASE = 0x600000;
+constexpr U64 STACK_TOP = 0x800000;
+
+/** The tests' machine: 32 MB of guest memory with MFN seed 7. */
+inline SimConfig
+testConfig(SimConfig cfg = SimConfig())
+{
+    cfg.guest_mem_bytes = 32 << 20;
+    cfg.seed = 7;
+    return cfg;
+}
+
+/** Map 1 MB each of code and data and `stack_pages` of stack below
+ *  STACK_TOP. VCPU i starts with its thread id i in rdi and its stack
+ *  64 KB below VCPU i-1's. */
+inline void
+mapTestLayout(BareMachine &m, U64 stack_pages = 256)
+{
+    m.map(CODE_BASE, 256 * PAGE_SIZE, Pte::RW | Pte::US);
+    m.map(DATA_BASE, 256 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
+    m.map(STACK_TOP - stack_pages * PAGE_SIZE, stack_pages * PAGE_SIZE,
+          Pte::RW | Pte::US | Pte::NX);
+    for (int i = 0; i < m.vcpuCount(); i++) {
+        m.vcpu(i).regs[REG_rsp] = STACK_TOP - 64 - (U64)i * 0x10000;
+        m.vcpu(i).regs[REG_rdi] = (U64)i;
+    }
+}
+
+/** Run the cores until every VCPU halts; not halting within
+ *  `max_cycles` fails the test. Returns the cycles run. */
+inline U64
+runToHalt(BareMachine &m, U64 max_cycles = 3'000'000)
+{
+    U64 cycles = m.run(max_cycles);
+    ptl_assert(m.allIdle());
+    return cycles;
+}
+
+/** Map the test layout, load `a`, build the cores and run until every
+ *  VCPU halts (see runToHalt). Returns the cycles run. */
+inline U64
+runOnCores(BareMachine &m, Assembler &a, U64 max_cycles = 3'000'000)
+{
+    mapTestLayout(m);
+    m.load(a);
+    m.finalizeCores();
+    return runToHalt(m, max_cycles);
+}
+
+/** Serial pointer-chase: every load address depends on the previous
+ *  load's value, so each D-cache/TLB miss fully drains the pipeline and
+ *  leaves long stretches of quiesced cycles for skip-ahead to jump. */
+inline void
+serialMissChain(Assembler &a)
+{
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rcx, 64);
+    a.mov(R::rax, 0);
+    Label top = a.label();
+    a.mov(R::rdx, R::rcx);
+    a.shl(R::rdx, 13);               // 8 KB stride: unique lines+pages
+    a.add(R::rdx, R::rbx);
+    a.add(R::rdx, R::rax);           // serialize on the previous load
+    a.mov(R::rsi, Mem::at(R::rdx));
+    a.add(R::rax, R::rsi);           // memory is zero-filled: rax stays 0
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+}
+
+/** One VCPU on the functional engine. Unlike the cores, it shadow-walks
+ *  every translation-cache hit whether or not verification is on. */
+class GuestRunner : public BareMachine
 {
   public:
-    explicit StubSystem(BasicBlockCache &bbs) : bbcache(&bbs) {}
-
-    U64
-    hypercall(Context &, U64 nr, U64 a1, U64 a2, U64 a3) override
-    {
-        hypercalls.push_back({nr, a1, a2, a3});
-        return hypercall_result;
-    }
-
-    U64 readTsc(const Context &) override { return tsc += 100; }
-
-    void vcpuBlock(Context &ctx) override { ctx.running = false; }
-
-    U64
-    ptlcall(Context &, U64 op, U64, U64) override
-    {
-        ptlcalls.push_back(op);
-        return 0;
-    }
-
-    void notifyCodeWrite(Pfn mfn) override { bbcache->invalidateMfn(mfn); }
-
-    bool isCodeMfn(Pfn mfn) const override { return bbcache->isCodeMfn(mfn); }
-
-    struct Call { U64 nr, a1, a2, a3; };
-    std::vector<Call> hypercalls;
-    std::vector<U64> ptlcalls;
-    U64 hypercall_result = 0;
-    U64 tsc = 0;
-
-  private:
-    BasicBlockCache *bbcache;
-};
-
-/** Assemble-and-run fixture. */
-class GuestRunner
-{
-  public:
-    static constexpr U64 CODE_BASE = 0x400000;
-    static constexpr U64 DATA_BASE = 0x600000;
-    static constexpr U64 STACK_TOP = 0x800000;
-
     GuestRunner()
-        : mem(32 << 20, 7, true), aspace(mem),
-          bbcache(stats.counter("bbcache/hits"),
-                  stats.counter("bbcache/misses"),
-                  stats.counter("bbcache/smc_invalidations")),
-          sys(bbcache)
+        : BareMachine(testConfig()), ctx(vcpu(0)), aspace(addressSpace()),
+          engine(ctx, aspace, bbCache(), *this, stats(), "")
     {
-        aspace.attachStats(stats);
-        cr3 = aspace.createRoot();
-        aspace.mapRange(cr3, GuestVirt(CODE_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US);
-        aspace.mapRange(cr3, GuestVirt(DATA_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US | Pte::NX);
-        aspace.mapRange(cr3, GuestVirt(STACK_TOP - 64 * PAGE_SIZE),
-                        64 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
-        ctx.cr3 = cr3;
-        ctx.kernel_mode = true;   // bare-metal style by default
-        ctx.regs[REG_rsp] = STACK_TOP - 64;
-        engine = std::make_unique<FunctionalEngine>(ctx, aspace, bbcache,
-                                                    sys, stats, "");
-    }
-
-    /** Write an assembled image at its base VA and point RIP at it. */
-    void
-    load(Assembler &assembler)
-    {
-        std::vector<U8> image = assembler.finalize();
-        writeGuest(assembler.baseVa(), image.data(), image.size());
-        ctx.rip = GuestVirt(assembler.baseVa());
-    }
-
-    void
-    writeGuest(U64 va, const void *data, size_t n)
-    {
-        GuestCopy g = guestCopyOut(aspace, ctx, GuestVirt(va), data, n);
-        ptl_assert(g.ok());
-    }
-
-    U64
-    readGuest(U64 va, unsigned bytes)
-    {
-        U64 v = 0;
-        GuestAccess a = guestRead(aspace, ctx, GuestVirt(va), bytes, v);
-        ptl_assert(a.ok());
-        return v;
+        aspace.transCache().setShadowEnabled(true);
+        mapTestLayout(*this, 64);
     }
 
     /** Run until the VCPU blocks (hlt) or `max_insns` is exceeded. */
     int
-    run(int max_insns = 100000)
+    execute(int max_insns = 100000)
     {
         int executed = 0;
         while (ctx.running && executed < max_insns) {
             FunctionalEngine::StepResult r =
-                engine->stepInsn(SimCycle((U64)executed));
+                engine.stepInsn(SimCycle((U64)executed));
             executed += r.insns;
             if (r.idle)
                 break;
@@ -130,130 +117,9 @@ class GuestRunner
 
     U64 reg(R r) const { return ctx.regs[(int)r]; }
 
-    PhysMem mem;
-    AddressSpace aspace;
-    StatsTree stats;
-    BasicBlockCache bbcache;
-    StubSystem sys;
-    Context ctx;
-    std::unique_ptr<FunctionalEngine> engine;
-    Pfn cr3;
-};
-
-/** Bare-metal harness running programs on a registered core model
- *  (ooo/smt/seq) instead of the raw functional engine. */
-class CoreRunner
-{
-  public:
-    static constexpr U64 CODE_BASE = GuestRunner::CODE_BASE;
-    static constexpr U64 DATA_BASE = GuestRunner::DATA_BASE;
-    static constexpr U64 STACK_TOP = GuestRunner::STACK_TOP;
-
-    explicit CoreRunner(const SimConfig &config, int vcpus = 1)
-        : cfg(config), mem(32 << 20, 7, true), aspace(mem),
-          bbcache(stats.counter("bbcache/hits"),
-                  stats.counter("bbcache/misses"),
-                  stats.counter("bbcache/smc_invalidations")),
-          sys(bbcache), interlocks(stats)
-    {
-        aspace.attachStats(stats);
-        // Mirror the Machine ctor: translation shadow-walks only when
-        // verification is on.  GuestRunner keeps the always-on default.
-        aspace.transCache().setShadowEnabled(
-            cfg.verify || std::getenv("PTLSIM_VERIFY") != nullptr);
-        cr3 = aspace.createRoot();
-        aspace.mapRange(cr3, GuestVirt(CODE_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US);
-        aspace.mapRange(cr3, GuestVirt(DATA_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US | Pte::NX);
-        aspace.mapRange(cr3, GuestVirt(STACK_TOP - 256 * PAGE_SIZE),
-                        256 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
-        for (int i = 0; i < vcpus; i++) {
-            contexts.push_back(std::make_unique<Context>());
-            Context &ctx = *contexts.back();
-            ctx.vcpu_id = i;
-            ctx.cr3 = cr3;
-            ctx.kernel_mode = true;
-            ctx.regs[REG_rsp] = STACK_TOP - 64 - (U64)i * 0x10000;
-        }
-    }
-
-    /** Load the image and point VCPU i at `entry` (0 = image base). */
-    void
-    load(Assembler &assembler, int vcpu = 0, U64 entry = 0)
-    {
-        if (!image_written) {
-            image = assembler.finalize();
-            GuestCopy g = guestCopyOut(aspace, *contexts[0],
-                                       GuestVirt(assembler.baseVa()),
-                                       image.data(), image.size());
-            ptl_assert(g.ok());
-            image_written = true;
-        }
-        contexts[vcpu]->rip = GuestVirt(entry ? entry : CODE_BASE);
-    }
-
-    /** Instantiate the core model (after all load() calls). */
-    void
-    start()
-    {
-        CoreBuildParams p;
-        p.config = &cfg;
-        for (auto &c : contexts)
-            p.contexts.push_back(c.get());
-        p.aspace = &aspace;
-        p.bbcache = &bbcache;
-        p.sys = &sys;
-        p.stats = &stats;
-        p.prefix = "core0/";
-        p.interlocks = &interlocks;
-        // Machine-level assembly in miniature: the harness owns the
-        // hierarchy and hands the core the narrow handle.
-        hierarchy = std::make_unique<MemoryHierarchy>(cfg, aspace, stats,
-                                                      p.prefix);
-        p.hierarchy = hierarchy.get();
-        core = createCoreModel(cfg.core, p);
-        core->attachAuditor(makeVerifyAuditor(cfg, stats, p.prefix));
-    }
-
-    /** Run until every VCPU blocks (hlt) or max_cycles pass. */
-    U64
-    run(U64 max_cycles = 3'000'000)
-    {
-        ptl_assert(core != nullptr);
-        U64 c = 0;
-        for (; c < max_cycles && !core->allIdle(); c++)
-            core->cycle(SimCycle(c));
-        ptl_assert(core->allIdle());
-        return c;
-    }
-
-    U64 reg(R r, int vcpu = 0) const
-    {
-        return contexts[vcpu]->regs[(int)r];
-    }
-
-    U64
-    readGuest(U64 va, unsigned bytes)
-    {
-        U64 v = 0;
-        guestRead(aspace, *contexts[0], GuestVirt(va), bytes, v);
-        return v;
-    }
-
-    SimConfig cfg;
-    PhysMem mem;
-    AddressSpace aspace;
-    StatsTree stats;
-    BasicBlockCache bbcache;
-    StubSystem sys;
-    InterlockController interlocks;
-    std::vector<std::unique_ptr<Context>> contexts;
-    std::unique_ptr<MemoryHierarchy> hierarchy;  ///< before core: destroyed after it
-    std::unique_ptr<CoreModel> core;
-    std::vector<U8> image;
-    bool image_written = false;
-    Pfn cr3;
+    Context &ctx;
+    AddressSpace &aspace;
+    FunctionalEngine engine;
 };
 
 }  // namespace ptl

@@ -447,6 +447,25 @@ TEST(MemoryConfigErrors, BadEdramGeometryFailsValidate)
     EXPECT_DEATH(cfg.validate(), "");
 }
 
+TEST(MemoryConfigErrors, BadTimingParametersFailValidate)
+{
+    // A zero snapshot interval would re-arm the snapshot at the same
+    // cycle forever; the timer period and native-mode cycle accounting
+    // divide by timer_hz and native_ipc_x1000.
+    SimConfig cfg = SimConfig::preset("k8");
+    cfg.snapshot_interval = 0;
+    EXPECT_DEATH(cfg.validate(), "snapshot_interval 0 must be positive");
+    cfg = SimConfig::preset("k8");
+    cfg.timer_hz = 0;
+    EXPECT_DEATH(cfg.validate(), "timer_hz 0 out of range");
+    cfg.core_freq_hz = 1000;
+    cfg.timer_hz = 1001;
+    EXPECT_DEATH(cfg.validate(), "timer_hz 1001 out of range");
+    cfg = SimConfig::preset("k8");
+    cfg.native_ipc_x1000 = 0;
+    EXPECT_DEATH(cfg.validate(), "native_ipc_x1000 0 must be positive");
+}
+
 // ---------------------------------------------------------------------
 // Replacement policies.
 // ---------------------------------------------------------------------

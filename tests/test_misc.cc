@@ -75,30 +75,30 @@ TEST(BbCache, KeyedByPrivilegeContext)
     // The same bytes decoded in kernel vs user mode must be distinct
     // cache entries (Section 2.1's contextual keying).
     GuestRunner g;
-    Assembler a(GuestRunner::CODE_BASE);
+    Assembler a(CODE_BASE);
     a.mov(R::rax, 7);
     a.hlt();
     g.load(a);
     GuestFault f;
     ContextCodeSource kcode(g.aspace, g.ctx);
-    const BasicBlock *kernel_bb = g.bbcache.get(kcode, &f);
+    const BasicBlock *kernel_bb = g.bbCache().get(kcode, &f);
     ASSERT_NE(kernel_bb, nullptr);
     EXPECT_TRUE(kernel_bb->kernel);
     Context uctx = g.ctx;
     uctx.kernel_mode = false;
     ContextCodeSource ucode(g.aspace, uctx);
-    const BasicBlock *user_bb = g.bbcache.get(ucode, &f);
+    const BasicBlock *user_bb = g.bbCache().get(ucode, &f);
     ASSERT_NE(user_bb, nullptr);
     EXPECT_NE(kernel_bb, user_bb);
     EXPECT_FALSE(user_bb->kernel);
-    EXPECT_EQ(g.bbcache.size(), 2u);
+    EXPECT_EQ(g.bbCache().size(), 2u);
 }
 
 TEST(BbCache, PageCrossingInstructionTracksBothFrames)
 {
     GuestRunner g;
     // Place a 10-byte movabs so it straddles a page boundary.
-    U64 start = GuestRunner::CODE_BASE + PAGE_SIZE - 4;
+    U64 start = CODE_BASE + PAGE_SIZE - 4;
     Assembler a(start);
     a.movImm64(R::rax, 0x1122334455667788ULL);  // 10 bytes: crosses
     a.hlt();
@@ -107,16 +107,16 @@ TEST(BbCache, PageCrossingInstructionTracksBothFrames)
     g.ctx.rip = GuestVirt(start);
     GuestFault f;
     ContextCodeSource code(g.aspace, g.ctx);
-    const BasicBlock *bb = g.bbcache.get(code, &f);
+    const BasicBlock *bb = g.bbCache().get(code, &f);
     ASSERT_NE(bb, nullptr);
     EXPECT_NE(bb->mfn_lo, bb->mfn_hi);  // spans two machine frames
     // Executing it works.
-    g.run();
+    g.execute();
     EXPECT_EQ(g.reg(R::rax), 0x1122334455667788ULL);
     // Writing to the *second* page invalidates the block too.
-    U64 before = g.stats.get("bbcache/smc_invalidations");
-    g.sys.notifyCodeWrite(bb->mfn_hi);
-    EXPECT_GT(g.stats.get("bbcache/smc_invalidations"), before);
+    U64 before = g.stats().get("bbcache/smc_invalidations");
+    g.notifyCodeWrite(bb->mfn_hi);
+    EXPECT_GT(g.stats().get("bbcache/smc_invalidations"), before);
 }
 
 TEST(CommandList, MalformedInputsAreFatal)
@@ -132,7 +132,7 @@ TEST(GuestMemory, CrossPageWriteIsAtomicOnFault)
     // A store spanning a mapped->unmapped boundary must fault without
     // writing the first fragment.
     GuestRunner g;
-    U64 last_page = GuestRunner::DATA_BASE + 255 * PAGE_SIZE;
+    U64 last_page = DATA_BASE + 255 * PAGE_SIZE;
     U64 va = last_page + PAGE_SIZE - 4;   // next page is unmapped
     U64 before = 0;
     guestRead(g.aspace, g.ctx, GuestVirt(va), 4, before);
@@ -142,6 +142,18 @@ TEST(GuestMemory, CrossPageWriteIsAtomicOnFault)
     U64 after = 0;
     guestRead(g.aspace, g.ctx, GuestVirt(va), 4, after);
     EXPECT_EQ(before, after) << "partial write leaked through";
+}
+
+TEST(GuestMemory, BareMachineAccessesOutsideTheMappingAreFatal)
+{
+    GuestRunner g;
+    const U64 unmapped = DATA_BASE + 256 * PAGE_SIZE;
+    EXPECT_EXIT(g.readGuest(unmapped, 8), ::testing::ExitedWithCode(1),
+                "guest read of 8 bytes at 0x700000 faults");
+    U64 v = 0;
+    EXPECT_EXIT(g.writeGuest(unmapped - 4, &v, 8),
+                ::testing::ExitedWithCode(1),
+                "guest write of 8 bytes at 0x6ffffc faults");
 }
 
 TEST(Config, ValidationCatchesBadGeometry)
@@ -166,12 +178,12 @@ TEST(Assist, CpuidIsDeterministic)
 {
     GuestRunner g1, g2;
     for (GuestRunner *g : {&g1, &g2}) {
-        Assembler a(GuestRunner::CODE_BASE);
+        Assembler a(CODE_BASE);
         a.mov(R::rax, 1);
         a.cpuid();
         a.hlt();
         g->load(a);
-        g->run();
+        g->execute();
     }
     EXPECT_EQ(g1.reg(R::rax), g2.reg(R::rax));
     EXPECT_EQ(g1.reg(R::rdx), g2.reg(R::rdx));

@@ -17,7 +17,7 @@ namespace {
 SimConfig
 oooConfig()
 {
-    SimConfig cfg = SimConfig::preset("k8");
+    SimConfig cfg = testConfig(SimConfig::preset("k8"));
     cfg.core = "ooo";
     cfg.commit_checker = true;
     return cfg;
@@ -50,7 +50,7 @@ void
 progMemoryChurn(Assembler &a)
 {
     // Write then re-read a table with data-dependent addressing.
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     a.mov(R::rcx, 0);
     Label fill = a.label();
     a.mov(R::rax, R::rcx);
@@ -128,13 +128,13 @@ progFlagsTorture(Assembler &a)
 void
 progStringAndDiv(Assembler &a)
 {
-    a.movImm64(R::rdi, CoreRunner::DATA_BASE);
+    a.movImm64(R::rdi, DATA_BASE);
     a.mov(R::rax, 0x5A);
     a.mov(R::rcx, 777);
     a.cld();
     a.repStosb();
-    a.movImm64(R::rsi, CoreRunner::DATA_BASE);
-    a.movImm64(R::rdi, CoreRunner::DATA_BASE + 0x2000);
+    a.movImm64(R::rsi, DATA_BASE);
+    a.movImm64(R::rdi, DATA_BASE + 0x2000);
     a.mov(R::rcx, 777);
     a.repMovsb();
     a.movImm64(R::rax, 123456789123ULL);
@@ -200,42 +200,40 @@ TEST_P(OooEquivalence, MatchesFunctionalEngine)
     // Reference run on the functional engine.
     GuestRunner ref;
     {
-        Assembler a(GuestRunner::CODE_BASE);
+        Assembler a(CODE_BASE);
         prog.body(a);
         ref.load(a);
-        ref.run(2'000'000);
+        ref.execute(2'000'000);
     }
 
     // Pipelined run with the commit checker armed.
-    CoreRunner ooo(oooConfig());
+    BareMachine ooo(oooConfig());
     {
-        Assembler a(CoreRunner::CODE_BASE);
+        Assembler a(CODE_BASE);
         prog.body(a);
-        ooo.load(a);
-        ooo.start();
-        ooo.run(20'000'000);
+        runOnCores(ooo, a, 20'000'000);
     }
 
     for (int r = 0; r < 16; r++) {
         if (r == (int)R::rsp)
             continue;  // compared below
-        ASSERT_EQ(ooo.contexts[0]->regs[r], ref.ctx.regs[r])
+        ASSERT_EQ(ooo.vcpu(0).regs[r], ref.ctx.regs[r])
             << prog.name << ": GPR " << uopRegName(r);
     }
-    EXPECT_EQ(ooo.contexts[0]->regs[REG_rsp] - (CoreRunner::STACK_TOP - 64),
-              ref.ctx.regs[REG_rsp] - (GuestRunner::STACK_TOP - 64))
+    EXPECT_EQ(ooo.vcpu(0).regs[REG_rsp] - (STACK_TOP - 64),
+              ref.ctx.regs[REG_rsp] - (STACK_TOP - 64))
         << prog.name << ": stack depth";
     for (int x = REG_xmm0; x <= REG_xmm15; x++)
-        ASSERT_EQ(ooo.contexts[0]->regs[x], ref.ctx.regs[x])
+        ASSERT_EQ(ooo.vcpu(0).regs[x], ref.ctx.regs[x])
             << prog.name << ": " << uopRegName(x);
     // Same dynamic instruction count.
-    EXPECT_EQ(ooo.stats.get("core0/commit/insns"),
-              ref.stats.get("commit/insns"))
+    EXPECT_EQ(ooo.stats().get("core0/commit/insns"),
+              ref.stats().get("commit/insns"))
         << prog.name;
     // Data region contents identical.
     for (U64 off = 0; off < 0x3000; off += 8) {
-        ASSERT_EQ(ooo.readGuest(CoreRunner::DATA_BASE + off, 8),
-                  ref.readGuest(GuestRunner::DATA_BASE + off, 8))
+        ASSERT_EQ(ooo.readGuest(DATA_BASE + off, 8),
+                  ref.readGuest(DATA_BASE + off, 8))
             << prog.name << " data at +" << off;
     }
 }
@@ -255,8 +253,8 @@ TEST(OooCoreTest, AchievesIlpOnIndependentOps)
 {
     // A long stream of independent single-cycle ops must commit at
     // well above 1 IPC on the 3-wide K8 configuration.
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
     a.mov(R::r8, 1);
     a.mov(R::r9, 2);
     a.mov(R::r10, 3);
@@ -270,27 +268,23 @@ TEST(OooCoreTest, AchievesIlpOnIndependentOps)
     a.dec(R::rcx);
     a.jcc(COND_ne, top);
     a.hlt();
-    r.load(a);
-    r.start();
-    U64 cycles = r.run();
-    U64 insns = r.stats.get("core0/commit/insns");
+    U64 cycles = runOnCores(r, a);
+    U64 insns = r.stats().get("core0/commit/insns");
     double ipc = (double)insns / (double)cycles;
     EXPECT_GT(ipc, 1.5) << "cycles=" << cycles << " insns=" << insns;
-    EXPECT_EQ(r.reg(R::r8), 1 + 5 * 100 * 50ULL);
+    EXPECT_EQ(r.vcpu(0).regs[REG_r8], 1 + 5 * 100 * 50ULL);
 }
 
 TEST(OooCoreTest, DependencyChainLimitsIpc)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
     a.mov(R::rax, 1);
     for (int i = 0; i < 600; i++)
         a.imul(R::rax, R::rax, 3);  // serial 3-cycle chain
     a.hlt();
-    r.load(a);
-    r.start();
-    U64 cycles = r.run();
-    U64 insns = r.stats.get("core0/commit/insns");
+    U64 cycles = runOnCores(r, a);
+    U64 insns = r.stats().get("core0/commit/insns");
     // Each imul takes lat_mul cycles back-to-back.
     EXPECT_GT((double)cycles / (double)insns, 2.0);
 }
@@ -298,8 +292,8 @@ TEST(OooCoreTest, DependencyChainLimitsIpc)
 TEST(OooCoreTest, BranchMispredictsAreCounted)
 {
     // Data-dependent unpredictable-ish branch pattern.
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
     a.mov(R::rbx, 12345);
     a.mov(R::rcx, 2000);
     a.mov(R::rdx, 0);
@@ -319,25 +313,21 @@ TEST(OooCoreTest, BranchMispredictsAreCounted)
     a.dec(R::rcx);
     a.jcc(COND_ne, top);
     a.hlt();
-    r.load(a);
-    r.start();
-    r.run();
-    EXPECT_GT(r.stats.get("core0/branches/cond"), 3000ULL);
-    EXPECT_GT(r.stats.get("core0/branches/mispredicted"), 100ULL);
+    runOnCores(r, a);
+    EXPECT_GT(r.stats().get("core0/branches/cond"), 3000ULL);
+    EXPECT_GT(r.stats().get("core0/branches/mispredicted"), 100ULL);
     // The loop-closing branch trains perfectly, so the rate is < 50%.
-    EXPECT_LT(r.stats.get("core0/branches/mispredicted"),
-              r.stats.get("core0/branches/cond") / 2);
+    EXPECT_LT(r.stats().get("core0/branches/mispredicted"),
+              r.stats().get("core0/branches/cond") / 2);
 }
 
 TEST(OooCoreTest, StoreToLoadForwardingCounted)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
     progStoreLoadForwarding(a);
-    r.load(a);
-    r.start();
-    r.run();
-    EXPECT_GT(r.stats.get("core0/lsq/forwards"), 100ULL);
+    runOnCores(r, a);
+    EXPECT_GT(r.stats().get("core0/lsq/forwards"), 100ULL);
 }
 
 TEST(OooCoreTest, DisambiguationUsesPhysicalAddresses)
@@ -351,12 +341,13 @@ TEST(OooCoreTest, DisambiguationUsesPhysicalAddresses)
     constexpr U64 ALIAS = 0x5000000;
     SimConfig cfg = oooConfig();
     cfg.load_hoisting = true;
-    CoreRunner r(cfg);
-    Pfn mfn = r.aspace.walk(r.cr3, GuestVirt(CoreRunner::DATA_BASE)).mfn;
-    r.aspace.map(r.cr3, GuestVirt(ALIAS), mfn,
-                 Pte::RW | Pte::US | Pte::NX);
+    BareMachine r(cfg);
+    mapTestLayout(r);
+    Pfn mfn = r.addressSpace().walk(r.root(), GuestVirt(DATA_BASE)).mfn;
+    r.addressSpace().map(r.root(), GuestVirt(ALIAS), mfn,
+                         Pte::RW | Pte::US | Pte::NX);
 
-    Assembler a(CoreRunner::CODE_BASE);
+    Assembler a(CODE_BASE);
     a.mov(R::rcx, 100);
     a.mov(R::r8, 0);
     Label top = a.label();
@@ -374,23 +365,21 @@ TEST(OooCoreTest, DisambiguationUsesPhysicalAddresses)
     a.jcc(COND_ne, top);
     a.hlt();
     r.load(a);
-    r.contexts[0]->regs[REG_rdi] = CoreRunner::DATA_BASE + 0x40;
-    r.contexts[0]->regs[REG_rsi] = ALIAS + 0x40;
-    r.start();
-    r.run();
-    EXPECT_EQ(r.reg(R::r8), 5050ULL);
+    r.vcpu(0).regs[REG_rdi] = DATA_BASE + 0x40;
+    r.vcpu(0).regs[REG_rsi] = ALIAS + 0x40;
+    r.finalizeCores();
+    runToHalt(r);
+    EXPECT_EQ(r.vcpu(0).regs[REG_r8], 5050ULL);
 }
 
 TEST(OooCoreTest, ReturnAddressStackPredictsReturns)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
     progCallsAndStack(a);
-    r.load(a);
-    r.start();
-    r.run();
-    U64 rets = r.stats.get("core0/branches/indirect");
-    U64 miss = r.stats.get("core0/branches/indirect_mispredicted");
+    runOnCores(r, a);
+    U64 rets = r.stats().get("core0/branches/indirect");
+    U64 miss = r.stats().get("core0/branches/indirect_mispredicted");
     EXPECT_GT(rets, 100ULL);
     // Top-pointer-repair RAS (as on real K8): wrong-path pops/pushes
     // after leaf-branch mispredicts corrupt some slots, so recursive
@@ -402,11 +391,11 @@ TEST(OooCoreTest, LoadHoistingFlushesOnViolation)
 {
     SimConfig cfg = oooConfig();
     cfg.load_hoisting = true;
-    CoreRunner r(cfg);
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(cfg);
+    Assembler a(CODE_BASE);
     // Store with a slow-to-resolve address followed by a load of the
     // same location: hoisted loads must be squashed and re-run.
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     a.movStoreImm32(Mem::at(R::rbx), 1111);
     a.mov(R::rcx, 100);
     a.mov(R::r8, 0);
@@ -422,20 +411,18 @@ TEST(OooCoreTest, LoadHoistingFlushesOnViolation)
     a.dec(R::rcx);
     a.jcc(COND_ne, top);
     a.hlt();
-    r.load(a);
-    r.start();
-    r.run();
+    runOnCores(r, a);
     // Functional result must be exact despite speculation: sum of
     // rcx values 100..1.
-    EXPECT_EQ(r.reg(R::r8), 5050ULL);
-    EXPECT_GT(r.stats.get("core0/lsq/hoist_flushes"), 0ULL);
+    EXPECT_EQ(r.vcpu(0).regs[REG_r8], 5050ULL);
+    EXPECT_GT(r.stats().get("core0/lsq/hoist_flushes"), 0ULL);
 }
 
 TEST(OooCoreTest, NoHoistingWaitsInstead)
 {
-    CoreRunner r(oooConfig());  // K8 preset: hoisting off
-    Assembler a(CoreRunner::CODE_BASE);
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    BareMachine r(oooConfig());  // K8 preset: hoisting off
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     a.mov(R::rcx, 50);
     a.mov(R::r8, 0);
     Label top = a.label();
@@ -445,17 +432,15 @@ TEST(OooCoreTest, NoHoistingWaitsInstead)
     a.dec(R::rcx);
     a.jcc(COND_ne, top);
     a.hlt();
-    r.load(a);
-    r.start();
-    r.run();
-    EXPECT_EQ(r.reg(R::r8), 1275ULL);  // 50+49+...+1
-    EXPECT_EQ(r.stats.get("core0/lsq/hoist_flushes"), 0ULL);
+    runOnCores(r, a);
+    EXPECT_EQ(r.vcpu(0).regs[REG_r8], 1275ULL);  // 50+49+...+1
+    EXPECT_EQ(r.stats().get("core0/lsq/hoist_flushes"), 0ULL);
 }
 
 TEST(OooCoreTest, DivideFaultIsPrecise)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
     Label handler = a.newLabel();
     a.mov(R::rbx, 111);            // committed before the fault
     a.mov(R::rdx, 0);
@@ -467,19 +452,17 @@ TEST(OooCoreTest, DivideFaultIsPrecise)
     a.bind(handler);
     a.pop(R::rsi);                 // fault word
     a.hlt();
-    r.load(a);
-    r.contexts[0]->event_callback = a.labelVa(handler);
-    r.contexts[0]->kernel_sp = CoreRunner::STACK_TOP - 0x1000;
-    r.start();
-    r.run();
-    EXPECT_EQ(r.reg(R::rbx), 111ULL);
-    EXPECT_EQ(r.reg(R::rsi) >> 48, (U64)GuestFault::DivideError);
+    r.vcpu(0).event_callback = a.labelVa(handler);
+    r.vcpu(0).kernel_sp = STACK_TOP - 0x1000;
+    runOnCores(r, a);
+    EXPECT_EQ(r.vcpu(0).regs[REG_rbx], 111ULL);
+    EXPECT_EQ(r.vcpu(0).regs[REG_rsi] >> 48, (U64)GuestFault::DivideError);
 }
 
 TEST(OooCoreTest, SelfModifyingCodeFlushesPipeline)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
     Label again = a.newLabel(), done = a.newLabel();
     Label site = a.newLabel();
     a.mov(R::rbx, 0);
@@ -495,17 +478,16 @@ TEST(OooCoreTest, SelfModifyingCodeFlushesPipeline)
     a.jmp(again);
     a.bind(done);
     a.hlt();
-    r.load(a);
-    r.start();
-    r.run();
-    EXPECT_EQ(r.reg(R::rax), 2ULL);
-    EXPECT_GT(r.stats.get("bbcache/smc_invalidations"), 0ULL);
+    runOnCores(r, a);
+    EXPECT_EQ(r.vcpu(0).regs[REG_rax], 2ULL);
+    EXPECT_GT(r.stats().get("bbcache/smc_invalidations"), 0ULL);
 }
 
 TEST(OooCoreTest, EventDeliveryAtInstructionBoundary)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    mapTestLayout(r);
+    Assembler a(CODE_BASE);
     Label handler = a.newLabel(), spin = a.newLabel();
     a.mov(R::rax, 0);
     a.sti();
@@ -519,28 +501,26 @@ TEST(OooCoreTest, EventDeliveryAtInstructionBoundary)
     a.mov(R::rbx, 1);
     a.iretq();
     r.load(a);
-    r.contexts[0]->event_callback = a.labelVa(handler);
-    r.contexts[0]->kernel_sp = CoreRunner::STACK_TOP - 0x1000;
-    r.contexts[0]->regs[REG_rbx] = 0;
-    r.start();
+    r.vcpu(0).event_callback = a.labelVa(handler);
+    r.vcpu(0).kernel_sp = STACK_TOP - 0x1000;
+    r.vcpu(0).regs[REG_rbx] = 0;
+    r.finalizeCores();
     // Run a while, then raise the event.
-    for (U64 c = 0; c < 2000; c++)
-        r.core->cycle(SimCycle(c));
-    r.contexts[0]->event_pending = true;
-    for (U64 c = 2000; c < 100000 && !r.core->allIdle(); c++)
-        r.core->cycle(SimCycle(c));
-    EXPECT_TRUE(r.core->allIdle());
-    EXPECT_EQ(r.reg(R::rbx), 1ULL);
-    EXPECT_GT(r.stats.get("core0/commit/events_delivered"), 0ULL);
+    r.run(2000);
+    r.vcpu(0).event_pending = true;
+    r.run(98000);
+    EXPECT_TRUE(r.allIdle());
+    EXPECT_EQ(r.vcpu(0).regs[REG_rbx], 1ULL);
+    EXPECT_GT(r.stats().get("core0/commit/events_delivered"), 0ULL);
 }
 
 TEST(OooCoreTest, DcacheMissesStallLoads)
 {
     SimConfig cfg = oooConfig();
-    CoreRunner r(cfg);
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(cfg);
+    Assembler a(CODE_BASE);
     // Pointer-chase through a large stride to defeat the L1.
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     a.mov(R::rcx, 200);
     a.mov(R::rax, 0);
     Label top = a.label();
@@ -551,12 +531,10 @@ TEST(OooCoreTest, DcacheMissesStallLoads)
     a.dec(R::rcx);
     a.jcc(COND_ne, top);
     a.hlt();
-    r.load(a);
-    r.start();
-    U64 cycles = r.run();
-    EXPECT_GT(r.stats.get("core0/dcache/misses"), 150ULL);
-    EXPECT_GT(r.stats.get("core0/dtlb/misses"), 100ULL);
-    EXPECT_GT(r.stats.get("core0/walker/walks"), 100ULL);
+    U64 cycles = runOnCores(r, a);
+    EXPECT_GT(r.stats().get("core0/dcache/misses"), 150ULL);
+    EXPECT_GT(r.stats().get("core0/dtlb/misses"), 100ULL);
+    EXPECT_GT(r.stats().get("core0/walker/walks"), 100ULL);
     // The independent misses overlap through the 8 MSHRs (memory-level
     // parallelism), so the bound is mem_latency * misses / mshr_count.
     EXPECT_GT(cycles, 200ULL * 112 / 8);
@@ -566,48 +544,25 @@ TEST(OooCoreTest, DcacheMissesStallLoads)
 // Skip-ahead scheduling
 // ---------------------------------------------------------------------
 
-// Serial pointer-chase: every load address depends on the previous
-// load's value, so each D-cache/TLB miss fully drains the pipeline and
-// leaves long stretches of quiesced cycles for skip-ahead to jump.
-void
-progSerialMissChain(Assembler &a)
-{
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
-    a.mov(R::rcx, 64);
-    a.mov(R::rax, 0);
-    Label top = a.label();
-    a.mov(R::rdx, R::rcx);
-    a.shl(R::rdx, 13);               // 8 KB stride: unique lines+pages
-    a.add(R::rdx, R::rbx);
-    a.add(R::rdx, R::rax);           // serialize on the previous load
-    a.mov(R::rsi, Mem::at(R::rdx));
-    a.add(R::rax, R::rsi);           // memory is zero-filled: rax stays 0
-    a.dec(R::rcx);
-    a.jcc(COND_ne, top);
-    a.hlt();
-}
-
 TEST(OooCoreTest, SkipAheadCoversLongStalls)
 {
     SimConfig cfg = oooConfig();     // commit checker stays on: every
     ASSERT_TRUE(cfg.skip_ahead);     // committed uop is lockstep-checked
-    CoreRunner r(cfg);
-    Assembler a(CoreRunner::CODE_BASE);
-    progSerialMissChain(a);
-    r.load(a);
-    r.start();
-    r.run();
-    EXPECT_EQ(r.reg(R::rax), 0ULL);
-    EXPECT_EQ(r.reg(R::rcx), 0ULL);
-    EXPECT_GT(r.stats.get("core0/dcache/misses"), 50ULL);
+    BareMachine r(cfg);
+    Assembler a(CODE_BASE);
+    serialMissChain(a);
+    runOnCores(r, a);
+    EXPECT_EQ(r.vcpu(0).regs[REG_rax], 0ULL);
+    EXPECT_EQ(r.vcpu(0).regs[REG_rcx], 0ULL);
+    EXPECT_GT(r.stats().get("core0/dcache/misses"), 50ULL);
     // The serial chain stalls the whole core for ~memory latency per
     // iteration; the fast path must absorb most of those cycles.
-    EXPECT_GT(r.stats.get("core0/ooocore/skipped_cycles"), 1000ULL);
-    EXPECT_GT(r.stats.get("core0/ooocore/select_fast_skips"), 0ULL);
-    EXPECT_GT(r.stats.get("core0/ooocore/wakeup_broadcasts"), 0ULL);
+    EXPECT_GT(r.stats().get("core0/ooocore/skipped_cycles"), 1000ULL);
+    EXPECT_GT(r.stats().get("core0/ooocore/select_fast_skips"), 0ULL);
+    EXPECT_GT(r.stats().get("core0/ooocore/wakeup_broadcasts"), 0ULL);
     // Skipped cycles still count as simulated cycles.
-    EXPECT_GT(r.stats.get("core0/cycles"),
-              r.stats.get("core0/ooocore/skipped_cycles"));
+    EXPECT_GT(r.stats().get("core0/cycles"),
+              r.stats().get("core0/ooocore/skipped_cycles"));
 }
 
 TEST(OooCoreTest, SkipAheadIsDeterministic)
@@ -622,18 +577,16 @@ TEST(OooCoreTest, SkipAheadIsDeterministic)
     for (int skip = 0; skip < 2; skip++) {
         SimConfig cfg = oooConfig();
         cfg.skip_ahead = (skip == 1);
-        CoreRunner r(cfg);
-        Assembler a(CoreRunner::CODE_BASE);
-        progSerialMissChain(a);
-        r.load(a);
-        r.start();
-        cycles[skip] = r.run();
-        rax[skip] = r.reg(R::rax);
-        rsp[skip] = r.reg(R::rsp);
-        insns[skip] = r.stats.get("core0/commit/insns");
-        uops[skip] = r.stats.get("core0/commit/uops");
-        branches[skip] = r.stats.get("core0/branches/total");
-        skipped[skip] = r.stats.get("core0/ooocore/skipped_cycles");
+        BareMachine r(cfg);
+        Assembler a(CODE_BASE);
+        serialMissChain(a);
+        cycles[skip] = runOnCores(r, a);
+        rax[skip] = r.vcpu(0).regs[REG_rax];
+        rsp[skip] = r.vcpu(0).regs[REG_rsp];
+        insns[skip] = r.stats().get("core0/commit/insns");
+        uops[skip] = r.stats().get("core0/commit/uops");
+        branches[skip] = r.stats().get("core0/branches/total");
+        skipped[skip] = r.stats().get("core0/ooocore/skipped_cycles");
     }
     EXPECT_EQ(cycles[0], cycles[1]);
     EXPECT_EQ(rax[0], rax[1]);

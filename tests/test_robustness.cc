@@ -62,17 +62,17 @@ TEST(Fuzz, RandomCodeExecutionIsContained)
         std::vector<U8> junk(256);
         for (U8 &b : junk)
             b = (U8)rng.next();
-        Assembler handler_asm(GuestRunner::CODE_BASE + 0x1000);
+        Assembler handler_asm(CODE_BASE + 0x1000);
         handler_asm.hlt();
         std::vector<U8> h = handler_asm.finalize();
-        g.writeGuest(GuestRunner::CODE_BASE, junk.data(), junk.size());
-        g.writeGuest(GuestRunner::CODE_BASE + 0x1000, h.data(), h.size());
-        g.ctx.rip = GuestVirt(GuestRunner::CODE_BASE);
-        g.ctx.event_callback = GuestRunner::CODE_BASE + 0x1000;
-        g.ctx.kernel_sp = GuestRunner::STACK_TOP - 0x1000;
+        g.writeGuest(CODE_BASE, junk.data(), junk.size());
+        g.writeGuest(CODE_BASE + 0x1000, h.data(), h.size());
+        g.ctx.rip = GuestVirt(CODE_BASE);
+        g.ctx.event_callback = CODE_BASE + 0x1000;
+        g.ctx.kernel_sp = STACK_TOP - 0x1000;
         int steps = 0;
         while (g.ctx.running && steps < 2000) {
-            g.engine->stepInsn(SimCycle((U64)steps));
+            g.engine.stepInsn(SimCycle((U64)steps));
             steps++;
         }
         // Either it halted via the handler or is still chewing junk;
@@ -107,12 +107,11 @@ TEST(Kernel, GuestCrashReportsAndShutsDown)
 
 TEST(OooDebug, DebugStateRendersPipeline)
 {
-    CoreRunner r([] {
-        SimConfig cfg = SimConfig::preset("k8");
-        cfg.core = "ooo";
-        return cfg;
-    }());
-    Assembler a(CoreRunner::CODE_BASE);
+    SimConfig cfg = testConfig(SimConfig::preset("k8"));
+    cfg.core = "ooo";
+    BareMachine r(cfg);
+    mapTestLayout(r);
+    Assembler a(CODE_BASE);
     a.mov(R::rcx, 100);
     Label top = a.label();
     a.imul(R::rax, R::rcx);
@@ -120,13 +119,13 @@ TEST(OooDebug, DebugStateRendersPipeline)
     a.jcc(COND_ne, top);
     a.hlt();
     r.load(a);
-    r.start();
+    r.finalizeCores();
     // Run past the cold I-cache fill so the ROB holds in-flight work.
     std::string dump;
     for (U64 c = 0; c < 2000; c++) {
-        r.core->cycle(SimCycle(c));
+        r.core(0).cycle(SimCycle(c));
         if (c > 200) {
-            dump = r.core->debugState();
+            dump = r.core(0).debugState();
             if (dump.find("rob[") != std::string::npos)
                 break;
         }

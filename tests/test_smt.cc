@@ -15,21 +15,22 @@ namespace {
 SimConfig
 smtConfig(int threads, SmtPolicy policy = SmtPolicy::RoundRobin)
 {
-    SimConfig cfg = SimConfig::preset("k8");
+    SimConfig cfg = testConfig(SimConfig::preset("k8"));
     cfg.core = "smt";
+    cfg.vcpu_count = threads;
     cfg.smt_threads = threads;
     cfg.smt_policy = policy;
     cfg.commit_checker = true;
     return cfg;
 }
 
-/** Each thread atomically adds its id+1 to a shared counter N times. */
-void
-lockContentionProgram(Assembler &a, int iterations)
+/** Each thread (rdi = thread id) atomically adds its id+1 to a shared
+ *  counter `iterations` times; returns the counter once all halt. */
+U64
+runLockContention(BareMachine &r, int iterations)
 {
-    // arg convention: each VCPU starts at entry with rdi = thread id
-    // (CoreRunner sets rdi per context below).
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     a.mov(R::rcx, (U64)iterations);
     a.mov(R::rdx, R::rdi);
     a.inc(R::rdx);               // addend = id + 1
@@ -39,31 +40,25 @@ lockContentionProgram(Assembler &a, int iterations)
     a.dec(R::rcx);
     a.jcc(COND_ne, top);
     a.hlt();
+    runOnCores(r, a, 60'000'000);
+    return r.readGuest(DATA_BASE, 8);
 }
 
 TEST(Smt, InterlockedAtomicityAcrossThreads)
 {
     constexpr int ITERS = 500;
-    CoreRunner r(smtConfig(2), 2);
-    Assembler a(CoreRunner::CODE_BASE);
-    lockContentionProgram(a, ITERS);
-    r.load(a, 0);
-    r.load(a, 1);
-    r.contexts[0]->regs[REG_rdi] = 0;
-    r.contexts[1]->regs[REG_rdi] = 1;
-    r.start();
-    r.run(30'000'000);
+    BareMachine r(smtConfig(2));
     // Thread 0 adds 1, thread 1 adds 2, ITERS times each.
-    EXPECT_EQ(r.readGuest(CoreRunner::DATA_BASE, 8), (U64)(ITERS * 3));
-    EXPECT_GT(r.stats.get("interlock/acquires"), 2ULL * ITERS - 10);
+    EXPECT_EQ(runLockContention(r, ITERS), (U64)(ITERS * 3));
+    EXPECT_GT(r.stats().get("interlock/acquires"), 2ULL * ITERS - 10);
 }
 
 TEST(Smt, BothThreadsMakeProgress)
 {
-    CoreRunner r(smtConfig(2), 2);
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(smtConfig(2));
+    Assembler a(CODE_BASE);
     // Independent CPU-bound loops writing progress counters.
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     a.mov(R::rcx, 2000);
     Label top = a.label();
     a.mov(Mem::idx(R::rbx, R::rdi, 8, 0x100), R::rcx);
@@ -71,61 +66,38 @@ TEST(Smt, BothThreadsMakeProgress)
     a.jcc(COND_ne, top);
     a.mov(Mem::idx(R::rbx, R::rdi, 8, 0x200), R::rdi);
     a.hlt();
-    r.load(a, 0);
-    r.load(a, 1);
-    r.contexts[0]->regs[REG_rdi] = 0;
-    r.contexts[1]->regs[REG_rdi] = 1;
-    r.start();
-    U64 cycles = r.run(10'000'000);
-    EXPECT_EQ(r.readGuest(CoreRunner::DATA_BASE + 0x200, 8), 0ULL);
-    EXPECT_EQ(r.readGuest(CoreRunner::DATA_BASE + 0x208, 8), 1ULL);
+    U64 cycles = runOnCores(r, a, 10'000'000);
+    EXPECT_EQ(r.readGuest(DATA_BASE + 0x200, 8), 0ULL);
+    EXPECT_EQ(r.readGuest(DATA_BASE + 0x208, 8), 1ULL);
     // Sharing one 3-wide core: combined throughput beats 2x serial but
     // each thread is slower than alone; just sanity-bound the cycles.
     EXPECT_LT(cycles, 10'000'000ULL);
-    EXPECT_EQ(r.stats.get("core0/commit/insns"),
+    EXPECT_EQ(r.stats().get("core0/commit/insns"),
               2 * (2ULL + 2000 * 3 + 1 + 1));
 }
 
 TEST(Smt, IcountPolicyAlsoCorrect)
 {
-    constexpr int ITERS = 300;
-    CoreRunner r(smtConfig(2, SmtPolicy::Icount), 2);
-    Assembler a(CoreRunner::CODE_BASE);
-    lockContentionProgram(a, ITERS);
-    r.load(a, 0);
-    r.load(a, 1);
-    r.contexts[0]->regs[REG_rdi] = 0;
-    r.contexts[1]->regs[REG_rdi] = 1;
-    r.start();
-    r.run(30'000'000);
-    EXPECT_EQ(r.readGuest(CoreRunner::DATA_BASE, 8), (U64)(ITERS * 3));
+    BareMachine r(smtConfig(2, SmtPolicy::Icount));
+    EXPECT_EQ(runLockContention(r, 300), 300ULL * 3);
 }
 
 TEST(Smt, FourThreads)
 {
-    constexpr int ITERS = 200;
-    CoreRunner r(smtConfig(4), 4);
-    Assembler a(CoreRunner::CODE_BASE);
-    lockContentionProgram(a, ITERS);
-    for (int i = 0; i < 4; i++) {
-        r.load(a, i);
-        r.contexts[i]->regs[REG_rdi] = (U64)i;
-    }
-    r.start();
-    r.run(60'000'000);
+    BareMachine r(smtConfig(4));
     // Sum of (id+1) over 4 threads = 10 per round.
-    EXPECT_EQ(r.readGuest(CoreRunner::DATA_BASE, 8), (U64)(ITERS * 10));
+    EXPECT_EQ(runLockContention(r, 200), 200ULL * 10);
 }
 
 TEST(Smt, SpinlockCriticalSection)
 {
     // Classic test-and-set spinlock protecting a non-atomic RMW.
     constexpr int ITERS = 300;
-    CoreRunner r(smtConfig(2), 2);
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(smtConfig(2));
+    Assembler a(CODE_BASE);
     Label acquire = a.newLabel(), spin = a.newLabel(), go = a.newLabel();
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);        // lock word
-    a.movImm64(R::rbp, CoreRunner::DATA_BASE + 64);   // protected counter
+    a.movImm64(R::rbx, DATA_BASE);        // lock word
+    a.movImm64(R::rbp, DATA_BASE + 64);   // protected counter
     a.mov(R::rcx, (U64)ITERS);
     a.bind(acquire);
     // try: cmpxchg(lock: 0 -> 1)
@@ -148,126 +120,42 @@ TEST(Smt, SpinlockCriticalSection)
     a.dec(R::rcx);
     a.jcc(COND_ne, acquire);
     a.hlt();
-    r.load(a, 0);
-    r.load(a, 1);
-    r.start();
-    r.run(60'000'000);
-    EXPECT_EQ(r.readGuest(CoreRunner::DATA_BASE + 64, 8),
-              (U64)(2 * ITERS));
-    EXPECT_EQ(r.readGuest(CoreRunner::DATA_BASE, 8), 0ULL);  // unlocked
+    runOnCores(r, a, 60'000'000);
+    EXPECT_EQ(r.readGuest(DATA_BASE + 64, 8), (U64)(2 * ITERS));
+    EXPECT_EQ(r.readGuest(DATA_BASE, 8), 0ULL);  // unlocked
 }
 
 // ---------------------------------------------------------------------
 // Multi-core (one thread per core, shared coherence + interlocks)
 // ---------------------------------------------------------------------
 
-class MultiCoreRig
+/** Two K8 OoO cores, one VCPU each, joined by `kind` coherence. */
+SimConfig
+multiCoreConfig(CoherenceKind kind)
 {
-  public:
-    MultiCoreRig(int ncores, CoherenceKind kind)
-        : cfg(SimConfig::preset("k8")), mem(32 << 20, 7, true),
-          aspace(mem),
-          bbcache(stats.counter("bbcache/hits"),
-                  stats.counter("bbcache/misses"),
-                  stats.counter("bbcache/smc_invalidations")),
-          sys(bbcache),
-          interlocks(stats),
-          coherence(kind, cfg.interconnect_latency, stats)
-    {
-        cfg.core = "ooo";
-        cfg.commit_checker = true;
-        cfg.coherence = kind;
-        cr3 = aspace.createRoot();
-        aspace.mapRange(cr3, GuestVirt(CoreRunner::CODE_BASE),
-                        256 * PAGE_SIZE, Pte::RW | Pte::US);
-        aspace.mapRange(cr3, GuestVirt(CoreRunner::DATA_BASE),
-                        256 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
-        aspace.mapRange(cr3,
-                        GuestVirt(CoreRunner::STACK_TOP - 256 * PAGE_SIZE),
-                        256 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
-        for (int i = 0; i < ncores; i++) {
-            contexts.push_back(std::make_unique<Context>());
-            Context &ctx = *contexts.back();
-            ctx.vcpu_id = i;
-            ctx.cr3 = cr3;
-            ctx.kernel_mode = true;
-            ctx.regs[REG_rsp] =
-                CoreRunner::STACK_TOP - 64 - (U64)i * 0x10000;
-        }
-    }
+    SimConfig cfg = testConfig(SimConfig::preset("k8"));
+    cfg.core = "ooo";
+    cfg.commit_checker = true;
+    cfg.coherence = kind;
+    cfg.vcpu_count = 2;
+    return cfg;
+}
 
-    void
-    loadAndStart(Assembler &assembler)
-    {
-        std::vector<U8> image = assembler.finalize();
-        for (size_t i = 0; i < image.size(); i++) {
-            GuestAccess a = guestTranslate(aspace, *contexts[0],
-                                           GuestVirt(assembler.baseVa() + i),
-                                           MemAccess::Write);
-            ptl_assert(a.ok());
-            mem.writeBytes(a.paddr, &image[i], 1);
-        }
-        for (size_t i = 0; i < contexts.size(); i++) {
-            contexts[i]->rip = GuestVirt(assembler.baseVa());
-            CoreBuildParams p;
-            p.config = &cfg;
-            p.contexts = {contexts[i].get()};
-            p.aspace = &aspace;
-            p.bbcache = &bbcache;
-            p.sys = &sys;
-            p.stats = &stats;
-            p.prefix = "core" + std::to_string(i) + "/";
-            p.coherence = &coherence;
-            p.interlocks = &interlocks;
-            p.core_id = i;
-            hierarchies.push_back(std::make_unique<MemoryHierarchy>(
-                cfg, aspace, stats, p.prefix, &coherence));
-            p.hierarchy = hierarchies.back().get();
-            cores.push_back(createCoreModel("ooo", p));
-            cores.back()->attachAuditor(
-                makeVerifyAuditor(cfg, stats, p.prefix));
-        }
-    }
-
-    U64
-    run(U64 max_cycles)
-    {
-        U64 c = 0;
-        for (; c < max_cycles; c++) {
-            bool all_idle = true;
-            for (auto &core : cores) {
-                core->cycle(SimCycle(c));
-                all_idle &= core->allIdle();
-            }
-            if (all_idle)
-                break;
-        }
-        for (auto &core : cores)
-            ptl_assert(core->allIdle());
-        return c;
-    }
-
-    U64
-    readGuest(U64 va, unsigned bytes)
-    {
-        U64 v = 0;
-        guestRead(aspace, *contexts[0], GuestVirt(va), bytes, v);
-        return v;
-    }
-
-    SimConfig cfg;
-    PhysMem mem;
-    AddressSpace aspace;
-    StatsTree stats;
-    BasicBlockCache bbcache;
-    StubSystem sys;
-    InterlockController interlocks;
-    CoherenceController coherence;
-    std::vector<std::unique_ptr<Context>> contexts;
-    std::vector<std::unique_ptr<MemoryHierarchy>> hierarchies;
-    std::vector<std::unique_ptr<CoreModel>> cores;
-    Pfn cr3;
-};
+/** Each core lock-increments one shared counter `iterations` times;
+ *  returns the cycles until both halt. */
+U64
+runSharedIncrements(BareMachine &rig, int iterations)
+{
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rcx, (U64)iterations);
+    Label top = a.label();
+    a.lockInc(Mem::at(R::rbx));
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+    return runOnCores(rig, a, 50'000'000);
+}
 
 class MultiCoreCoherence
     : public ::testing::TestWithParam<CoherenceKind>
@@ -277,33 +165,23 @@ class MultiCoreCoherence
 TEST_P(MultiCoreCoherence, AtomicCountersAcrossCores)
 {
     constexpr int ITERS = 400;
-    MultiCoreRig rig(2, GetParam());
-    Assembler a(CoreRunner::CODE_BASE);
-    // Use vcpu_id-free variant: both add 1.
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
-    a.mov(R::rcx, (U64)ITERS);
-    Label top = a.label();
-    a.lockInc(Mem::at(R::rbx));
-    a.dec(R::rcx);
-    a.jcc(COND_ne, top);
-    a.hlt();
-    rig.loadAndStart(a);
-    rig.run(50'000'000);
-    EXPECT_EQ(rig.readGuest(CoreRunner::DATA_BASE, 8), (U64)(2 * ITERS));
-    rig.coherence.checkAllInvariants();
-    EXPECT_GT(rig.stats.get("coherence/invalidations"), 0ULL);
+    BareMachine rig(multiCoreConfig(GetParam()));
+    runSharedIncrements(rig, ITERS);
+    EXPECT_EQ(rig.readGuest(DATA_BASE, 8), (U64)(2 * ITERS));
+    rig.coherence()->checkAllInvariants();
+    EXPECT_GT(rig.stats().get("coherence/invalidations"), 0ULL);
 }
 
 TEST_P(MultiCoreCoherence, ProducerConsumerFlag)
 {
-    MultiCoreRig rig(2, GetParam());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine rig(multiCoreConfig(GetParam()));
+    Assembler a(CODE_BASE);
     // Core 0 writes data then sets a flag; core 1 spins on the flag
     // then reads the data. Store commit order makes this safe.
     Label core1 = a.newLabel(), start = a.newLabel();
     a.jmp(start);
     a.bind(core1);
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     Label spin = a.label();
     a.cmp8(Mem::at(R::rbx, 64), 1);
     a.jcc(COND_ne, spin);
@@ -313,18 +191,15 @@ TEST_P(MultiCoreCoherence, ProducerConsumerFlag)
     // Core 0 path: if vcpu_id (rdi) != 0, jump to the consumer.
     a.test(R::rdi, R::rdi);
     a.jcc(COND_ne, core1);
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     a.mov(R::rax, 0xD47A);
     a.mov(Mem::at(R::rbx), R::rax);    // data
     a.mov(R::rax, 1);
     a.mov8(Mem::at(R::rbx, 64), R::rax);  // flag (different line)
     a.hlt();
-    rig.contexts[0]->regs[REG_rdi] = 0;
-    rig.contexts[1]->regs[REG_rdi] = 1;
-    rig.loadAndStart(a);
-    rig.run(50'000'000);
-    EXPECT_EQ(rig.contexts[1]->regs[REG_r8], 0xD47AULL);
-    rig.coherence.checkAllInvariants();
+    runOnCores(rig, a, 50'000'000);
+    EXPECT_EQ(rig.vcpu(1).regs[REG_r8], 0xD47AULL);
+    rig.coherence()->checkAllInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, MultiCoreCoherence,
@@ -336,17 +211,8 @@ TEST(MultiCore, MoesiCostsMoreThanInstant)
     // Ping-pong a line between two cores: MOESI pays interconnect
     // latency per transfer, the instant model does not (paper default).
     auto run_with = [](CoherenceKind kind) {
-        MultiCoreRig rig(2, kind);
-        Assembler a(CoreRunner::CODE_BASE);
-        a.movImm64(R::rbx, CoreRunner::DATA_BASE);
-        a.mov(R::rcx, 300);
-        Label top = a.label();
-        a.lockInc(Mem::at(R::rbx));
-        a.dec(R::rcx);
-        a.jcc(COND_ne, top);
-        a.hlt();
-        rig.loadAndStart(a);
-        return rig.run(50'000'000);
+        BareMachine rig(multiCoreConfig(kind));
+        return runSharedIncrements(rig, 300);
     };
     U64 instant = run_with(CoherenceKind::InstantVisibility);
     U64 moesi = run_with(CoherenceKind::Moesi);

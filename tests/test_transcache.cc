@@ -18,8 +18,6 @@
 namespace ptl {
 namespace {
 
-constexpr U64 DATA_BASE = GuestRunner::DATA_BASE;
-
 TEST(TransCache, HitMissAndFlushCounting)
 {
     GuestRunner r;
@@ -42,9 +40,9 @@ TEST(TransCache, HitMissAndFlushCounting)
     EXPECT_EQ(tc.misses(), m0 + 1);
 
     // The stats mirrors track the internal counters.
-    EXPECT_EQ(r.stats.get("transcache/hits"), tc.hits());
-    EXPECT_EQ(r.stats.get("transcache/misses"), tc.misses());
-    EXPECT_EQ(r.stats.get("transcache/flushes"), tc.flushes());
+    EXPECT_EQ(r.stats().get("transcache/hits"), tc.hits());
+    EXPECT_EQ(r.stats().get("transcache/misses"), tc.misses());
+    EXPECT_EQ(r.stats().get("transcache/flushes"), tc.flushes());
 }
 
 TEST(TransCache, MapAndUnmapFlush)
@@ -55,8 +53,8 @@ TEST(TransCache, MapAndUnmapFlush)
     ASSERT_TRUE(guestTranslate(r.aspace, r.ctx, GuestVirt(DATA_BASE),
                                MemAccess::Read).ok());
     U64 f0 = tc.flushes();
-    Pfn fresh = r.mem.allocFrame();
-    r.aspace.map(r.cr3, GuestVirt(0xA00000), fresh, Pte::RW | Pte::US);
+    Pfn fresh = r.physMem().allocFrame();
+    r.aspace.map(r.root(), GuestVirt(0xA00000), fresh, Pte::RW | Pte::US);
     EXPECT_GT(tc.flushes(), f0);
 
     // After the flush the old line must re-walk (miss), not hit stale.
@@ -66,7 +64,7 @@ TEST(TransCache, MapAndUnmapFlush)
     EXPECT_EQ(tc.misses(), m0 + 1);
 
     U64 f1 = tc.flushes();
-    r.aspace.unmap(r.cr3, GuestVirt(0xA00000));
+    r.aspace.unmap(r.root(), GuestVirt(0xA00000));
     EXPECT_GT(tc.flushes(), f1);
     GuestAccess gone = guestTranslate(r.aspace, r.ctx, GuestVirt(0xA00000),
                                       MemAccess::Read);
@@ -78,7 +76,7 @@ TEST(TransCache, Cr3TagsKeepRootsDistinct)
     GuestRunner r;
     // A second root mapping the same VA to a different frame.
     Pfn cr3b = r.aspace.createRoot();
-    Pfn other = r.mem.allocFrame();
+    Pfn other = r.physMem().allocFrame();
     r.aspace.map(cr3b, GuestVirt(DATA_BASE), other, Pte::RW | Pte::US);
 
     GuestAccess a = guestTranslate(r.aspace, r.ctx, GuestVirt(DATA_BASE),
@@ -124,7 +122,7 @@ TEST(TransCache, StoreToPageTableFrameInvalidates)
                                         MemAccess::Read);
     ASSERT_TRUE(before.ok());
 
-    PageWalk w = r.aspace.walk(r.cr3, GuestVirt(DATA_BASE));
+    PageWalk w = r.aspace.walk(r.root(), GuestVirt(DATA_BASE));
     ASSERT_TRUE(w.present);
     Pfn leaf_frame = w.pte_addr[3].pfn();
     EXPECT_TRUE(r.aspace.isPageTableFrame(leaf_frame));
@@ -132,12 +130,12 @@ TEST(TransCache, StoreToPageTableFrameInvalidates)
     // Alias-map the leaf table frame at a scratch VA (PD slot 5 is
     // untouched by the harness mappings), then re-warm the victim.
     constexpr U64 ALIAS = 5ULL << 21;
-    r.aspace.map(r.cr3, GuestVirt(ALIAS), leaf_frame, Pte::RW | Pte::US);
+    r.aspace.map(r.root(), GuestVirt(ALIAS), leaf_frame, Pte::RW | Pte::US);
     ASSERT_TRUE(guestTranslate(r.aspace, r.ctx, GuestVirt(DATA_BASE),
                                MemAccess::Read).ok());
 
     // Point the victim PTE at a fresh frame via a plain guest store.
-    Pfn fresh = r.mem.allocFrame();
+    Pfn fresh = r.physMem().allocFrame();
     U64 new_pte = (fresh.raw() << PAGE_SHIFT) | Pte::P | Pte::RW | Pte::US;
     U64 f0 = r.aspace.transCache().flushes();
     GuestAccess st = guestWrite(r.aspace, r.ctx,
@@ -165,12 +163,12 @@ TEST(TransCache, SmcStoreInvalidatesBbcacheAndTransCache)
     // The leaf table for the harness code region: 256 PTEs occupy
     // bytes [0, 2048); the rest of the frame is dead space where a
     // test program can live.
-    PageWalk w = r.aspace.walk(r.cr3, GuestVirt(GuestRunner::CODE_BASE));
+    PageWalk w = r.aspace.walk(r.root(), GuestVirt(CODE_BASE));
     ASSERT_TRUE(w.present);
     Pfn leaf_frame = w.pte_addr[3].pfn();
 
     constexpr U64 ALIAS = 5ULL << 21;
-    r.aspace.map(r.cr3, GuestVirt(ALIAS), leaf_frame, Pte::RW | Pte::US);
+    r.aspace.map(r.root(), GuestVirt(ALIAS), leaf_frame, Pte::RW | Pte::US);
 
     // Program at ALIAS+0x900: store to ALIAS+0xE00 (same frame), hlt.
     Assembler a(ALIAS + 0x900);
@@ -182,15 +180,15 @@ TEST(TransCache, SmcStoreInvalidatesBbcacheAndTransCache)
 
     // Register the leaf table frame for snooping: a cached walk of any
     // code-region VA traverses it.
-    ASSERT_TRUE(guestTranslate(r.aspace, r.ctx, GuestVirt(GuestRunner::CODE_BASE),
+    ASSERT_TRUE(guestTranslate(r.aspace, r.ctx, GuestVirt(CODE_BASE),
                                MemAccess::Read).ok());
     ASSERT_TRUE(r.aspace.isPageTableFrame(leaf_frame));
 
     U64 f0 = r.aspace.transCache().flushes();
-    U64 smc0 = r.stats.get("bbcache/smc_invalidations");
-    r.run();
+    U64 smc0 = r.stats().get("bbcache/smc_invalidations");
+    r.execute();
     EXPECT_GT(r.aspace.transCache().flushes(), f0);
-    EXPECT_GT(r.stats.get("bbcache/smc_invalidations"), smc0);
+    EXPECT_GT(r.stats().get("bbcache/smc_invalidations"), smc0);
     EXPECT_EQ(r.readGuest(ALIAS + 0xE00, 8), 0x5aULL);
 }
 
@@ -227,11 +225,11 @@ TEST(TransCache, AccessedDirtyBitsMatchUncachedWalk)
     U64 va = DATA_BASE + 37 * PAGE_SIZE;
 
     ASSERT_TRUE(guestTranslate(r.aspace, r.ctx, GuestVirt(va), MemAccess::Read).ok());
-    PageWalk w = r.aspace.walk(r.cr3, GuestVirt(va));
+    PageWalk w = r.aspace.walk(r.root(), GuestVirt(va));
     for (int level = 0; level < 4; level++)
-        EXPECT_TRUE(r.mem.read(w.pte_addr[level], 8) & Pte::A)
+        EXPECT_TRUE(r.physMem().read(w.pte_addr[level], 8) & Pte::A)
             << "level " << level;
-    EXPECT_FALSE(r.mem.read(w.pte_addr[3], 8) & Pte::D);
+    EXPECT_FALSE(r.physMem().read(w.pte_addr[3], 8) & Pte::D);
 
     // First write through the (clean) cached entry: counted as a miss,
     // walks, and sets D.
@@ -239,7 +237,7 @@ TEST(TransCache, AccessedDirtyBitsMatchUncachedWalk)
     ASSERT_TRUE(guestTranslate(r.aspace, r.ctx, GuestVirt(va), MemAccess::Write).ok());
     EXPECT_EQ(tc.misses(), m0 + 1);
     EXPECT_EQ(tc.hits(), h0);
-    EXPECT_TRUE(r.mem.read(w.pte_addr[3], 8) & Pte::D);
+    EXPECT_TRUE(r.physMem().read(w.pte_addr[3], 8) & Pte::D);
 
     // Now the Dirty state is cached: further writes are hits.
     ASSERT_TRUE(guestTranslate(r.aspace, r.ctx, GuestVirt(va), MemAccess::Write).ok());
@@ -261,8 +259,8 @@ TEST(TransCache, PermissionFaultsMatchUncachedWalk)
     EXPECT_EQ(warm.fault, GuestFault::PageFaultFetch);
 
     // User-mode access to a kernel-only page faults from the cache too.
-    Pfn kframe = r.mem.allocFrame();
-    r.aspace.map(r.cr3, GuestVirt(0xB00000), kframe, Pte::RW);  // no US
+    Pfn kframe = r.physMem().allocFrame();
+    r.aspace.map(r.root(), GuestVirt(0xB00000), kframe, Pte::RW);  // no US
     ASSERT_TRUE(guestTranslate(r.aspace, r.ctx, GuestVirt(0xB00000),
                                MemAccess::Read).ok());  // kernel: fine
     Context user = r.ctx;
@@ -343,7 +341,7 @@ TEST(TransCache, EngineRunProducesHitsUnderShadowVerification)
 {
     GuestRunner r;
     ASSERT_TRUE(r.aspace.transCache().shadowEnabled());
-    Assembler a(GuestRunner::CODE_BASE);
+    Assembler a(CODE_BASE);
     a.movImm64(R::rbx, DATA_BASE);
     a.mov(R::rcx, 500);
     Label top = a.label();
@@ -354,10 +352,10 @@ TEST(TransCache, EngineRunProducesHitsUnderShadowVerification)
     a.jcc(COND_ne, top);
     a.hlt();
     r.load(a);
-    r.run();
+    r.execute();
     EXPECT_GT(r.aspace.transCache().hits(), 500ULL);
 #if PTL_VERIFY
-    EXPECT_GT(r.stats.get("transcache/shadow_checks"), 0ULL);
+    EXPECT_GT(r.stats().get("transcache/shadow_checks"), 0ULL);
 #endif
 }
 

@@ -19,7 +19,7 @@ namespace {
 SimConfig
 verifyConfig()
 {
-    SimConfig cfg = SimConfig::preset("default");
+    SimConfig cfg = testConfig(SimConfig::preset("default"));
     cfg.core = "ooo";
     return cfg;
 }
@@ -29,7 +29,7 @@ verifyConfig()
 void
 churnProgram(Assembler &a)
 {
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
     a.mov(R::rcx, 0);
     Label top = a.label();
     a.mov(R::rax, R::rcx);
@@ -49,13 +49,14 @@ class VerifyRig
   public:
     explicit VerifyRig(SimConfig cfg = verifyConfig()) : runner(cfg)
     {
-        Assembler a(CoreRunner::CODE_BASE);
+        mapTestLayout(runner);
+        Assembler a(CODE_BASE);
         churnProgram(a);
         runner.load(a);
-        runner.start();
+        runner.finalizeCores();
     }
 
-    OooCore &core() { return static_cast<OooCore &>(*runner.core); }
+    OooCore &core() { return static_cast<OooCore &>(runner.core(0)); }
 
     /**
      * Cycle the pipeline, offering `corrupt` a chance after each cycle
@@ -66,9 +67,9 @@ class VerifyRig
     bool
     corruptMidFlight(Fn &&corrupt, U64 max_cycles = 200000)
     {
-        for (; now.raw() < max_cycles && !runner.core->allIdle();
+        for (; now.raw() < max_cycles && !runner.core(0).allIdle();
              ++now) {
-            runner.core->cycle(now);
+            runner.core(0).cycle(now);
             if (corrupt(core()))
                 return true;
         }
@@ -82,23 +83,23 @@ class VerifyRig
         return chk.checkCore(core(), now);
     }
 
-    CoreRunner runner;
+    BareMachine runner;
     SimCycle now;
 };
 
 TEST(VerifyTest, CleanPipelinePassesEveryCycleAudit)
 {
     VerifyRig rig;
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     int violations = 0;
-    for (; rig.now.raw() < 200000 && !rig.runner.core->allIdle();
+    for (; rig.now.raw() < 200000 && !rig.runner.core(0).allIdle();
          ++rig.now) {
-        rig.runner.core->cycle(rig.now);
+        rig.runner.core(0).cycle(rig.now);
         if (rig.now.raw() % 16 == 0)
             violations += rig.audit(chk);
     }
-    EXPECT_TRUE(rig.runner.core->allIdle()) << "program never drained";
+    EXPECT_TRUE(rig.runner.core(0).allIdle()) << "program never drained";
     EXPECT_EQ(violations, 0);
     EXPECT_GT(chk.counters().checks.value(), 0u);
     EXPECT_EQ(chk.counters().violations.value(), 0u);
@@ -110,7 +111,7 @@ TEST(VerifyTest, DetectsRobCountCorruption)
     ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
         return VerifyTestHook::corruptRobCount(c, 0);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().rob_count.value(), 0u);
@@ -122,7 +123,7 @@ TEST(VerifyTest, DetectsRobAgeOrderCorruption)
     ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
         return VerifyTestHook::corruptRobOrder(c, 0);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().rob_order.value(), 0u);
@@ -134,7 +135,7 @@ TEST(VerifyTest, DetectsLsqAgeCorruption)
     ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
         return VerifyTestHook::corruptLsqAge(c, 0);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().lsq_age.value()
@@ -148,7 +149,7 @@ TEST(VerifyTest, DetectsPhysicalRegisterLeak)
     ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
         return VerifyTestHook::corruptPrfLeak(c);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().prf_leak.value(), 0u);
@@ -160,7 +161,7 @@ TEST(VerifyTest, DetectsPhysicalRegisterDoubleFree)
     ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
         return VerifyTestHook::corruptPrfDoubleFree(c);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().prf_double_free.value(), 0u);
@@ -172,7 +173,7 @@ TEST(VerifyTest, DetectsIssueQueueScoreboardBreak)
     ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
         return VerifyTestHook::corruptIqReady(c);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().iq_state.value(), 0u);
@@ -206,7 +207,7 @@ TEST(VerifyTest, PanicModeDiesOnCorruption)
     ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
         return VerifyTestHook::corruptPrfDoubleFree(c);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Panic);
     EXPECT_DEATH(chk.checkCore(rig.core(), rig.now), "double.free|free list");
 }
@@ -224,8 +225,8 @@ TEST(VerifyTest, LockstepCatchesShadowRegisterDivergence)
             ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
                 return VerifyTestHook::skewShadowReg(c, 0, REG_rdx);
             }));
-            for (int i = 0; i < 10000 && !rig.runner.core->allIdle(); i++)
-                rig.runner.core->cycle(++rig.now);
+            for (int i = 0; i < 10000 && !rig.runner.core(0).allIdle(); i++)
+                rig.runner.core(0).cycle(++rig.now);
         },
         "lockstep divergence");
 }
