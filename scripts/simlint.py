@@ -26,7 +26,8 @@ Options:
   --self-test      run every rule against its golden fixtures under
                    tools/simlint/fixtures/<rule>/: each bad* fixture
                    must trip exactly its own rule, each good* fixture
-                   must be clean under ALL rules
+                   must be clean under ALL rules, and every fixture
+                   directory must belong to a registered rule
   --explain RULE   print the named rule's documentation followed by a
                    unified diff from its bad fixture to its good one
                    — the minimal edit that takes code from flagged to
@@ -42,8 +43,9 @@ Options:
   --no-cache       bypass the semantic-index cache entirely
   --cache-dir DIR  cache location (default: build/simlint-cache)
   --baseline FILE  ratchet: per-rule finding counts and per-waiver
-                   line counts must not exceed FILE (exit 1 if they
-                   do; tightening is reported as a suggestion)
+                   line counts must not exceed FILE, and FILE may name
+                   only registered rules (exit 1 otherwise; tightening
+                   is reported as a suggestion)
   --update-baseline  rewrite FILE from the current run instead of
                    checking it
 
@@ -59,12 +61,14 @@ Rules and waivers (line-scoped `// simlint: <waiver>` comments):
   event-discipline     event-ok        EventQueue callback hygiene
   raw-cycle            raw-cycle-ok    SimCycle/CycleDelta discipline
   nondeterminism       nondet-ok       entropy / iteration order
-  lock-discipline      lock-ok(..)     guarded state lock-held on all
-                                       CFG paths (flow-sensitive)
+  nondet-taint         nondet-taint-ok unordered iteration reaching
+                                       simulated state (call graph)
   checkpoint-symmetry  ckpt-sym-ok(..) serialize/restore ordered
                                        stream parity (flow-sensitive)
   simcycle-escape      raw-escape-ok(..) .raw() taint back into cycle
                                        math (flow-sensitive)
+  address-kind         addr-ok(..)     guest virt/phys kind mixing
+                                       (flow-sensitive)
 
 Exit status: 0 clean, 1 findings (or self-test failure), 2 usage or
 configuration error.
@@ -88,6 +92,7 @@ from simlint import rules as rules_pkg  # noqa: E402
 
 SOURCE_EXTS = (".h", ".hh", ".hpp", ".cc", ".cpp", ".cxx")
 LAYERS_TOML = os.path.join(REPO_ROOT, "tools", "simlint", "layers.toml")
+FIXTURES_DIR = os.path.join(REPO_ROOT, "tools", "simlint", "fixtures")
 DEFAULT_CACHE_DIR = os.path.join(REPO_ROOT, "build", "simlint-cache")
 
 
@@ -277,6 +282,12 @@ def check_baseline(path, rule_mods, findings, ctx, update):
         return 1
     errors = 0
     improvable = []
+    for name in sorted(base.get("rules", {})):
+        if name not in rules_pkg.BY_NAME:
+            print("simlint: baseline ratchet: baseline names rule "
+                  "'%s', which no registered rule has — remove its "
+                  "entry" % name, file=sys.stderr)
+            errors += 1
     for name, cur in sorted(current["rules"].items()):
         allowed = base.get("rules", {}).get(name, 0)
         if cur > allowed:
@@ -340,8 +351,7 @@ def explain(name):
     doc = inspect.getdoc(mod) or "(no documentation)"
     print(doc.rstrip())
 
-    rule_dir = os.path.join(REPO_ROOT, "tools", "simlint", "fixtures",
-                            name.replace("-", "_"))
+    rule_dir = os.path.join(FIXTURES_DIR, name.replace("-", "_"))
     sets = list(_fixture_sets(rule_dir))
     bad = next((files for k, _, files in sets if k == "bad"), None)
     good = next((files for k, _, files in sets if k == "good"), None)
@@ -362,9 +372,14 @@ def explain(name):
     return 0
 
 
-def self_test(layers):
-    fixtures = os.path.join(REPO_ROOT, "tools", "simlint", "fixtures")
+def self_test(layers, fixtures=FIXTURES_DIR):
     failed = 0
+    known = {mod.NAME.replace("-", "_") for mod in rules_pkg.ALL}
+    for d in sorted(os.listdir(fixtures)):
+        if os.path.isdir(os.path.join(fixtures, d)) and d not in known:
+            print("self-test FAIL %s: fixture directory has no "
+                  "registered rule" % d)
+            failed += 1
     for mod in rules_pkg.ALL:
         rule_dir = os.path.join(fixtures, mod.NAME.replace("-", "_"))
         sets = list(_fixture_sets(rule_dir))

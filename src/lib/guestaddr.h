@@ -44,8 +44,8 @@
  * kind, is a finding.
  *
  * Everything is constexpr and trivially copyable; at -O1+ the
- * wrappers compile to raw U64 arithmetic (bench_simspeed guards the
- * parity, exactly as it does for SimCycle).
+ * wrappers compile to raw U64 arithmetic (perfbench's run_s and
+ * mem.translate_ns would show a wrapper that did not).
  */
 
 #ifndef PTLSIM_LIB_GUESTADDR_H_

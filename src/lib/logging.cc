@@ -1,6 +1,5 @@
 #include "lib/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,13 +7,8 @@ namespace ptl {
 
 namespace {
 
-// The logging configuration is genuinely process-wide (every Domain
-// thread warns through the same sink), so it stays global — but as
-// lock-free atomics: a sink/quiet flip by one thread while another
-// emits must read either the old or the new value, never a torn one.
-std::atomic<void (*)(const std::string &)>
-    log_sink{nullptr};  // simlint: shared-guarded(atomic)
-std::atomic<bool> log_quiet{false};  // simlint: shared-guarded(atomic)
+void (*log_sink)(const std::string &) = nullptr;
+bool log_quiet = false;
 
 std::string
 vstrprintf(const char *fmt, va_list ap)
@@ -32,10 +26,10 @@ vstrprintf(const char *fmt, va_list ap)
 void
 emit(const std::string &line)
 {
-    if (log_quiet.load(std::memory_order_relaxed))
+    if (log_quiet)
         return;
-    if (auto *sink = log_sink.load(std::memory_order_acquire)) {
-        sink(line);
+    if (log_sink) {
+        log_sink(line);
     } else {
         std::fputs(line.c_str(), stderr);
         std::fputc('\n', stderr);
@@ -57,13 +51,13 @@ strprintf(const char *fmt, ...)
 void
 setLogSink(void (*sink)(const std::string &))
 {
-    log_sink.store(sink, std::memory_order_release);
+    log_sink = sink;
 }
 
 void
 setLogQuiet(bool quiet)
 {
-    log_quiet.store(quiet, std::memory_order_relaxed);
+    log_quiet = quiet;
 }
 
 void

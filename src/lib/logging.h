@@ -13,7 +13,6 @@
 #ifndef PTLSIM_LIB_LOGGING_H_
 #define PTLSIM_LIB_LOGGING_H_
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdint>
 #include <string>
@@ -66,17 +65,12 @@ void setLogQuiet(bool quiet);
  * Emit a warning the first time this callsite is reached, then stay
  * silent. The invariant checker (src/verify) uses this for non-fatal
  * drift so a per-cycle violation cannot flood the log.
- *
- * The once-flag is atomic (test_and_set semantics via exchange): once
- * the machine shards, the same callsite can be reached from several
- * Domain threads in the same instant, and "warn at most once" must
- * still hold without a data race on the flag.
  */
 #define ptl_warn_once(...)                                                \
     do {                                                                  \
-        static std::atomic<bool> _ptl_warned_once{false};                 \
-        if (!_ptl_warned_once.exchange(true,                              \
-                                       std::memory_order_relaxed)) {      \
+        static bool _ptl_warned_once = false;                             \
+        if (!_ptl_warned_once) {                                          \
+            _ptl_warned_once = true;                                      \
             warn(__VA_ARGS__);                                            \
         }                                                                 \
     } while (0)

@@ -36,7 +36,8 @@
  *
  * Everything here is constexpr and trivially copyable: at any
  * optimization level above -O0 the wrappers compile to the same code
- * as raw U64 arithmetic (bench_simspeed guards the parity).
+ * as raw U64 arithmetic (perfbench's run_s and core.ns_per_cycle
+ * would show a wrapper that did not).
  */
 
 #ifndef PTLSIM_LIB_SIMTIME_H_

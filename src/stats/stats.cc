@@ -9,23 +9,18 @@ namespace ptl {
 Counter &
 StatsTree::counter(const std::string &path)
 {
-    LockGuard g(registry_mu_);
     auto it = index.find(path);
     if (it != index.end())
         return storage[it->second];
     index.emplace(path, storage.size());
     order.push_back(path);
     storage.emplace_back();
-    // The reference escapes the lock by design: deque storage is
-    // stable, and the handle is domain-local (see class comment), so
-    // post-registration increments need no serialization.
     return storage.back();
 }
 
 U64
 StatsTree::get(const std::string &path) const
 {
-    LockGuard g(registry_mu_);
     auto it = index.find(path);
     return (it == index.end()) ? 0 : storage[it->second].value();
 }
@@ -33,14 +28,12 @@ StatsTree::get(const std::string &path) const
 bool
 StatsTree::has(const std::string &path) const
 {
-    LockGuard g(registry_mu_);
     return index.count(path) != 0;
 }
 
 void
 StatsTree::takeSnapshot(SimCycle cycle)
 {
-    LockGuard g(registry_mu_);
     StatsSnapshot snap;
     snap.cycle = cycle;
     snap.values.reserve(storage.size());
@@ -50,7 +43,7 @@ StatsTree::takeSnapshot(SimCycle cycle)
 }
 
 std::vector<U64>
-StatsTree::deltaSeriesLocked(const std::string &path) const
+StatsTree::deltaSeries(const std::string &path) const
 {
     std::vector<U64> out;
     auto it = index.find(path);
@@ -70,22 +63,12 @@ StatsTree::deltaSeriesLocked(const std::string &path) const
     return out;
 }
 
-std::vector<U64>
-StatsTree::deltaSeries(const std::string &path) const
-{
-    LockGuard g(registry_mu_);
-    return deltaSeriesLocked(path);
-}
-
 std::vector<double>
 StatsTree::rateSeries(const std::string &numerator,
                       const std::string &denominator) const
 {
-    // One hold across both series so the snapshot set cannot change
-    // between the two extractions (and no recursive lock).
-    LockGuard g(registry_mu_);
-    std::vector<U64> num = deltaSeriesLocked(numerator);
-    std::vector<U64> den = deltaSeriesLocked(denominator);
+    std::vector<U64> num = deltaSeries(numerator);
+    std::vector<U64> den = deltaSeries(denominator);
     std::vector<double> out;
     out.reserve(num.size());
     for (size_t i = 0; i < num.size() && i < den.size(); i++)
@@ -96,14 +79,12 @@ StatsTree::rateSeries(const std::string &numerator,
 std::vector<std::string>
 StatsTree::paths() const
 {
-    LockGuard g(registry_mu_);
     return order;
 }
 
 std::string
 StatsTree::renderTable(const std::string &prefix) const
 {
-    LockGuard g(registry_mu_);
     size_t width = 0;
     for (const auto &p : order)
         if (p.rfind(prefix, 0) == 0)
@@ -122,7 +103,6 @@ StatsTree::renderTable(const std::string &prefix) const
 void
 StatsTree::reset()
 {
-    LockGuard g(registry_mu_);
     for (Counter &c : storage)
         c = Counter();
     snapshots.clear();

@@ -24,7 +24,6 @@
 
 #include "lib/bitops.h"
 #include "lib/counter.h"
-#include "lib/threadsafety.h"
 
 namespace ptl {
 
@@ -38,16 +37,6 @@ struct StatsSnapshot
 /**
  * The statistics tree. Counter handles returned by counter() remain
  * valid for the lifetime of the tree (stable storage).
- *
- * Concurrency contract (shard-readiness): the REGISTRATION side —
- * counter()/get()/has(), snapshots, series extraction, rendering —
- * is serialized on registry_mu_, because once the machine shards,
- * Domain threads register counters and the control thread snapshots
- * concurrently. The INCREMENT side is deliberately unlocked: a
- * Counter& handle is domain-local by construction (each Domain
- * increments only counters it registered under its own prefix), so
- * the hot `st_hits++` path stays a plain add. A counter shared
- * across Domains would need its own discipline — none exists today.
  */
 class StatsTree
 {
@@ -68,20 +57,10 @@ class StatsTree
     /** Record a snapshot of every counter, stamped with `cycle`. */
     void takeSnapshot(SimCycle cycle);
 
-    size_t snapshotCount() const
-    {
-        LockGuard g(registry_mu_);
-        return snapshots.size();
-    }
-    /** The lock covers the indexing; the returned reference is only
-     *  stable until the next takeSnapshot()/reset() (vector growth
-     *  relocates) — callers read snapshots between, not during,
-     *  snapshot operations. */
-    const StatsSnapshot &snapshot(size_t i) const
-    {
-        LockGuard g(registry_mu_);
-        return snapshots[i];
-    }
+    size_t snapshotCount() const { return snapshots.size(); }
+    /** The returned reference is only stable until the next
+     *  takeSnapshot()/reset() (vector growth relocates). */
+    const StatsSnapshot &snapshot(size_t i) const { return snapshots[i]; }
 
     /**
      * Per-interval deltas of one counter across consecutive snapshots
@@ -107,21 +86,10 @@ class StatsTree
     void reset();
 
   private:
-    /** deltaSeries body without the lock (rateSeries composes two
-     *  series under one registry_mu_ hold). */
-    std::vector<U64> deltaSeriesLocked(const std::string &path) const
-        PTL_REQUIRES(registry_mu_);
-
-    /** Guards registration order and snapshot state; mutable so
-     *  const readers (get, paths, series) can serialize too. */
-    mutable Mutex registry_mu_;
-    std::deque<Counter> storage
-        PTL_GUARDED_BY(registry_mu_);         ///< stable counter storage
-    std::vector<std::string> order
-        PTL_GUARDED_BY(registry_mu_);         ///< path per storage index
-    std::map<std::string, size_t> index
-        PTL_GUARDED_BY(registry_mu_);         ///< path -> storage index
-    std::vector<StatsSnapshot> snapshots PTL_GUARDED_BY(registry_mu_);
+    std::deque<Counter> storage;              ///< stable counter storage
+    std::vector<std::string> order;           ///< path per storage index
+    std::map<std::string, size_t> index;      ///< path -> storage index
+    std::vector<StatsSnapshot> snapshots;
 };
 
 }  // namespace ptl

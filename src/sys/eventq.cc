@@ -60,47 +60,11 @@ EventQueue::cancel(EventHandle h)
     return false;
 }
 
-void
-EventQueue::postCrossDomain(SimCycle due, int priority, Callback cb,
-                            const Options &opts)
-{
-    ptl_assert(cb != nullptr);
-    CrossPost p{due, priority, opts, std::move(cb)};
-    {
-        LockGuard g(inbox_mu);
-        inbox.push_back(std::move(p));
-    }
-    // Release ordering pairs with the acquire load in drainInbox(): a
-    // drainer that observes the flag also observes the push above.
-    inbox_pending.store(true, std::memory_order_release);
-}
-
-void
-EventQueue::drainInbox()
-{
-    if (!inbox_pending.load(std::memory_order_acquire))
-        return;
-    std::vector<CrossPost> posts;
-    {
-        LockGuard g(inbox_mu);
-        posts.swap(inbox);
-        inbox_pending.store(false, std::memory_order_relaxed);
-    }
-    // Admission through schedule() assigns seq/id on the OWNER thread,
-    // so heap order stays a pure function of admission order. Posts
-    // arriving from several threads are admitted in inbox order —
-    // the epoch barrier, not this queue, makes that order
-    // deterministic.
-    for (CrossPost &p : posts)
-        schedule(p.due, p.priority, std::move(p.cb), p.opts);
-}
-
 int
 EventQueue::runDue(SimCycle now)
 {
     ptl_assert(!in_run);
     in_run = true;
-    drainInbox();
     int fired = 0;
     while (!heap.empty() && heap.front().due <= now) {
         std::pop_heap(heap.begin(), heap.end(), laterFirst);
@@ -121,14 +85,6 @@ EventQueue::clear()
 {
     heap.clear();
     wake_count = 0;
-    // Checkpoint restore re-arms everything from serialized payloads;
-    // undrained cross-domain posts are stale work and drop with the
-    // heap.
-    {
-        LockGuard g(inbox_mu);
-        inbox.clear();
-        inbox_pending.store(false, std::memory_order_relaxed);
-    }
 }
 
 std::vector<EventQueue::PendingEvent>

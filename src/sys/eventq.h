@@ -36,12 +36,10 @@
 #ifndef PTLSIM_SYS_EVENTQ_H_
 #define PTLSIM_SYS_EVENTQ_H_
 
-#include <atomic>
 #include <functional>
 #include <vector>
 
 #include "lib/simtime.h"
-#include "lib/threadsafety.h"
 #include "stats/stats.h"
 
 namespace ptl {
@@ -158,23 +156,6 @@ class EventQueue
     /** All pending events in firing order. */
     std::vector<PendingEvent> pendingSorted() const;
 
-    /**
-     * Post an event from ANOTHER Domain's thread (the one sanctioned
-     * cross-domain channel — see layers.toml [concurrency]). The post
-     * lands in a mutex-guarded inbox, not the heap: the owning
-     * Domain's thread drains the inbox into the heap at the top of
-     * its next runDue(), so heap order stays single-threaded and the
-     * message still fires in deterministic (due, priority, seq)
-     * order. Crossers due at cycle C must be posted before the
-     * owner's runDue(C) — the epoch-barrier protocol in the sharding
-     * design guarantees exactly that.
-     *
-     * Unlike schedule(), no handle is returned: a cross-domain poster
-     * cannot cancel (cancellation would race the drain).
-     */
-    void postCrossDomain(SimCycle due, int priority, Callback cb,
-                         const Options &opts) PTL_EXCLUDES(inbox_mu);
-
   private:
     struct Entry
     {
@@ -200,31 +181,12 @@ class EventQueue
         return a.seq > b.seq;
     }
 
-    /** A not-yet-admitted cross-domain post (no seq/id until drain). */
-    struct CrossPost
-    {
-        SimCycle due;
-        int priority;
-        Options opts;
-        Callback cb;
-    };
-
-    /** Move every inbox post into the heap (owner thread only). */
-    void drainInbox() PTL_EXCLUDES(inbox_mu);
-
     std::vector<Entry> heap;
     U64 next_seq = 0;
     U64 next_id = 1;
     size_t wake_count = 0;
     size_t peak = 0;
     bool in_run = false;
-
-    /** Cross-domain inbox: the only EventQueue state another thread
-     *  may touch. inbox_pending is a lock-free fast-path flag so the
-     *  per-cycle drain check costs one relaxed load, not a lock. */
-    Mutex inbox_mu;
-    std::vector<CrossPost> inbox PTL_GUARDED_BY(inbox_mu);
-    std::atomic<bool> inbox_pending{false};
 
     Counter &st_scheduled;
     Counter &st_fired;

@@ -1,16 +1,20 @@
 /**
  * @file
  * Shared test harness: the tests' bare-metal memory layout on a
- * BareMachine, and GuestRunner, which runs one VCPU on the functional
- * engine. Used by the decode/exec/core test suites.
+ * BareMachine, GuestRunner, which runs one VCPU on the functional
+ * engine, and BootedMachine, a Machine booted into the paravirtual
+ * kernel. Used by the decode/exec/core, kernel and event test suites.
  */
 
 #ifndef PTLSIM_TESTS_GUEST_HARNESS_H_
 #define PTLSIM_TESTS_GUEST_HARNESS_H_
 
 #include "core/seqcore.h"
+#include "kernel/guestkernel.h"
+#include "kernel/guestlib.h"
 #include "lib/logging.h"
 #include "sys/baremachine.h"
+#include "sys/machine.h"
 #include "xasm/assembler.h"
 
 namespace ptl {
@@ -120,6 +124,62 @@ class GuestRunner : public BareMachine
     Context &ctx;
     AddressSpace &aspace;
     FunctionalEngine engine;
+};
+
+/** The booted-kernel tests' machine: the K8 preset on `core` with the
+ *  commit checker armed, 32 MB of guest memory and a 10 MHz clock so
+ *  1 kHz timer ticks come every 10k cycles. */
+inline SimConfig
+bootConfig(const char *core = "seq")
+{
+    SimConfig cfg = SimConfig::preset("k8");
+    cfg.core = core;
+    cfg.commit_checker = true;
+    cfg.core_freq_hz = 10'000'000;
+    cfg.timer_hz = 1000;
+    cfg.snapshot_interval = 100'000;
+    cfg.guest_mem_bytes = 32 << 20;
+    return cfg;
+}
+
+/** A Machine booted into the paravirtual kernel whose init task runs
+ *  `user_code`, placed after GuestLib's runtime. */
+struct BootedMachine
+{
+    BootedMachine(const SimConfig &cfg,
+                  void (*user_code)(Assembler &, GuestLib &))
+        : machine(cfg), builder(machine.addressSpace(), machine.vcpu(0),
+                                machine.timerPeriodCycles())
+    {
+        Assembler &ua = builder.userAsm();
+        GuestLib lib(ua);
+        Label entry = ua.newLabel();
+        Label skip = ua.newLabel();
+        ua.jmp(skip);           // jump over the library
+        lib.emitRuntime();
+        ua.bind(skip);
+        ua.bind(entry);
+        user_code(ua, lib);
+        builder.setInitTask(ua.labelVa(entry), 0);
+        builder.build();
+        machine.finalizeCores();
+    }
+
+    /** The kernel data word at KDATA_VA + `offset`. */
+    U64
+    readKdata(U64 offset)
+    {
+        Context kctx;
+        kctx.cr3 = builder.taskCr3(0);
+        kctx.kernel_mode = true;
+        U64 v = 0;
+        guestRead(machine.addressSpace(), kctx, GuestVirt(KDATA_VA + offset),
+                  8, v);
+        return v;
+    }
+
+    Machine machine;
+    KernelBuilder builder;
 };
 
 }  // namespace ptl

@@ -1,12 +1,12 @@
 /**
  * @file
- * Fast perf smoke test (`ctest -L perf`): runs the bench_simspeed
+ * Fast perf smoke test (`ctest -L perf`): runs a hash-and-update
  * compute kernel briefly on the out-of-order core with the per-cycle
  * invariant checker enabled and (in PTL_VERIFY builds) the translation
  * cache's shadow-walk verification live, checks that the scheduler's
  * fast paths engage, and bounds OoO simulation speed relative to the
  * functional engine. Catches a translation-cache, pipeline or speed
- * regression in seconds, without the full benchmark run.
+ * regression in seconds, without a perfbench run.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +21,8 @@
 namespace ptl {
 namespace {
 
-/** The bench_simspeed hash-and-update kernel, bounded to `iters`
- *  iterations instead of endless: real memory traffic and
- *  data-dependent branches. */
+/** A hash-and-update kernel of `iters` iterations: real memory
+ *  traffic and data-dependent branches. */
 void
 hashKernel(Assembler &a, U64 iters)
 {

@@ -8,14 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <thread>
-
-#include "kernel/guestkernel.h"
-#include "kernel/guestlib.h"
+#include "guest_harness.h"
 #include "native/cosim.h"
 #include "sys/checkpoint.h"
-#include "sys/machine.h"
 
 namespace ptl {
 namespace {
@@ -159,114 +154,8 @@ TEST(EventQueue, StatsCountersTrackActivity)
 }
 
 // ---------------------------------------------------------------------
-// Cross-domain inbox: the one EventQueue surface another Domain's
-// thread may touch (sharding design).
-// ---------------------------------------------------------------------
-
-TEST(EventQueue, CrossDomainPostsDrainAtRunDueInDeterministicOrder)
-{
-    QueueFixture f;
-    // Owner-scheduled events first; crossers posted afterwards get
-    // later seq numbers at drain time, so a same-(due, priority) tie
-    // breaks in favor of the owner's events...
-    f.q.schedule(SimCycle(5), EVPRI_GENERIC, f.mark(1));
-    f.q.schedule(SimCycle(5), EVPRI_GENERIC, f.mark(2));
-    EventQueue::Options opts;
-    opts.name = "crosspost";
-    f.q.postCrossDomain(SimCycle(5), EVPRI_GENERIC, f.mark(3), opts);
-    f.q.postCrossDomain(SimCycle(5), EVPRI_GENERIC, f.mark(4), opts);
-    // ...while a higher-priority crosser still fires in its
-    // (due, priority) slot despite being admitted last.
-    f.q.postCrossDomain(SimCycle(5), EVPRI_SNAPSHOT, f.mark(0), opts);
-    // Posts sit in the inbox, not the heap, until the owner drains.
-    EXPECT_EQ(f.q.pendingCount(), 2u);
-    EXPECT_EQ(f.q.runDue(SimCycle(5)), 5);
-    EXPECT_EQ(f.fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CrossDomainPostsFromManyThreadsAllFire)
-{
-    QueueFixture f;
-    constexpr int kThreads = 4;
-    constexpr int kPosts = 64;
-    EventQueue::Options opts;
-    opts.name = "crosspost";
-    std::vector<std::thread> posters;
-    for (int t = 0; t < kThreads; t++) {
-        posters.emplace_back([&f, &opts, t] {
-            for (int i = 0; i < kPosts; i++) {
-                f.q.postCrossDomain(SimCycle(3), EVPRI_GENERIC,
-                                    f.mark(t * kPosts + i), opts);
-            }
-        });
-    }
-    // Joining all posters is this test's stand-in for the epoch
-    // barrier: every post due at cycle C lands before runDue(C).
-    for (std::thread &th : posters)
-        th.join();
-    EXPECT_EQ(f.q.pendingCount(), 0u);  // still in the inbox
-    EXPECT_EQ(f.q.runDue(SimCycle(3)), kThreads * kPosts);
-    // Interleaving across posters is scheduler-dependent, so assert
-    // the set (every tag exactly once), not the order.
-    ASSERT_EQ(f.fired.size(), size_t(kThreads) * kPosts);
-    std::vector<int> sorted = f.fired;
-    std::sort(sorted.begin(), sorted.end());
-    for (int i = 0; i < kThreads * kPosts; i++)
-        EXPECT_EQ(sorted[size_t(i)], i);
-}
-
-TEST(EventQueue, ClearDropsUndrainedCrossDomainPosts)
-{
-    QueueFixture f;
-    EventQueue::Options opts;
-    opts.name = "crosspost";
-    f.q.postCrossDomain(SimCycle(1), EVPRI_GENERIC, f.mark(1), opts);
-    f.q.clear();
-    EXPECT_EQ(f.q.runDue(SimCycle(100)), 0);
-    EXPECT_TRUE(f.fired.empty());
-}
-
-// ---------------------------------------------------------------------
 // Whole-machine tests on the booted paravirtual kernel.
 // ---------------------------------------------------------------------
-
-SimConfig
-testConfig(const char *core = "seq")
-{
-    SimConfig cfg = SimConfig::preset("k8");
-    cfg.core = core;
-    cfg.commit_checker = true;
-    cfg.core_freq_hz = 10'000'000;
-    cfg.timer_hz = 1000;
-    cfg.snapshot_interval = 100'000;
-    cfg.guest_mem_bytes = 32 << 20;
-    return cfg;
-}
-
-struct BootedMachine
-{
-    BootedMachine(const SimConfig &cfg,
-                  void (*user_code)(Assembler &, GuestLib &))
-        : machine(cfg), builder(machine.addressSpace(), machine.vcpu(0),
-                                machine.timerPeriodCycles())
-    {
-        Assembler &ua = builder.userAsm();
-        GuestLib lib(ua);
-        Label entry = ua.newLabel();
-        Label skip = ua.newLabel();
-        ua.jmp(skip);
-        lib.emitRuntime();
-        ua.bind(skip);
-        ua.bind(entry);
-        user_code(ua, lib);
-        builder.setInitTask(ua.labelVa(entry), 0);
-        builder.build();
-        machine.finalizeCores();
-    }
-
-    Machine machine;
-    KernelBuilder builder;
-};
 
 /** Workload touching every event source: timer sleeps, a disk DMA
  *  read, and a network round-trip through the latency model. */
@@ -294,7 +183,7 @@ busyGuest(Assembler &a, GuestLib &lib)
 std::unique_ptr<BootedMachine>
 busyMachine(const char *core)
 {
-    auto bm = std::make_unique<BootedMachine>(testConfig(core), busyGuest);
+    auto bm = std::make_unique<BootedMachine>(bootConfig(core), busyGuest);
     std::vector<U8> image(64 * DISK_SECTOR_BYTES, 0x5A);
     bm->machine.disk().setImage(std::move(image));
     return bm;
@@ -344,7 +233,7 @@ TEST(EventMachine, TwoIdenticalRunsAreBitIdentical)
  *  covers cycles. */
 TEST(EventMachine, IdleFastForwardJumpsToQueueHead)
 {
-    BootedMachine bm(testConfig("seq"), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig("seq"), [](Assembler &a, GuestLib &lib) {
         a.mov(R::rdi, 20);
         lib.syscall(GSYS_sleep);
         a.mov(R::rdi, 0);
@@ -365,7 +254,7 @@ TEST(EventMachine, IdleFastForwardJumpsToQueueHead)
  *  stall instead of burning the full cycle budget. */
 TEST(EventMachine, StalledDomainDetectedWithoutPolling)
 {
-    SimConfig cfg = testConfig("seq");
+    SimConfig cfg = bootConfig("seq");
     Machine m(cfg);
     m.finalizeCores();
     // No kernel, no runnable VCPU, nothing in the queue but the
@@ -434,7 +323,7 @@ TEST(EventMachine, CheckpointRoundTripWithInFlightEvents)
 TEST(EventMachine, CheckpointRoundTripMidStallOnOooCore)
 {
     auto bm = std::make_unique<BootedMachine>(
-        testConfig("ooo"), [](Assembler &a, GuestLib &lib) {
+        bootConfig("ooo"), [](Assembler &a, GuestLib &lib) {
             a.movImm64(R::rbx, USER_DATA_VA);
             a.mov(R::rcx, 64);
             a.mov(R::rax, 0);
@@ -495,7 +384,7 @@ TEST(EventMachine, CheckpointRoundTripMidStallOnOooCore)
  */
 TEST(EventMachine, CheckpointRoundTripMidStallOnBankedDram)
 {
-    SimConfig cfg = testConfig("ooo");
+    SimConfig cfg = bootConfig("ooo");
     cfg.applyMemoryJson(R"({"version": "1", "backend": "banked"})");
     auto bm = std::make_unique<BootedMachine>(
         cfg, [](Assembler &a, GuestLib &lib) {
@@ -553,7 +442,7 @@ TEST(EventMachine, CheckpointRoundTripMidStallOnBankedDram)
  *  through a checkpoint and still arrive at their scheduled cycles. */
 TEST(EventMachine, CheckpointCarriesInFlightNetworkPackets)
 {
-    SimConfig cfg = testConfig("seq");
+    SimConfig cfg = bootConfig("seq");
     Machine m(cfg);
     // Park the VCPU on a hlt spin (delivery wakes it) so the run loop
     // has something harmless to execute.
@@ -685,7 +574,7 @@ TEST(EventMachine, NativeSliceRoundRobinsAcrossVcpus)
  *  explicit optional so address 0 is a legal trigger point. */
 TEST(EventMachine, RipTriggerZeroIsArmable)
 {
-    SimConfig cfg = testConfig("seq");
+    SimConfig cfg = bootConfig("seq");
     Machine m(cfg);
     EXPECT_FALSE(m.ripTriggerArmed());
     m.setRipTrigger(0);

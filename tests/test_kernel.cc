@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "kernel/guestkernel.h"
-#include "kernel/guestlib.h"
-#include "sys/machine.h"
+#include "guest_harness.h"
 
 namespace ptl {
 namespace {
@@ -19,59 +17,9 @@ class KernelP : public ::testing::TestWithParam<const char *>
 {
 };
 
-SimConfig
-testConfig(const char *core = "seq")
-{
-    SimConfig cfg = SimConfig::preset("k8");
-    cfg.core = core;
-    cfg.commit_checker = true;
-    cfg.core_freq_hz = 10'000'000;      // fast ticks for short tests
-    cfg.timer_hz = 1000;                // 10k cycles per tick
-    cfg.snapshot_interval = 100'000;
-    cfg.guest_mem_bytes = 32 << 20;
-    return cfg;
-}
-
-struct BootedMachine
-{
-    BootedMachine(const SimConfig &cfg,
-                  void (*user_code)(Assembler &, GuestLib &))
-        : machine(cfg), builder(machine.addressSpace(), machine.vcpu(0),
-                                machine.timerPeriodCycles())
-    {
-        Assembler &ua = builder.userAsm();
-        GuestLib lib(ua);
-        Label entry = ua.newLabel();
-        Label skip = ua.newLabel();
-        ua.jmp(skip);           // jump over the library
-        lib.emitRuntime();
-        ua.bind(skip);
-        ua.bind(entry);
-        user_code(ua, lib);
-        builder.setInitTask(ua.labelVa(entry), 0);
-        builder.build();
-        machine.finalizeCores();
-    }
-
-    U64
-    readKdata(U64 offset)
-    {
-        Context kctx;
-        kctx.cr3 = builder.taskCr3(0);
-        kctx.kernel_mode = true;
-        U64 v = 0;
-        guestRead(machine.addressSpace(), kctx, GuestVirt(KDATA_VA + offset),
-                  8, v);
-        return v;
-    }
-
-    Machine machine;
-    KernelBuilder builder;
-};
-
 TEST_P(KernelP, BootsAndPrintsToConsole)
 {
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         Label msg = a.newLabel();
         a.movLabel(R::rdi, msg);
         a.mov(R::rsi, 12);
@@ -89,7 +37,7 @@ TEST_P(KernelP, BootsAndPrintsToConsole)
 
 TEST_P(KernelP, GetpidAndTime)
 {
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         lib.syscall(GSYS_getpid);
         a.mov(R::rbx, R::rax);          // pid of init = 0
         lib.syscall(GSYS_time_ns);
@@ -104,7 +52,7 @@ TEST_P(KernelP, GetpidAndTime)
 
 TEST_P(KernelP, TimerTicksAdvanceJiffies)
 {
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         // Sleep 5 ticks, then exit.
         a.mov(R::rdi, 5);
         lib.syscall(GSYS_sleep);
@@ -127,7 +75,7 @@ TEST_P(KernelP, TimerTicksAdvanceJiffies)
 
 TEST_P(KernelP, SpawnAndPipePingPong)
 {
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         Label child = a.newLabel(), start = a.newLabel();
         a.jmp(start);
 
@@ -178,7 +126,7 @@ TEST_P(KernelP, PipeBlockingLargeTransfer)
 {
     // Transfer far more than the 4KB pipe capacity: both sides must
     // block and wake repeatedly.
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         constexpr U32 TOTAL = 64 * 1024;
         Label child = a.newLabel(), start = a.newLabel();
         a.jmp(start);
@@ -216,7 +164,7 @@ TEST_P(KernelP, PipeBlockingLargeTransfer)
 
 TEST_P(KernelP, NetworkLoopbackWithLatency)
 {
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         Label server = a.newLabel(), start = a.newLabel();
         a.jmp(start);
 
@@ -266,7 +214,7 @@ TEST_P(KernelP, NetworkLoopbackWithLatency)
 
 TEST_P(KernelP, DiskReadDmaIntoGuest)
 {
-    SimConfig cfg = testConfig(GetParam());
+    SimConfig cfg = bootConfig(GetParam());
     BootedMachine bm(cfg, [](Assembler &a, GuestLib &lib) {
             // Read 4 sectors (2 KB) from sector 3 into USER_DATA.
             a.mov(R::rdi, 3);
@@ -292,7 +240,7 @@ TEST_P(KernelP, DiskReadDmaIntoGuest)
 
 TEST_P(KernelP, YieldBetweenCpuBoundTasks)
 {
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         Label worker = a.newLabel(), start = a.newLabel();
         a.jmp(start);
 
@@ -334,7 +282,7 @@ TEST_P(KernelP, YieldBetweenCpuBoundTasks)
 
 TEST_P(KernelP, SnapshotsTakenAtInterval)
 {
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         a.mov(R::rdi, 30);
         lib.syscall(GSYS_sleep);
         a.mov(R::rdi, 0);
@@ -348,7 +296,7 @@ TEST_P(KernelP, SnapshotsTakenAtInterval)
 
 TEST_P(KernelP, PtlcallMarkersFromUserMode)
 {
-    BootedMachine bm(testConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
         a.mov(R::rax, (U64)PTLCALL_MARKER);
         a.mov(R::rdi, 7);
         a.ptlcall();

@@ -1,9 +1,11 @@
-/** Tests for lib/: bitops, RNG determinism, configuration presets. */
+/** Tests for lib/: bitops, RNG determinism, configuration presets,
+ *  logging. */
 
 #include <gtest/gtest.h>
 
 #include "lib/bitops.h"
 #include "lib/config.h"
+#include "lib/logging.h"
 #include "lib/rng.h"
 
 namespace ptl {
@@ -125,6 +127,41 @@ TEST(Config, CacheGeometryDerivesSets)
     EXPECT_EQ(l2.sets(), 1024);
     CacheParams off{0, 16, 64, 10, 16, 1};
     EXPECT_EQ(off.sets(), 0);
+}
+
+std::vector<std::string> &
+capturedLog()
+{
+    static std::vector<std::string> lines;
+    return lines;
+}
+
+void
+captureLog(const std::string &line)
+{
+    capturedLog().push_back(line);
+}
+
+void
+warnOnceFromHelper(int n)
+{
+    ptl_warn_once("helper site %d", n);
+}
+
+TEST(Logging, WarnOnceEmitsOncePerCallSite)
+{
+    capturedLog().clear();
+    setLogSink(captureLog);
+    for (int i = 0; i < 3; i++) {
+        warnOnceFromHelper(i);
+        ptl_warn_once("loop site %d", i);
+    }
+    warn("plain warning");
+    setLogSink(nullptr);
+    EXPECT_EQ(capturedLog(),
+              (std::vector<std::string>{"warn: helper site 0",
+                                        "warn: loop site 0",
+                                        "warn: plain warning"}));
 }
 
 }  // namespace

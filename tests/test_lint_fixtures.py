@@ -2,7 +2,11 @@
 
 Part 1 runs the driver's --self-test: every rule must ship at least
 one bad and one good fixture, each bad fixture must trip exactly its
-own rule, and each good fixture must be clean under ALL rules.
+own rule, and each good fixture must be clean under ALL rules. It
+also proves the checks that keep deleted rules from lingering: the
+self-test fails on a fixture directory no registered rule owns, and
+the --baseline ratchet fails on a baseline entry for an unregistered
+rule.
 
 Part 2 proves the pass-1 cache is correct, not just fast:
 
@@ -16,11 +20,13 @@ Part 2 proves the pass-1 cache is correct, not just fast:
     tools/simlint/) invalidates the entry even when the source file
     itself is untouched — the staleness bug where tweaking a rule
     served yesterday's verdicts,
-  - the v3 call-graph facts (funcs/ns_vars/unordered_decls/iter_sites)
+  - the call-graph facts (funcs/unordered_decls/iter_sites)
     survive a cache round-trip with their tuple shapes intact, so the
     interprocedural rules behave identically on warm and cold runs.
 """
 
+import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -31,12 +37,14 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
 
 from simlint import index as index_mod  # noqa: E402
+from simlint import layers as layers_mod  # noqa: E402
+
+SIMLINT = os.path.join(REPO_ROOT, "scripts", "simlint.py")
 
 
 def run_self_test():
     proc = subprocess.run(
-        [sys.executable, os.path.join(REPO_ROOT, "scripts", "simlint.py"),
-         "--self-test"],
+        [sys.executable, SIMLINT, "--self-test"],
         cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
     sys.stdout.write(proc.stdout)
@@ -44,6 +52,66 @@ def run_self_test():
         print("FAIL: simlint --self-test exited %d" % proc.returncode)
         return 1
     return 0
+
+
+def run_stale_rule_test():
+    """A fixture directory or a baseline entry left behind by a
+    deleted rule must fail the gate, not linger silently."""
+    failures = 0
+
+    def check(cond, what):
+        nonlocal failures
+        print("%s stale-rule: %s" % ("ok  " if cond else "FAIL", what))
+        if not cond:
+            failures += 1
+
+    tmp = tempfile.mkdtemp(prefix="simlint-stale-test-")
+    try:
+        # Self-test over a copy of the fixtures plus one directory
+        # that belongs to no registered rule.
+        spec = importlib.util.spec_from_file_location("simlint_driver",
+                                                      SIMLINT)
+        driver = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(driver)
+        layers = layers_mod.load(os.path.join(REPO_ROOT, "tools", "simlint",
+                                              "layers.toml"))
+        fixtures = os.path.join(tmp, "fixtures")
+        shutil.copytree(os.path.join(REPO_ROOT, "tools", "simlint",
+                                     "fixtures"), fixtures)
+        orphan = os.path.join(fixtures, "retired_rule", "bad")
+        os.makedirs(orphan)
+        with open(os.path.join(orphan, "x.cc"), "w") as f:
+            f.write("int x;\n")
+        try:
+            failed = driver.self_test(layers, fixtures=fixtures)
+        except TypeError:
+            failed = None
+        check(failed == 1,
+              "self-test fails once on an unowned fixture directory")
+
+        # Baseline ratchet over one clean file.
+        src = os.path.join(tmp, "clean.cc")
+        with open(src, "w") as f:
+            f.write("int answer() { return 42; }\n")
+
+        def ratchet(rules):
+            base = os.path.join(tmp, "baseline.json")
+            with open(base, "w") as f:
+                json.dump({"rules": rules, "waivers": {}}, f)
+            return subprocess.run(
+                [sys.executable, SIMLINT, "--no-cache",
+                 "--baseline", base, src],
+                cwd=REPO_ROOT, stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, text=True)
+
+        ok = ratchet({"layering": 0})
+        check(ok.returncode == 0, "baseline of registered rules passes")
+        stale = ratchet({"layering": 0, "retired-rule": 0})
+        check(stale.returncode == 1 and "retired-rule" in stale.stdout,
+              "baseline naming an unregistered rule fails")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return failures
 
 
 def run_cache_test():
@@ -103,7 +171,7 @@ def run_cache_test():
 
 
 def run_callgraph_cache_test():
-    """The v3 facts must be identical (values AND container shapes)
+    """The call-graph facts must be identical (values AND container shapes)
     across a cache round-trip: the taint rule indexes funcs by span
     and set-intersects iter_sites id lists, so a list-vs-tuple drift
     between cold and warm runs would silently change verdicts."""
@@ -124,14 +192,12 @@ def run_callgraph_cache_test():
             f.write(
                 "#include <unordered_map>\n"
                 "namespace ptl {\n"
-                "int shard_epoch = 0;\n"
                 "std::unordered_map<int, int> table;\n"
                 "int helper() {\n"
-                "    static int calls = 0;\n"
                 "    int sum = 0;\n"
                 "    for (const auto &kv : table)\n"
                 "        sum += kv.second;\n"
-                "    return sum + calls;\n"
+                "    return sum;\n"
                 "}\n"
                 "int entry() { return helper(); }\n"
                 "}\n")
@@ -145,10 +211,6 @@ def run_callgraph_cache_test():
         entry = next(fn for fn in cold.funcs if fn["qual"] == "entry")
         check(any(callee == "helper" for _ln, callee in entry["calls"]),
               "entry -> helper call edge recorded")
-        helper = next(fn for fn in cold.funcs if fn["qual"] == "helper")
-        check(any(name == "calls"
-                  for _ln, name, _t in helper["statics"]),
-              "function-local static recorded")
         check(any(name == "table" for _ln, name in cold.unordered_decls),
               "unordered declaration recorded")
         check(any("table" in ids for _ln, ids in cold.iter_sites),
@@ -161,12 +223,12 @@ def run_callgraph_cache_test():
               "warm facts identical to cold facts")
         check(warm.funcs == cold.funcs,
               "call-graph nodes identical after round-trip")
-        check(warm.ns_vars == cold.ns_vars
-              and type(warm.ns_vars[0]) is type(cold.ns_vars[0]),
-              "ns_vars values and shapes identical after round-trip")
         check(warm.unordered_decls == cold.unordered_decls
+              and type(warm.unordered_decls[0])
+              is type(cold.unordered_decls[0])
               and warm.iter_sites == cold.iter_sites,
-              "sink tables identical after round-trip")
+              "sink tables identical (values and shapes) after "
+              "round-trip")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return failures
@@ -174,6 +236,7 @@ def run_callgraph_cache_test():
 
 def main():
     failed = run_self_test()
+    failed += run_stale_rule_test()
     failed += run_cache_test()
     failed += run_callgraph_cache_test()
     if failed:

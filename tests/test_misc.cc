@@ -1,11 +1,15 @@
 /**
  * Additional coverage: the interlock controller unit behaviour, basic
  * block cache keying (privilege context, page-crossing instructions),
- * uop disassembly, and command-list error paths.
+ * uop disassembly, command-list error paths, and the core-model
+ * registry.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/coreapi.h"
 #include "guest_harness.h"
 #include "native/triggers.h"
 
@@ -187,6 +191,42 @@ TEST(Assist, CpuidIsDeterministic)
     }
     EXPECT_EQ(g1.reg(R::rax), g2.reg(R::rax));
     EXPECT_EQ(g1.reg(R::rdx), g2.reg(R::rdx));
+}
+
+bool
+hasCoreModel(const std::string &name)
+{
+    std::vector<std::string> names = coreModelNames();
+    return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+TEST(CoreRegistry, ListsBuiltinModels)
+{
+    for (const char *name : {"seq", "ooo", "smt"})
+        EXPECT_TRUE(hasCoreModel(name)) << name;
+}
+
+TEST(CoreRegistry, RegisteredModelIsCreatedByName)
+{
+    static int built = 0;
+    static const CoreBuildParams *seen = nullptr;
+    registerCoreModel("registry-test", [](const CoreBuildParams &p) {
+        built++;
+        seen = &p;
+        return std::unique_ptr<CoreModel>();
+    });
+    EXPECT_TRUE(hasCoreModel("registry-test"));
+    CoreBuildParams params;
+    EXPECT_EQ(createCoreModel("registry-test", params), nullptr);
+    EXPECT_EQ(built, 1);
+    EXPECT_EQ(seen, &params);
+}
+
+TEST(CoreRegistry, UnknownModelIsFatal)
+{
+    CoreBuildParams params;
+    EXPECT_DEATH(createCoreModel("no-such-core", params),
+                 "unknown core model 'no-such-core'");
 }
 
 }  // namespace

@@ -6,8 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "kernel/guestkernel.h"
-#include "kernel/guestlib.h"
+#include "guest_harness.h"
 #include "native/cosim.h"
 #include "native/triggers.h"
 #include "sys/checkpoint.h"
@@ -235,25 +234,15 @@ TEST(Native, DeviceTraceRecordsDiskDma)
     cfg.core = "seq";
     cfg.core_freq_hz = 10'000'000;
     cfg.guest_mem_bytes = 32 << 20;
-    Machine machine(cfg);
-    KernelBuilder builder(machine.addressSpace(), machine.vcpu(0),
-                          machine.timerPeriodCycles());
-    Assembler &ua = builder.userAsm();
-    GuestLib lib(ua);
-    Label entry = ua.newLabel(), skip = ua.newLabel();
-    ua.jmp(skip);
-    lib.emitRuntime();
-    ua.bind(skip);
-    ua.bind(entry);
-    ua.mov(R::rdi, 0);
-    ua.mov(R::rsi, 2);
-    ua.movImm64(R::rdx, USER_DATA_VA);
-    lib.syscall(GSYS_disk_read);
-    ua.mov(R::rdi, 0);
-    lib.syscall(GSYS_exit);
-    builder.setInitTask(ua.labelVa(entry), 0);
-    builder.build();
-    machine.finalizeCores();
+    BootedMachine bm(cfg, [](Assembler &a, GuestLib &lib) {
+        a.mov(R::rdi, 0);
+        a.mov(R::rsi, 2);
+        a.movImm64(R::rdx, USER_DATA_VA);
+        lib.syscall(GSYS_disk_read);
+        a.mov(R::rdi, 0);
+        lib.syscall(GSYS_exit);
+    });
+    Machine &machine = bm.machine;
     std::vector<U8> image(16 * DISK_SECTOR_BYTES, 0x3C);
     machine.disk().setImage(image);
 

@@ -4,15 +4,14 @@ Builds a basic-block CFG for every function unit that model.py
 recognizes, with an *ordered event stream* per block.  The CFG is
 serialized into the semantic index (JSON-native lists/dicts only, so
 the content-hash cache round-trips it bit-for-bit), and the
-flow-sensitive rules (lock-discipline, checkpoint-symmetry,
-simcycle-escape) consume only the serialized form — they never touch
+flow-sensitive rules (checkpoint-symmetry, simcycle-escape,
+address-kind) consume only the serialized form — they never touch
 tokens, which keeps the two-pass cache sound.
 
 Serialized shape (see DESIGN.md §14):
 
     {
       "params":   ["out", "words"],          # declared parameter names
-      "requires": ["registry_mu"],           # PTL_REQUIRES(...) locks
       "blocks":   [{"s": [succ ids], "e": [events]}, ...],
       "em":       [[line, loop_depth, stream, name_or_null], ...],
       "cn":       [[line, loop_depth, stream, name_or_null,
@@ -23,9 +22,6 @@ Block 0 is the entry, block 1 the synthetic exit.  Events, in source
 order within a block:
 
     ["u",  line, name]                    identifier use
-    ["g",  line, lock]                    scoped guard acquired
-    ["ge", line, lock]                    scoped guard released
-    ["l",  line, lock] / ["ul", ...]      manual mu.lock()/unlock()
     ["as", line, lhs, [rhs ids], raw_src] assignment to a simple local
                                           (raw_src = stamp whose
                                           .raw() feeds the RHS, else
@@ -41,14 +37,10 @@ order within a block:
 
 Lambda bodies are split out as sub-CFGs (qual suffixed with
 "::<lambda@LINE>") so a deferred body never inherits the enclosing
-scope's lock context.
+scope's dataflow facts.
 """
 
 from . import model
-
-# Scoped RAII guard type names (src/lib/threadsafety.h plus the std
-# spellings).
-GUARD_TYPES = {"LockGuard", "lock_guard", "scoped_lock", "unique_lock"}
 
 # A call to one of these never returns: the block ends at the exit.
 _NORETURN = {"fatal", "panic", "abort", "exit", "_exit",
@@ -183,7 +175,6 @@ class _Builder:
         self.loop_depth = 0
         self.break_stack = []     # join block ids (loops and switch)
         self.continue_stack = []  # loop header / do-while cond ids
-        self.scopes = [[]]        # guard locks per lexical scope
         self.em = []              # serialize emits
         self.cn = []              # restore consumes
         self.readers = {}         # reader-lambda name -> stream
@@ -213,28 +204,14 @@ class _Builder:
         if self.terminated:
             self._switch_to(self._new_block())
 
-    # -- scopes and guards ---------------------------------------------
-    def _push_scope(self):
-        self.scopes.append([])
-
-    def _pop_scope(self, line):
-        for lock in reversed(self.scopes.pop()):
-            self._ev(["ge", line, lock])
+    def _end_scope(self):
+        """A closing brace restarts per-block use dedup."""
         self.seen_uses = set()
 
     # -- statement-level event extraction ------------------------------
     def _stmt_events(self, stmt):
         """Extract the ordered event stream of one statement into the
         current block.  `stmt` excludes the trailing ';'."""
-        requires = []
-        for i, t in enumerate(stmt):
-            if (t.kind == "id" and t.value == "PTL_REQUIRES"
-                    and i + 1 < len(stmt)
-                    and stmt[i + 1].value == "("):
-                j = _match(stmt, i + 1, "(", ")")
-                requires.extend(x.value for x in stmt[i + 1 : j]
-                                if x.kind == "id")
-        stmt = model.strip_annotations(stmt)
         if not stmt:
             return
 
@@ -252,44 +229,9 @@ class _Builder:
 
         n = len(stmt)
         i = 0
-        consumed_call_parens = []  # spans already handled as guards
         while i < n:
             t = stmt[i]
             v = t.value
-
-            # Scoped guard declaration:
-            #   LockGuard g(mu); std::lock_guard<std::mutex> g(mu);
-            if (t.kind == "id" and v in GUARD_TYPES):
-                j = i + 1
-                if j < n and stmt[j].value == "<":
-                    j = _match(stmt, j, "<", ">") + 1
-                if (j + 1 < n and stmt[j].kind == "id"
-                        and stmt[j + 1].value == "("):
-                    close = _match(stmt, j + 1, "(", ")")
-                    lock = None
-                    for x in stmt[j + 2 : close]:
-                        if x.kind == "id" and x.value != "this":
-                            lock = x.value
-                        elif x.value == ",":
-                            break
-                    if lock:
-                        self._ev(["g", t.line, lock])
-                        self.scopes[-1].append(lock)
-                        self.seen_uses = set()
-                        consumed_call_parens.append((j + 1, close))
-                        i = close + 1
-                        continue
-
-            # Manual mu.lock() / mu.unlock().
-            if (t.kind == "id" and v in ("lock", "unlock")
-                    and i >= 2 and stmt[i - 1].value in (".", "->")
-                    and stmt[i - 2].kind == "id"
-                    and i + 1 < n and stmt[i + 1].value == "("):
-                kind = "l" if v == "lock" else "ul"
-                self._ev([kind, t.line, stmt[i - 2].value])
-                self.seen_uses = set()
-                i += 2
-                continue
 
             if t.kind == "id":
                 # Call site.
@@ -320,11 +262,6 @@ class _Builder:
             self._emit_scan(stmt)
         elif self.role == "restore":
             self._consume_scan(stmt)
-
-        for r in requires:
-            # PTL_REQUIRES on a nested declaration — rare; surface as
-            # an acquired context for the rest of the function.
-            self._ev(["g", stmt[0].line if stmt else 0, r])
 
     def _split_lambdas(self, stmt):
         """Cut `[caps](params){ body }` bodies out of the statement,
@@ -667,9 +604,8 @@ class _Builder:
         if v == "{":
             end = _match(toks, i, "{", "}")
             self._reachable_stmt()
-            self._push_scope()
             self.parse_body(toks, i + 1, end)
-            self._pop_scope(toks[end].line)
+            self._end_scope()
             return end + 1
 
         if t.kind == "id":
@@ -757,10 +693,8 @@ class _Builder:
     def _parse_branch(self, toks, i, hi):
         """One controlled statement (brace block or single statement)
         in its own lexical scope."""
-        self._push_scope()
         j = self._parse_one(toks, i, hi)
-        line = toks[min(j, hi) - 1].line if j > i else toks[i].line
-        self._pop_scope(line)
+        self._end_scope()
         return j
 
     def _parse_if(self, toks, i, hi):
@@ -950,9 +884,8 @@ class _Builder:
             if prev_end is not None and not prev_term:
                 self._edge(prev_end, blk)  # fallthrough
             self._switch_to(blk)
-            self._push_scope()
             self.parse_body(toks, lo, shi)
-            self._pop_scope(toks[min(shi, len(toks) - 1)].line)
+            self._end_scope()
             prev_end, prev_term = self.cur, self.terminated
         self.break_stack.pop()
         if prev_end is not None and not prev_term:
@@ -964,25 +897,12 @@ class _Builder:
 
 
 def _unit_body(unit):
-    """(requires, body_lo, body_hi) for a function unit: the body is
-    the outermost '{...}' span; tokens before it hold PTL_REQUIRES
-    annotations (out-of-line/free shapes) or the declaration head
-    (inline shape)."""
+    """(body_lo, body_hi) for a function unit: the body is the
+    outermost '{...}' span."""
     for i, t in enumerate(unit):
         if t.value == "{":
-            end = _match(unit, i, "{", "}")
-            head = unit[:i]
-            requires = []
-            for j, h in enumerate(head):
-                if (h.kind == "id" and h.value == "PTL_REQUIRES"
-                        and j + 1 < len(head)
-                        and head[j + 1].value == "("):
-                    close = _match(head, j + 1, "(", ")")
-                    requires.extend(x.value
-                                    for x in head[j + 2 : close]
-                                    if x.kind == "id")
-            return requires, i + 1, end
-    return [], 0, 0
+            return i + 1, _match(unit, i, "{", "}")
+    return 0, 0
 
 
 def _role(qual):
@@ -1002,15 +922,14 @@ def build_cfg(qual, unit, params):
     pending = [(qual, unit, list(params))]
     while pending:
         q, u, ps = pending.pop(0)
-        requires, lo, hi = _unit_body(u)
+        lo, hi = _unit_body(u)
         b = _Builder(q, _role(q))
         b.parse_body(u, lo, hi)
-        b._pop_scope(u[hi].line if hi < len(u) else 0)
+        b._end_scope()
         if not b.terminated:
             b._edge(b.cur, 1)
         cfg = {
             "params": ps,
-            "requires": requires,
             "blocks": b.blocks,
             "em": b.em,
             "cn": b.cn,

@@ -1,49 +1,31 @@
 """Forward dataflow over serialized CFGs.
 
-A deliberately small framework: rules supply a transfer function over
-the per-block event stream and pick one of two meets —
-
-  - must (intersection): facts that hold on *all* paths into a block.
-    Non-entry blocks start at TOP (represented by None) so the first
-    visit seeds them instead of erasing everything.  Used by
-    lock-discipline ("which locks are certainly held here").
-  - may (union): facts that hold on *some* path.  Blocks start at the
-    empty set.  Used by simcycle-escape taint.
+A deliberately small may-analysis: rules supply a transfer function
+over the per-block event stream, and facts that hold on *some* path
+into a block are unioned at joins (simcycle-escape and address-kind
+taint).
 
 Blocks are the JSON-native dicts produced by cfg.build_cfg:
 {"s": [successor ids], "e": [events]}.  Block 0 is the entry; block 1
 is the synthetic exit and is never interesting to rules.
 
-solve() returns the *input* fact set of every block (a frozenset, or
-None for blocks whose input stayed TOP — i.e. unreachable blocks
-under must-analysis).  Rules then re-run the transfer inside a block
-themselves to get the fact set at a particular event, which keeps the
-framework oblivious to event shapes.
+solve() returns the *input* fact set of every block (a frozenset).
+Rules then re-run the transfer inside a block themselves to get the
+fact set at a particular event, which keeps the framework oblivious
+to event shapes.
 """
 
 
-def preds(blocks):
-    p = [[] for _ in blocks]
-    for i, b in enumerate(blocks):
-        for s in b["s"]:
-            if 0 <= s < len(blocks):
-                p[s].append(i)
-    return p
-
-
-def solve(blocks, entry_facts, transfer, meet="must"):
+def solve(blocks, entry_facts, transfer):
     """Fixpoint over `blocks`.
 
     entry_facts: iterable of facts at the entry block's input.
     transfer(facts_set, events) -> new facts set (must not mutate its
     input).
-    Returns: list of per-block *input* facts (frozenset or None).
+    Returns: list of per-block *input* facts (frozensets).
     """
     n = len(blocks)
-    if meet == "must":
-        inp = [None] * n  # None == TOP (no path seen yet)
-    else:
-        inp = [frozenset()] * n
+    inp = [frozenset()] * n
     inp[0] = frozenset(entry_facts)
     out = [None] * n
 
@@ -53,8 +35,6 @@ def solve(blocks, entry_facts, transfer, meet="must"):
     while work:
         i = work.pop(0)
         in_work[i] = False
-        if inp[i] is None:
-            continue
         new_out = frozenset(transfer(set(inp[i]), blocks[i]["e"]))
         if new_out == out[i]:
             continue
@@ -62,22 +42,10 @@ def solve(blocks, entry_facts, transfer, meet="must"):
         for s in blocks[i]["s"]:
             if not (0 <= s < n):
                 continue
-            if meet == "must":
-                merged = new_out if inp[s] is None \
-                    else inp[s] & new_out
-            else:
-                merged = inp[s] | new_out
+            merged = inp[s] | new_out
             if merged != inp[s]:
                 inp[s] = merged
                 if not in_work[s]:
                     work.append(s)
                     in_work[s] = True
     return inp
-
-
-def facts_at(inp_facts, events, upto, transfer):
-    """Re-run `transfer` over a prefix of a block's events: the fact
-    set just before events[upto]."""
-    if inp_facts is None:
-        return None
-    return transfer(set(inp_facts), events[:upto])

@@ -31,13 +31,10 @@ consume:
                the calls they make and any re-arming schedule calls
                (with whether the returned handle is kept)
   waivers      line -> `// simlint: <name>` waiver names (a waiver may
-               carry an argument: `shared-guarded(registry_mu)`)
-  ns_vars      mutable namespace-scope/file-scope variable declarations:
-               (line, name, type, is_static)
+               carry an argument: `raw-escape-ok(reason)`)
   funcs        per-function nodes of the call graph: qualified name,
                definition line, body line span, calls made
-               (line, callee), and function-local static declarations
-               (line, name, type) — singleton accessors
+               (line, callee), and the serialized CFG
   unordered_decls  (line, name) of variables/members declared with an
                unordered container type
   iter_sites   (line, [ids]) container-iteration sites: range-for
@@ -60,7 +57,7 @@ import os
 from . import cfg as cfg_mod
 from . import lexer, model
 
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 # Identifiers whose every occurrence is recorded with context.
 # nondeterminism (and any future rule keying on bare identifiers)
@@ -87,9 +84,8 @@ SCHEDULE_IDS = frozenset({"schedule", "sendAt"})
 
 _FIELDS = ("includes", "classes", "enums", "bodies", "binds",
            "switches", "int_decls", "never_stmts", "watch",
-           "callbacks", "waivers", "ns_vars", "funcs",
-           "unordered_decls", "iter_sites", "requires_decls",
-           "addr_decls")
+           "callbacks", "waivers", "funcs", "unordered_decls",
+           "iter_sites", "addr_decls")
 
 _INCLUDE_PREFIX = "#include"
 
@@ -142,7 +138,6 @@ class FileIndex:
         data["addr_decls"] = [tuple(x) for x in data["addr_decls"]]
         data["never_stmts"] = [tuple(x) for x in data["never_stmts"]]
         data["watch"] = [tuple(x) for x in data["watch"]]
-        data["ns_vars"] = [tuple(x) for x in data["ns_vars"]]
         data["unordered_decls"] = [tuple(x)
                                    for x in data["unordered_decls"]]
         data["iter_sites"] = [(ln, list(ids))
@@ -452,22 +447,8 @@ def _callbacks(toks):
 
 
 # ---------------------------------------------------------------------
-# Concurrency-readiness facts (simlint v3)
+# Call-graph and container-iteration facts
 # ---------------------------------------------------------------------
-
-# Statement heads that can never open a namespace-scope variable.
-_NS_SKIP_HEADS = frozenset({
-    "using", "typedef", "friend", "template", "extern",
-    "static_assert", "namespace", "enum", "operator", "asm", "goto",
-    "public", "private", "protected",
-})
-
-# Tokens that qualify a declaration without being its type or name.
-_NS_QUALIFIERS = frozenset({
-    "static", "inline", "const", "constexpr", "constinit", "mutable",
-    "volatile", "unsigned", "signed", "thread_local", "register",
-    "struct", "class", "union", "typename", "extern",
-})
 
 _UNORDERED_TYPES = frozenset({
     "unordered_map", "unordered_set",
@@ -477,185 +458,13 @@ _UNORDERED_TYPES = frozenset({
 _ITER_CALLS = frozenset({"begin", "cbegin"})
 
 
-def _top_level_eq(stmt):
-    """True when the statement has an '=' outside any parens/brackets
-    (a variable initializer, not a default argument)."""
-    depth = 0
-    for t in stmt:
-        v = t.value
-        if v in ("(", "["):
-            depth += 1
-        elif v in (")", "]"):
-            depth -= 1
-        elif v == "=" and depth == 0:
-            return True
-    return False
-
-
-def _analyze_ns_stmt(stmt, out):
-    """Append (line, name, type, is_static) if `stmt` declares a
-    mutable namespace-scope variable.
-
-    Immutability is judged lexically: any `const`/`constexpr` token in
-    the declaration makes it immutable. That lets `const char *p;`
-    (mutable pointer to const data) slip through — acceptable, and far
-    better than flagging every `const char *const` table.
-    """
-    stmt = model.strip_annotations(stmt)
-    if not stmt or stmt[0].kind != "id":
-        return
-    vals = [t.value for t in stmt]
-    if vals[0] in _NS_SKIP_HEADS or "operator" in vals:
-        return
-    # const/constexpr make the variable immutable — but only at paren
-    # depth 0: the `const` in a function-pointer parameter list
-    # (`void (*sink)(const std::string &)`) qualifies a parameter, not
-    # the pointer.
-    depth = 0
-    for t in stmt:
-        if t.value in ("(", "["):
-            depth += 1
-        elif t.value in (")", "]"):
-            depth -= 1
-        elif (depth == 0
-              and t.value in ("const", "constexpr", "constinit")):
-            return
-    if (vals[0] in ("struct", "class", "union")
-            and sum(1 for t in stmt if t.kind == "id") <= 2):
-        return  # forward declaration / bare definition, not a variable
-    has_eq = _top_level_eq(stmt)
-    has_paren = "(" in vals
-    if has_paren and not has_eq:
-        return  # prototype / out-of-line declaration
-    if has_eq and has_paren and vals[-1] in ("default", "delete", "0"):
-        return  # `T::T(...) = default;` / deleted / pure-virtual decl
-    if not has_eq and model._stmt_is_function(stmt):
-        return
-    name = None
-    if has_paren and has_eq:
-        # Function pointer: `void (*log_sink)(const std::string &) = 0;`
-        # — the declared name is the last identifier before the first
-        # closing paren.
-        for t in stmt:
-            if t.value == ")":
-                break
-            if t.kind == "id":
-                name = t
-    else:
-        for t in stmt:
-            if t.value in ("=", "[", "{", ";"):
-                break
-            if t.kind == "id":
-                name = t
-    if name is None or name.value in _NS_QUALIFIERS:
-        return
-    mtype = next((t.value for t in stmt
-                  if t.kind == "id" and t.value not in _NS_QUALIFIERS
-                  and t.value != name.value), None)
-    out.append((name.line, name.value, mtype, "static" in vals))
-
-
-def _ns_vars(toks):
-    """Mutable namespace-scope variable declarations.
-
-    Walks the stream at namespace scope: `namespace`/`extern "C"`
-    braces are transparent, class/enum/union bodies and function
-    bodies are skipped wholesale, aggregate initializers are carried
-    into their statement.
-    """
-    out = []
-    stmt = []
-    i, n = 0, len(toks)
-    while i < n:
-        t = toks[i]
-        v = t.value
-        if t.kind == "pp":
-            i += 1
-            continue
-        if v == ";":
-            _analyze_ns_stmt(stmt, out)
-            stmt = []
-            i += 1
-            continue
-        if v == "{":
-            vals = [x.value for x in stmt]
-            if "namespace" in vals or (
-                    vals and vals[0] == "extern"
-                    and any(x.kind == "str" for x in stmt)):
-                stmt = []       # transparent scope; descend
-                i += 1
-                continue
-            if _top_level_eq(stmt):
-                j = model._match_brace(toks, i)
-                stmt.extend(toks[i:j])  # braced initializer
-                i = j
-                continue
-            j = model._match_brace(toks, i)
-            if model._stmt_is_function(stmt):
-                stmt = []       # function body: statement over
-            elif j < n and toks[j].value == ";":
-                # Class/enum body directly followed by ';': a pure
-                # type definition (`class X : public Y { ... };`), no
-                # declarator. The base clause would otherwise read as
-                # a variable named after the last base.
-                stmt = []
-            # else: keep the head — a declarator follows
-            # (`struct {...} x;`).
-            i = j
-            continue
-        if v == "}":
-            stmt = []           # closing a transparent scope
-            i += 1
-            continue
-        stmt.append(t)
-        i += 1
-    _analyze_ns_stmt(stmt, out)
-    return out
-
-
-def _local_static(unit, i):
-    """Facts for a `static` declaration starting at unit[i], or None.
-    Returns (line, name, type)."""
-    n = len(unit)
-    seg, depth, j = [], 0, i + 1
-    while j < n:
-        v = unit[j].value
-        if v in ("(", "[", "{"):
-            depth += 1
-        elif v in (")", "]", "}"):
-            depth -= 1
-        elif v == ";" and depth <= 0:
-            break
-        seg.append(unit[j])
-        j += 1
-    seg = model.strip_annotations(seg)
-    if not seg:
-        return None
-    if any(x.value in ("const", "constexpr") for x in seg):
-        return None
-    if model._stmt_is_function(seg):
-        return None  # `static U8 helper(...)` declaration, not state
-    name = None
-    for t in seg:
-        if t.value in ("=", "[", "{"):
-            break
-        if t.kind == "id":
-            name = t
-    if name is None or name.value in _NS_QUALIFIERS:
-        return None
-    mtype = next((t.value for t in seg
-                  if t.kind == "id" and t.value not in _NS_QUALIFIERS
-                  and t.value != name.value), None)
-    return (name.line, name.value, mtype)
-
-
 def _func_facts(units):
     """Call-graph nodes: one dict per function unit.  Each node also
     carries its serialized CFG (and any lambda sub-CFGs, keyed by
     their synthetic quals) for the flow-sensitive rules."""
     out = []
     for qual, unit, line, params in units:
-        calls, statics = [], []
+        calls = []
         n = len(unit)
         lo = min((t.line for t in unit), default=line)
         hi = max((t.line for t in unit), default=line)
@@ -665,15 +474,9 @@ def _func_facts(units):
             if (i + 1 < n and unit[i + 1].value == "("
                     and t.value not in model._NOT_FUNC_IDS):
                 calls.append([t.line, t.value])
-            elif (t.value == "static"
-                  and (i == 0
-                       or unit[i - 1].value in (";", "{", "}", ":"))):
-                fact = _local_static(unit, i)
-                if fact:
-                    statics.append([fact[0], fact[1], fact[2]])
         cfgs = cfg_mod.build_cfg(qual, unit, params)
         node = {"qual": qual, "line": min(line, lo), "lo": lo,
-                "hi": hi, "calls": calls, "statics": statics,
+                "hi": hi, "calls": calls,
                 "cfg": cfgs[0][1],
                 "subcfgs": {q: c for q, c in cfgs[1:]}}
         out.append(node)
@@ -815,48 +618,6 @@ def _assign_binds(stmt, names):
             names.add(stmt[i - 1].value)
 
 
-def _requires_decls(toks):
-    """PTL_REQUIRES annotations on class-body method *declarations*
-    (no body): [qual, [locks]].  Out-of-line definitions rarely repeat
-    the annotation, so the lock-discipline rule needs the decl-site
-    fact to seed a method's entry lock context."""
-    out = []
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.kind == "id" and t.value in ("struct", "class"):
-            j = i + 1
-            if j < len(toks) and toks[j].kind == "id":
-                cname = toks[j].value
-                k = j + 1
-                while k < len(toks) and toks[k].value not in ("{", ";"):
-                    k += 1
-                if k < len(toks) and toks[k].value == "{":
-                    end = model._match_brace(toks, k)
-                    body = toks[k + 1 : end - 1]
-                    for stmt in model._split_statements(body):
-                        names = model._method_names(stmt)
-                        if not names:
-                            continue
-                        for si, st in enumerate(stmt):
-                            if (st.kind == "id"
-                                    and st.value == "PTL_REQUIRES"
-                                    and si + 1 < len(stmt)
-                                    and stmt[si + 1].value == "("):
-                                close = _match_paren(stmt, si + 1)
-                                locks = [x.value for x in
-                                         stmt[si + 2 : close]
-                                         if x.kind == "id"]
-                                for nm in names:
-                                    out.append([cname + "::" + nm,
-                                                locks])
-                                break
-                    i = end
-                    continue
-        i += 1
-    return out
-
-
 def build(path, rel, sha=None, text=None):
     if text is None:
         with open(path, "rb") as f:
@@ -879,7 +640,7 @@ def build(path, rel, sha=None, text=None):
         "includes": _includes(toks),
         "classes": [
             {"name": c.name, "line": c.line,
-             "members": [(m.name, m.line, m.type, m.guard)
+             "members": [(m.name, m.line, m.type)
                          for m in c.members],
              "methods": c.methods}
             for c in model.classes(lf)],
@@ -893,11 +654,9 @@ def build(path, rel, sha=None, text=None):
         "watch": watch,
         "callbacks": _callbacks(toks),
         "waivers": {ln: set(ns) for ln, ns in lf.waivers.items()},
-        "ns_vars": _ns_vars(toks),
         "funcs": _func_facts(units_ex),
         "unordered_decls": _unordered_decls(toks),
         "iter_sites": _iter_sites(toks),
-        "requires_decls": _requires_decls(toks),
     }
     return FileIndex(path, rel, sha, data)
 

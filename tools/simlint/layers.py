@@ -1,6 +1,6 @@
 """Loader/validator for tools/simlint/layers.toml (the module DAG).
 
-Returns a dict the layering and cross-domain-access rules consume:
+Returns a dict the layering rule consumes:
 
   rank    module -> layer index (0 = bottom)
   allow   set of (from_module, to_module) declared same-layer edges
@@ -8,22 +8,16 @@ Returns a dict the layering and cross-domain-access rules consume:
   sublayers  module -> {file stem -> group index} from [sublayers]
           (simlint v4): the intra-module ordering the layering rule
           applies to includes that stay inside one module
-  concurrency  dict with the [concurrency] section (simlint v3):
-      domain_scoped       set of modules holding per-Domain state
-      channel_types       type names carrying legal cross-domain
-                          traffic (event queue / channels)
-      cross_domain_types  type names of whole-machine aggregates a
-                          domain-scoped module may not touch directly
 
 Raises LayerConfigError on a malformed config — unknown modules in
-`allow` or `domain_scoped`, duplicate module assignment, or an
+`allow` or [sublayers], duplicate module assignment, or an
 `allow` edge that is not same-layer (upward edges can never be
 declared legal; downward ones are implicitly legal and declaring
 them is a sign of confusion).
 
 Python >= 3.11 parses via tomllib; older interpreters fall back to a
 tiny literal-eval reader that understands exactly the subset this
-file uses (arrays of strings under [layers] / [concurrency]).
+file uses (arrays of strings under [layers] / [sublayers]).
 """
 
 import ast
@@ -63,15 +57,11 @@ def _parse_toml(path):
         m = re.search(r"(?<!\w)" + key + r"\s*=\s*(\[)", text)
         return grab_at(m.start(1)) if m else None
 
-    layers, conc = {}, {}
+    layers = {}
     for key in ("order", "allow"):
         v = grab(key)
         if v is not None:
             layers[key] = v
-    for key in ("domain_scoped", "channel_types", "cross_domain_types"):
-        v = grab(key)
-        if v is not None:
-            conc[key] = v
     # [sublayers] keys are module names, so the section is scanned
     # generically rather than by a fixed key list.
     subl = {}
@@ -83,7 +73,7 @@ def _parse_toml(path):
             body = body[: stop.start()]
         for m in re.finditer(r"(?<!\w)(\w+)\s*=\s*(\[)", body):
             subl[m.group(1)] = grab_at(sect.end() + m.start(2))
-    return {"layers": layers, "concurrency": conc, "sublayers": subl}
+    return {"layers": layers, "sublayers": subl}
 
 
 def load(path):
@@ -139,18 +129,5 @@ def load(path):
                         "groups" % (path, mod, stem))
                 subrank[stem] = i
         sublayers[mod] = subrank
-    conc_raw = data.get("concurrency", {})
-    domain_scoped = set(conc_raw.get("domain_scoped", []))
-    for mod in domain_scoped:
-        if mod not in rank:
-            raise LayerConfigError(
-                "%s: [concurrency] domain_scoped names undeclared "
-                "module '%s'" % (path, mod))
-    concurrency = {
-        "domain_scoped": domain_scoped,
-        "channel_types": set(conc_raw.get("channel_types", [])),
-        "cross_domain_types":
-            set(conc_raw.get("cross_domain_types", [])),
-    }
     return {"rank": rank, "allow": allow, "path": path,
-            "sublayers": sublayers, "concurrency": concurrency}
+            "sublayers": sublayers}

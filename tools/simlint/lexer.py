@@ -39,9 +39,9 @@ _TOKEN_RE = re.compile(
 
 # A waiver is a kebab-case name with an optional parenthesized
 # argument: `// simlint: nondet-ok` or
-# `// simlint: shared-guarded(registry_mu)`. Arguments carry the
-# justification a rule demands (the lock name for shared-guarded);
-# they may not contain commas, which separate multiple waivers.
+# `// simlint: raw-escape-ok(stamp compared for equality only)`.
+# Arguments carry the justification a rule demands; they may not
+# contain commas, which separate multiple waivers.
 _WAIVER_ITEM = r"[a-z-]+(?:\([A-Za-z0-9_:.\s]*\))?"
 _WAIVER_RE = re.compile(
     r"//\s*simlint:\s*(%s(?:\s*,\s*%s)*)" % (_WAIVER_ITEM, _WAIVER_ITEM))

@@ -14,7 +14,6 @@ the checkpoint-coverage rule because PTLsim serialization code
 mentions members by name.
 """
 
-import re
 from collections import namedtuple
 
 ClassDef = namedtuple("ClassDef", ["name", "line", "members", "methods"])
@@ -22,9 +21,7 @@ ClassDef = namedtuple("ClassDef", ["name", "line", "members", "methods"])
 # `Counter &st_hits;` and `Counter *c = nullptr;`, "std" for
 # `std::deque<Counter> q;`) — enough for rules that key on a concrete
 # class name without doing real type resolution.
-# guard: the lock named by a PTL_GUARDED_BY(mu) annotation on the
-# declaration, or None — the input to the lock-discipline rule.
-Member = namedtuple("Member", ["name", "line", "type", "guard"])
+Member = namedtuple("Member", ["name", "line", "type"])
 
 _TYPE_QUALIFIERS = {"const", "mutable", "volatile", "unsigned", "signed"}
 
@@ -33,39 +30,6 @@ _KEYWORD_STMT = {
     "template", "enum", "struct", "class", "union", "static",
     "constexpr", "static_assert", "operator",
 }
-
-
-# Thread-safety annotation macros (src/lib/threadsafety.h). They
-# decorate declarations — `std::deque<Counter> storage
-# PTL_GUARDED_BY(mu);` — and would otherwise be read as the declared
-# name by the last-identifier heuristics below, so declaration
-# analyzers strip them (with their argument list) first.
-_ANNOTATION_RE = re.compile(r"^PTL_[A-Z_]+$")
-
-
-def strip_annotations(stmt):
-    """Remove PTL_* annotation macros (and their parenthesized
-    arguments) from a declaration statement."""
-    out, i, n = [], 0, len(stmt)
-    while i < n:
-        t = stmt[i]
-        if t.kind == "id" and _ANNOTATION_RE.match(t.value):
-            i += 1
-            if i < n and stmt[i].value == "(":
-                depth = 0
-                while i < n:
-                    if stmt[i].value == "(":
-                        depth += 1
-                    elif stmt[i].value == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    i += 1
-                i += 1
-            continue
-        out.append(t)
-        i += 1
-    return out
 
 
 def _match_brace(tokens, i):
@@ -138,32 +102,8 @@ def _stmt_is_function(stmt):
     return False
 
 
-def guard_arg(stmt):
-    """The lock named by a PTL_GUARDED_BY(...) annotation in the
-    statement (last identifier of its argument), or None."""
-    for i, t in enumerate(stmt):
-        if t.kind == "id" and t.value == "PTL_GUARDED_BY":
-            if i + 1 < len(stmt) and stmt[i + 1].value == "(":
-                depth, j, last = 0, i + 1, None
-                while j < len(stmt):
-                    v = stmt[j].value
-                    if v == "(":
-                        depth += 1
-                    elif v == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    elif stmt[j].kind == "id":
-                        last = stmt[j].value
-                    j += 1
-                return last
-    return None
-
-
 def _member_name(stmt):
     """The declared name of a member statement, or None."""
-    guard = guard_arg(stmt)
-    stmt = strip_annotations(stmt)
     if not stmt or stmt[0].value in _KEYWORD_STMT:
         # `static` / `using` / access labels and friends are not
         # serializable data members.
@@ -186,7 +126,7 @@ def _member_name(stmt):
             name = t
     if name is None or name.value in _KEYWORD_STMT:
         return None
-    return Member(name.value, name.line, mtype, guard)
+    return Member(name.value, name.line, mtype)
 
 
 def _method_names(stmt):

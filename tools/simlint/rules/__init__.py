@@ -30,15 +30,12 @@ from . import (  # noqa: E402
     address_kind,
     checkpoint_coverage,
     checkpoint_symmetry,
-    cross_domain_access,
     enum_exhaustiveness,
     event_discipline,
     layering,
-    lock_discipline,
     nondet_taint,
     nondeterminism,
     raw_cycle,
-    shared_state,
     simcycle_escape,
     stats_coverage,
 )
@@ -54,9 +51,6 @@ ALL = [
     simcycle_escape,
     address_kind,
     nondeterminism,
-    shared_state,
-    lock_discipline,
     nondet_taint,
-    cross_domain_access,
 ]
 BY_NAME = {r.NAME: r for r in ALL}

@@ -166,8 +166,7 @@ def run(ctx):
                 for idx, kind in taint_in.get(leaf, {}).items():
                     if idx < len(params):
                         entry.add((params[idx], kind))
-                inp = dataflow.solve(cfg["blocks"], entry, _transfer,
-                                     meet="may")
+                inp = dataflow.solve(cfg["blocks"], entry, _transfer)
                 _walk(fi, qual, cfg, inp, param_kinds, findings)
     return findings
 

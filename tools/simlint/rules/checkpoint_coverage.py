@@ -40,7 +40,7 @@ def run(ctx):
                 # Declared but no body anywhere in the analysis set
                 # (e.g. an interface); nothing to check.
                 continue
-            for name, line, _mtype, _guard in cls["members"]:
+            for name, line, _mtype in cls["members"]:
                 if fi.waived(line, WAIVER):
                     continue
                 missing = []

@@ -106,8 +106,7 @@ def run(ctx):
                     for idx in taint_in[leaf]:
                         if idx < len(params):
                             entry.add(params[idx])
-                inp = dataflow.solve(cfg["blocks"], entry, _transfer,
-                                     meet="may")
+                inp = dataflow.solve(cfg["blocks"], entry, _transfer)
                 _walk(fi, qual, cfg, inp, findings)
     return findings
 

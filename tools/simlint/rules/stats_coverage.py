@@ -56,7 +56,7 @@ def run(ctx):
             bound = binds_by_class.get(cname, set())
 
             # (a) every Counter-typed member must be bound somewhere.
-            for name, line, mtype, _guard in cls["members"]:
+            for name, line, mtype in cls["members"]:
                 if mtype != "Counter":
                     continue
                 if fi.waived(line, WAIVER):
@@ -80,7 +80,7 @@ def run(ctx):
             reset_ids = bodies.get(cname + "::reset")
             if snap_ids is None or reset_ids is None:
                 continue  # declared, defined outside the analysis set
-            for name, line, mtype, _guard in cls["members"]:
+            for name, line, mtype in cls["members"]:
                 if mtype not in _NUMERIC_TYPES:
                     continue
                 if fi.waived(line, WAIVER):
