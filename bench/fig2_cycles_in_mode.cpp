@@ -94,7 +94,7 @@ main(int argc, char **argv)
                 "(paper: kernel ~15%%, idle ~27%%)\n", up, kp, ip);
     std::printf("phase markers:\n");
     for (const PtlMarker &m : marks)
-        std::printf("  cycle %12" PRIu64 "  phase %llx\n", m.cycle,
+        std::printf("  cycle %12" PRIu64 "  phase %llx\n", m.cycle.raw(),
                     (unsigned long long)m.id);
 
     bool ok = true;

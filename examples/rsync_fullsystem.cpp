@@ -52,7 +52,7 @@ main(int argc, char **argv)
     for (const PtlMarker &mark : m.hypervisor().markers()) {
         const char *name =
             (mark.id < 16) ? names[mark.id] : "user marker";
-        std::printf("  cycle %12" PRIu64 "  %s\n", mark.cycle, name);
+        std::printf("  cycle %12" PRIu64 "  %s\n", mark.cycle.raw(), name);
     }
 
     U64 user = s.get("external/cycles_in_mode/user");

@@ -61,57 +61,78 @@ OooCore::stageIssue(SimCycle now)
             st_select_fast_skips++;
             continue;
         }
-        int issued = 0;
-        while (issued < cfg.issue_width_per_cluster) {
-            // Oldest-first (collapsing queue) selection over entries
-            // whose ready mask filled and whose wake stamp arrived.
-            // Not-ready slots cost one 32-byte IqEntry read; the
-            // 168-byte RobEntry is only touched for candidates.
-            int best = -1;
-            U64 best_seq = ~0ULL;
-            for (size_t i = 0; i < iq.slots.size(); i++) {
-                IqEntry &slot = iq.slots[i];
-                if (!slot.valid || slot.seq >= best_seq
-                    || slot.ready_mask != IQ_ALL_READY
-                    || slot.wake_cycle > now)
-                    continue;
-                RobEntry &e = threads[slot.thread].rob[slot.rob];
-                if (e.retry_cycle > now)
-                    continue;
-                UopClass cls = e.uop.schedCls();
-                if ((cls == UopClass::IntMul && mul_used)
-                    || (cls == UopClass::IntDiv && div_used))
-                    continue;
-                best = (int)i;
-                best_seq = slot.seq;
+        // Oldest-first (collapsing queue) selection in one pass: gather
+        // the slots whose ready mask filled and whose wake stamp
+        // arrived, ordered by seq with ties (SMT threads number their
+        // uops independently) broken by slot index, then walk them.
+        // Nothing issued this cycle can make another slot issuable in
+        // the same cycle: every latency is at least one cycle, so a
+        // broadcast stamps wake_cycle past now, and so does a replay.
+        // The walk therefore picks exactly what re-scanning the queue
+        // for the oldest issuable slot after every issue would.
+        //
+        // The same pass rebuilds the skip bound: the earliest wake
+        // stamp of every full-mask slot that survives the walk, where
+        // a slot still issuable now (width- or hazard-limited) counts
+        // as now+1. Partially-ready slots contribute nothing; the
+        // broadcast that completes a mask lowers next_wake itself.
+        int order[MAX_IQ_SLOTS];
+        int n = 0;
+        SimCycle next = CYCLE_NEVER;
+        for (int i = 0; i < (int)iq.slots.size(); i++) {
+            const IqEntry &slot = iq.slots[i];
+            if (!slot.valid || slot.ready_mask != IQ_ALL_READY)
+                continue;
+            if (slot.wake_cycle > now) {
+                if (slot.wake_cycle < next)
+                    next = slot.wake_cycle;
+                continue;
             }
-            if (best < 0)
-                break;
-            UopClass cls =
-                threads[iq.slots[best].thread].rob[iq.slots[best].rob]
-                    .uop.schedCls();
+            int j = n++;
+            for (; j > 0 && iq.slots[order[j - 1]].seq > slot.seq; j--)
+                order[j] = order[j - 1];
+            order[j] = i;
+        }
+        iq.next_wake = CYCLE_NEVER;  // lowered by broadcasts in the walk
+        int used_before = iq.used;
+        int issued = 0, left = 0;
+        bool survivor = false;
+        for (int k = 0; k < n; k++) {
+            const IqEntry &slot = iq.slots[order[k]];
+            if (!slot.valid)
+                continue;  // squashed by a mispredict earlier this walk
+            UopClass cls = slot.cls;
+            if (issued == cfg.issue_width_per_cluster
+                || (cls == UopClass::IntMul && mul_used)
+                || (cls == UopClass::IntDiv && div_used)) {
+                survivor = true;
+                continue;
+            }
             cycle_activity = true;  // issue or replay both mutate state
-            bool ok = issueOne(now, iq, best);
+            if (issueOne(now, iq, order[k]))
+                left++;
+            else if (slot.wake_cycle < next)
+                next = slot.wake_cycle;  // the replay stamp
             if (cls == UopClass::IntMul)
                 mul_used = true;
             if (cls == UopClass::IntDiv)
                 div_used = true;
             issued++;  // the port is consumed even by a replayed op
-            (void)ok;
         }
-        // Recompute the skip bound from the surviving candidates. An
-        // entry still issuable right now (width- or hazard-limited this
-        // cycle) clamps to now+1; partially-ready entries contribute
-        // nothing — the broadcast that completes their mask lowers
-        // next_wake at that moment.
-        SimCycle next = CYCLE_NEVER;
+        if (survivor)
+            next = now + cycles(1);
+        if (iq.used + left == used_before) {
+            if (next < iq.next_wake)
+                iq.next_wake = next;
+            continue;
+        }
+        // A mispredict squashed slots of this queue, perhaps ones
+        // counted above: recompute the bound from what is left.
+        next = CYCLE_NEVER;
         for (const IqEntry &slot : iq.slots) {
             if (!slot.valid || slot.ready_mask != IQ_ALL_READY)
                 continue;
-            const RobEntry &e = threads[slot.thread].rob[slot.rob];
-            SimCycle at = std::max(slot.wake_cycle, e.retry_cycle);
-            if (at <= now)
-                at = now + cycles(1);
+            SimCycle at = std::max(slot.wake_cycle, now + cycles(1));
             if (at < next)
                 next = at;
         }
@@ -128,9 +149,14 @@ OooCore::issueOne(SimCycle now, IssueQueue &iq, int slot_idx)
     const Uop &u = e.uop;
 
     if (u.isLoad() || u.isStore()) {
-        bool ok = u.isLoad() ? issueLoad(now, t, e) : issueStore(now, t, e);
-        if (!ok)
-            return false;  // replay: stays in the queue
+        SimCycle replay =
+            u.isLoad() ? issueLoad(now, t, e) : issueStore(now, t, e);
+        if (replay != LSQ_DONE) {
+            // Stays in the queue until the replay stamp. The ready mask
+            // is full, so no broadcast can lower wake_cycle again.
+            slot.wake_cycle = replay;
+            return false;
+        }
         slot.valid = false;
         iq.used--;
         if (&iq != &queues[fp_queue_index])
@@ -451,11 +477,15 @@ OooCore::commitUopState(Thread &t, RobEntry &e)
         }
     }
     if (e.lsq >= 0) {
-        LsqEntry &l = u.isLoad() ? t.ldq[e.lsq] : t.stq[e.lsq];
+        // Commit is in program order, so this is the ring's head.
+        bool ld = u.isLoad();
+        LsqEntry &l = ld ? t.ldq[e.lsq] : t.stq[e.lsq];
         if (l.lock_acquired)
             interlocks->release(l.paddr, ownerId(t));
         l.valid = false;
-        (u.isLoad() ? t.ldq_used : t.stq_used)--;
+        (ld ? t.ldq_head : t.stq_head) =
+            ringNext(e.lsq, (int)(ld ? t.ldq.size() : t.stq.size()));
+        (ld ? t.ldq_used : t.stq_used)--;
         e.lsq = -1;
     }
     if (e.checkpoint >= 0) {

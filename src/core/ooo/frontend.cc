@@ -22,7 +22,7 @@ OooCore::stageFetch(SimCycle now)
     Thread &t = threads[tid];
 
     for (int n = 0; n < cfg.fetch_width; n++) {
-        if ((int)t.fetch_queue.size() >= cfg.fetch_queue_size) {
+        if (t.fetch_queue.size() >= cfg.fetch_queue_size) {
             st_fetch_stall++;
             return;
         }
@@ -262,24 +262,20 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
             t.spec_rat[FLAG_RAT_BASE + 2] = (S16)e.phys;
     }
 
-    // ---- LSQ allocation ----
+    // ---- LSQ allocation (at the ring's tail) ----
     if (u.isLoad() || u.isStore()) {
-        std::vector<LsqEntry> &lsq = u.isLoad() ? t.ldq : t.stq;
-        int slot = -1;
-        for (size_t i = 0; i < lsq.size(); i++) {
-            if (!lsq[i].valid) {
-                slot = (int)i;
-                break;
-            }
-        }
-        ptl_assert(slot >= 0);
+        bool ld = u.isLoad();
+        std::vector<LsqEntry> &lsq = ld ? t.ldq : t.stq;
+        int &tail = ld ? t.ldq_tail : t.stq_tail;
+        int slot = tail;
+        tail = ringNext(slot, (int)lsq.size());
         lsq[slot] = LsqEntry{};
         lsq[slot].valid = true;
         lsq[slot].rob = idx;
         lsq[slot].seq = seq;
         lsq[slot].locked = u.locked;
         e.lsq = slot;
-        (u.isLoad() ? t.ldq_used : t.stq_used)++;
+        (ld ? t.ldq_used : t.stq_used)++;
     }
 
     // ---- checkpoint for recoverable branches ----
@@ -309,6 +305,7 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
                 slot.thread = (S16)tid;
                 slot.rob = (S16)idx;
                 slot.seq = seq;
+                slot.cls = u.schedCls();
                 // Seed the wakeup state: sources that already executed
                 // set their ready bits here (folding their
                 // bypass-adjusted ready times into wake_cycle); the

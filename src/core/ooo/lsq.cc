@@ -59,7 +59,7 @@ accessesConflict(GuestVirt a_va, GuestPhys a_paddr, unsigned a_size,
 
 }  // namespace
 
-bool
+SimCycle
 OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
 {
     const Uop &u = e.uop;
@@ -84,7 +84,7 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
             prf[e.phys].ready_cycle = now + cycles(1);
             broadcastReady(e.phys);
         }
-        return true;
+        return LSQ_DONE;
     }
     CycleDelta latency = tr.latency;
     GuestPhys paddr = tr.paddr;
@@ -100,26 +100,26 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
     int owner = ownerId(t);
     if (interlocks->heldByOther(paddr, owner)) {
         st_load_replays++;
-        e.retry_cycle = now + cycles(2);
-        return false;
+        return now + cycles(2);
     }
     if (u.locked && !l.lock_acquired) {
         // Program-order acquisition: a younger locked load grabbing
         // the lock ahead of an older one would deadlock against
         // in-order commit (priority inversion), so replay until every
         // older locked access in this thread has issued and acquired.
-        for (const LsqEntry &older : t.ldq) {
-            if (older.valid && older.locked && older.seq < l.seq
-                && !older.lock_acquired) {
+        // The older loads are the ring's entries from the head up to
+        // this one.
+        int ldq_size = (int)t.ldq.size();
+        for (int i = t.ldq_head; i != e.lsq; i = ringNext(i, ldq_size)) {
+            const LsqEntry &older = t.ldq[i];
+            if (older.locked && !older.lock_acquired) {
                 st_load_replays++;
-                e.retry_cycle = now + cycles(2);
-                return false;
+                return now + cycles(2);
             }
         }
         if (interlocks->held(paddr)) {
             st_load_replays++;
-            e.retry_cycle = now + cycles(2);
-            return false;
+            return now + cycles(2);
         }
         bool got = interlocks->acquire(paddr, owner);
         ptl_assert(got);
@@ -127,31 +127,34 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
         t.holds_locks = true;
     }
 
-    // Store queue search: youngest older store wins.
-    bool must_wait = false;
+    // Store queue search over the live older stores, youngest first:
+    // the first fully-covering store forwards, but any older store
+    // that partially overlaps (or, without hoisting, whose address is
+    // still unknown) makes the load wait, so the walk goes on past a
+    // forwarding hit and stops only at the first reason to wait.
     const LsqEntry *fwd = nullptr;
-    for (const LsqEntry &s : t.stq) {
-        if (!s.valid || s.seq >= l.seq)
-            continue;
+    int stq_size = (int)t.stq.size();
+    int si = t.stq_tail;
+    for (int n = 0; n < t.stq_used; n++) {
+        si = ringPrev(si, stq_size);
+        const LsqEntry &s = t.stq[si];
+        if (s.seq > l.seq)
+            continue;  // younger than the load
         if (!s.addr_known) {
-            if (!cfg.load_hoisting)
-                must_wait = true;  // conservative: wait for addresses
+            if (cfg.load_hoisting)
+                continue;
+        } else if (!accessesConflict(s.va, s.paddr, s.size, va, paddr,
+                                     u.size)) {
             continue;
-        }
-        if (!accessesConflict(s.va, s.paddr, s.size, va, paddr, u.size))
-            continue;
-        if (s.paddr == paddr && s.size >= u.size) {
-            if (!fwd || s.seq > fwd->seq)
+        } else if (s.paddr == paddr && s.size >= u.size) {
+            if (!fwd)
                 fwd = &s;
-        } else {
-            // Partial overlap: wait until the store commits.
-            must_wait = true;
+            continue;
         }
-    }
-    if (must_wait) {
+        // An unknown address (conservative: wait for it) or a partial
+        // overlap (wait until the store commits).
         st_load_replays++;
-        e.retry_cycle = now + cycles(2);
-        return false;
+        return now + cycles(2);
     }
 
     U64 value = 0;
@@ -164,8 +167,7 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
         MemResult m = hierarchy->dataAccess(paddr, false, now);
         if (m.mshr_full || m.bank_conflict) {
             st_load_replays++;
-            e.retry_cycle = now + cycles(m.bank_conflict ? 1 : 2);
-            return false;
+            return now + cycles(m.bank_conflict ? 1 : 2);
         }
         latency += m.latency;
         // Unaligned accesses crossing a line (or page) cost extra and
@@ -185,7 +187,7 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
                     prf[e.phys].ready_cycle = now + cycles(1);
                     broadcastReady(e.phys);
                 }
-                return true;
+                return LSQ_DONE;
             }
             latency += tr2.latency;
             // Read the two fragments from their physical frames: the
@@ -215,10 +217,10 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
         reg.cluster = (S8)e.cluster;
         broadcastReady(e.phys);
     }
-    return true;
+    return LSQ_DONE;
 }
 
-bool
+SimCycle
 OooCore::issueStore(SimCycle now, Thread &t, RobEntry &e)
 {
     const Uop &u = e.uop;
@@ -245,15 +247,14 @@ OooCore::issueStore(SimCycle now, Thread &t, RobEntry &e)
         e.fault_addr = va;
         e.state = RobState::Done;
         s.addr_known = true;
-        return true;
+        return LSQ_DONE;
     }
     s.paddr = tr.paddr;
 
     int owner = ownerId(t);
     if (interlocks->heldByOther(tr.paddr, owner)) {
         st_load_replays++;
-        e.retry_cycle = now + cycles(2);
-        return false;
+        return now + cycles(2);
     }
     // A locked store runs under the lock its instruction's ld.acq
     // already holds; nothing to acquire here.
@@ -264,10 +265,17 @@ OooCore::issueStore(SimCycle now, Thread &t, RobEntry &e)
 
     // Load hoisting violation scan (Section 2.2's replay support):
     // younger loads that already executed against this address must be
-    // squashed and re-executed.
+    // squashed and re-executed. They sit at the LDQ ring's tail end, so
+    // the walk goes back from the tail to the first older load.
     if (cfg.load_hoisting) {
-        for (const LsqEntry &l : t.ldq) {
-            if (!l.valid || l.seq <= s.seq || !l.addr_known)
+        int ldq_size = (int)t.ldq.size();
+        int li = t.ldq_tail;
+        for (int n = 0; n < t.ldq_used; n++) {
+            li = ringPrev(li, ldq_size);
+            const LsqEntry &l = t.ldq[li];
+            if (l.seq < s.seq)
+                break;
+            if (!l.addr_known)
                 continue;
             if (accessesConflict(l.va, l.paddr, l.size,
                                  s.va, s.paddr, s.size)) {
@@ -278,7 +286,7 @@ OooCore::issueStore(SimCycle now, Thread &t, RobEntry &e)
             }
         }
     }
-    return true;
+    return LSQ_DONE;
 }
 
 }  // namespace ptl

@@ -104,6 +104,7 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
         t.rob.resize((size_t)cfg.rob_size);
         t.ldq.resize((size_t)cfg.ldq_size);
         t.stq.resize((size_t)cfg.stq_size);
+        t.fetch_queue.buf.resize((size_t)cfg.fetch_queue_size);
         t.checkpoints.resize((size_t)cfg.rob_size);
         t.checkpoint_used.assign((size_t)cfg.rob_size, false);
         // Initialize the register maps: one phys per arch slot,
@@ -279,8 +280,6 @@ OooCore::broadcastScan(int phys)
                 slot.wake_cycle = eff;
             // Last operand arrived: the entry is now a select
             // candidate, so the queue's skip stamp must cover it.
-            // (retry_cycle is still zero here — replays require a
-            // prior issue attempt, which requires a full mask.)
             if (mask == IQ_ALL_READY) {
                 iq.waiting--;
                 if (slot.wake_cycle < iq.next_wake)
@@ -314,7 +313,7 @@ OooCore::squashYounger(Thread &t, int rob_idx, SimCycle /*now*/)
     // Walk from the tail back to (but excluding) rob_idx, undoing
     // allocations in reverse order.
     while (t.rob_used > 0) {
-        int last = (t.rob_tail + (int)t.rob.size() - 1) % (int)t.rob.size();
+        int last = ringPrev(t.rob_tail, (int)t.rob.size());
         if (last == rob_idx)
             break;
         RobEntry &e = t.rob[last];
@@ -338,14 +337,17 @@ OooCore::squashYounger(Thread &t, int rob_idx, SimCycle /*now*/)
                 }
             }
         }
-        // Release LSQ slots (and any interlock a squashed load held).
+        // Release the LSQ slot (and any interlock a squashed load
+        // held). The squashed uop is the youngest of its queue, so
+        // its slot is the one just behind the tail.
         if (e.lsq >= 0) {
-            LsqEntry &l =
-                e.uop.isLoad() ? t.ldq[e.lsq] : t.stq[e.lsq];
+            bool ld = e.uop.isLoad();
+            LsqEntry &l = ld ? t.ldq[e.lsq] : t.stq[e.lsq];
             if (l.lock_acquired)
                 interlocks->release(l.paddr, ownerId(t));
             l.valid = false;
-            (e.uop.isLoad() ? t.ldq_used : t.stq_used)--;
+            (ld ? t.ldq_tail : t.stq_tail) = e.lsq;
+            (ld ? t.ldq_used : t.stq_used)--;
         }
         // Return the speculative physical register.
         if (e.phys >= 0) {
@@ -366,7 +368,7 @@ OooCore::flushThread(Thread &t)
     int tid = (int)(&t - threads.data());
     // Drop everything in flight.
     while (t.rob_used > 0) {
-        int last = (t.rob_tail + (int)t.rob.size() - 1) % (int)t.rob.size();
+        int last = ringPrev(t.rob_tail, (int)t.rob.size());
         RobEntry &e = t.rob[last];
         if (e.phys >= 0) {
             prf[e.phys].refcount = 0;
@@ -393,7 +395,8 @@ OooCore::flushThread(Thread &t)
         e.valid = false;
     for (LsqEntry &e : t.stq)
         e.valid = false;
-    t.ldq_used = t.stq_used = 0;
+    t.ldq_head = t.ldq_tail = t.ldq_used = 0;
+    t.stq_head = t.stq_tail = t.stq_used = 0;
     t.fetch_queue.clear();
     std::memcpy(t.spec_rat, t.arch_rat, sizeof(t.spec_rat));
     std::fill(t.checkpoint_used.begin(), t.checkpoint_used.end(), false);
@@ -498,7 +501,7 @@ OooCore::pickFetchThread(SimCycle now)
             if (!t.ctx->running || t.fetch_stall_until > now
                 || t.fetch_faulted)
                 continue;
-            int inflight = t.rob_used + (int)t.fetch_queue.size();
+            int inflight = t.rob_used + t.fetch_queue.size();
             if (inflight < best_count) {
                 best_count = inflight;
                 best = i;
@@ -634,7 +637,7 @@ OooCore::sleepCore(SimCycle now)
             continue;
         fold(t.commit_wake);
         if (!t.fetch_faulted
-            && (int)t.fetch_queue.size() < cfg.fetch_queue_size)
+            && t.fetch_queue.size() < cfg.fetch_queue_size)
             fold(std::max(t.fetch_stall_until, now + cycles(1)));
         if (!t.fetch_queue.empty()
             && t.fetch_queue.front().ready_at > now)
@@ -691,7 +694,7 @@ OooCore::debugState() const
     for (size_t i = 0; i < threads.size(); i++) {
         const Thread &t = threads[i];
         out += strprintf(
-            "thread %zu: rip=%llx running=%d rob=%d fq=%zu "
+            "thread %zu: rip=%llx running=%d rob=%d fq=%d "
             "fetch_rip=%llx stalled_until=%llu faulted=%d\n",
             i, (unsigned long long)t.ctx->rip.raw(),
             (int)t.ctx->running,
@@ -703,11 +706,10 @@ OooCore::debugState() const
         for (int n = 0; n < std::min(t.rob_used, 8); n++) {
             const RobEntry &e = t.rob[idx];
             out += strprintf(
-                "  rob[%d] %s rip=%llx state=%d retry=%llu fault=%s "
+                "  rob[%d] %s rip=%llx state=%d fault=%s "
                 "phys=%d ready=%d rdy_cyc=%llu srcs=%d,%d,%d,%d\n",
                 idx, uopInfo(e.uop.op).name,
                 (unsigned long long)e.uop.rip, (int)e.state,
-                (unsigned long long)e.retry_cycle.raw(),
                 guestFaultName(e.fault), e.phys,
                 e.phys >= 0 ? (int)prf[e.phys].ready : -1,
                 e.phys >= 0

@@ -41,7 +41,6 @@
 #ifndef PTLSIM_CORE_OOO_OOOCORE_H_
 #define PTLSIM_CORE_OOO_OOOCORE_H_
 
-#include <deque>
 #include <memory>
 
 #include "branch/predictor.h"
@@ -140,14 +139,13 @@ class OooCore : public CoreModel
     enum class RobState : U8 { Waiting, InQueue, Issued, Done };
 
     // Fields are ordered by alignment (U64s, then pred, then ints,
-    // then bytes) so the entry packs into 168 bytes; the ROB is the
+    // then bytes) so the entry packs into 160 bytes; the ROB is the
     // hottest array in the simulator and every byte of padding here
     // costs cache footprint in rename/issue/commit.
     struct RobEntry
     {
         Uop uop;
         U64 seq = 0;            ///< global program-order sequence
-        SimCycle retry_cycle;   ///< earliest (re)issue attempt
         GuestVirt fault_addr;
         U64 predicted_next = 0;
         U64 actual_next = 0;
@@ -166,6 +164,9 @@ class OooCore : public CoreModel
         U16 outflags = 0;
     };
 
+    /** One LDQ/STQ slot. Each queue is a ring in program order, like
+     *  the ROB: rename allocates at the tail, commit frees the head,
+     *  a squash rewinds the tail. */
     struct LsqEntry
     {
         bool valid = false;
@@ -187,10 +188,12 @@ class OooCore : public CoreModel
      * with bits set either at dispatch (source already executed) or by
      * tag broadcast when the producing PhysReg completes
      * (broadcastReady). wake_cycle accumulates the latest effective
-     * (bypass-adjusted) ready cycle over the known-ready sources, so a
-     * fully-masked entry is issuable exactly when
-     * max(wake_cycle, rob.retry_cycle) <= now. 32 bytes; the select
-     * scan never touches the 168-byte RobEntry for not-ready slots.
+     * (bypass-adjusted) ready cycle over the known-ready sources, and
+     * a load or store replay raises it to the replay stamp (no
+     * broadcast can touch a full mask afterwards), so a fully-masked
+     * entry is issuable exactly when wake_cycle <= now. With the
+     * uop's scheduling class mirrored in `cls`, select reads only
+     * these 32 bytes, never the RobEntry.
      */
     struct IqEntry
     {
@@ -200,9 +203,13 @@ class OooCore : public CoreModel
         S16 rob = -1;
         S16 thread = 0;
         U8 ready_mask = 0;     ///< bit s set = src[s] value broadcast seen
+        UopClass cls = UopClass::IntAlu;  ///< mirrors uop.schedCls()
         bool valid = false;
     };
     static constexpr U8 IQ_ALL_READY = 0xF;
+    /** Slots per issue queue: the waiter-list code keeps the slot
+     *  index in 6 bits (SimConfig::validate enforces it). */
+    static constexpr int MAX_IQ_SLOTS = 64;
 
     struct IssueQueue
     {
@@ -246,17 +253,45 @@ class OooCore : public CoreModel
             int ras_top = 0;    ///< RAS state right after this uop fetched
             GuestFault fetch_fault = GuestFault::None;
         };
-        std::deque<FetchedUop> fetch_queue;
+        /** Fixed ring of cfg.fetch_queue_size entries. Fetch checks
+         *  for room before every push, so it never overflows. */
+        struct FetchQueue
+        {
+            std::vector<FetchedUop> buf;
+            int head = 0, count = 0;
+
+            int size() const { return count; }
+            bool empty() const { return count == 0; }
+            FetchedUop &front() { return buf[(size_t)head]; }
+            const FetchedUop &front() const { return buf[(size_t)head]; }
+            void
+            push_back(const FetchedUop &fu)
+            {
+                int slot = head + count;
+                if (slot >= (int)buf.size())
+                    slot -= (int)buf.size();
+                buf[(size_t)slot] = fu;
+                count++;
+            }
+            void
+            pop_front()
+            {
+                head = ringNext(head, (int)buf.size());
+                count--;
+            }
+            void clear() { head = count = 0; }
+        } fetch_queue;
         // Rename state.
         S16 spec_rat[RAT_SIZE];
         S16 arch_rat[RAT_SIZE];
         // ROB (circular).
         std::vector<RobEntry> rob;
         int rob_head = 0, rob_tail = 0, rob_used = 0;
-        // LSQ.
+        // LSQ (circular, program order).
         std::vector<LsqEntry> ldq;
         std::vector<LsqEntry> stq;
-        int ldq_used = 0, stq_used = 0;
+        int ldq_head = 0, ldq_tail = 0, ldq_used = 0;
+        int stq_head = 0, stq_tail = 0, stq_used = 0;
         // Checkpoints (parallel to ROB capacity).
         std::vector<RatCheckpoint> checkpoints;
         std::vector<bool> checkpoint_used;
@@ -346,17 +381,33 @@ class OooCore : public CoreModel
      *  arm idle_until. */
     void sleepCore(SimCycle now);
     RobEntry &robAt(Thread &t, int idx) { return t.rob[idx]; }
+    /** Ring cursor steps (ROB, LDQ/STQ, fetch queue), division-free. */
+    static int ringNext(int idx, int size)
+    {
+        return idx + 1 == size ? 0 : idx + 1;
+    }
+    static int ringPrev(int idx, int size)
+    {
+        return idx == 0 ? size - 1 : idx - 1;
+    }
     int robNext(const Thread &t, int idx) const
     {
-        return (idx + 1) % (int)t.rob.size();
+        return ringNext(idx, (int)t.rob.size());
     }
     void flushThread(Thread &t);
     void squashYounger(Thread &t, int rob_idx, SimCycle now);
     void redirectFetch(Thread &t, GuestVirt rip, SimCycle now,
                        CycleDelta penalty);
+    /** Issue the uop in `slot`. Returns true when it left the queue,
+     *  false when a load or store replays (its slot's wake_cycle then
+     *  holds the replay stamp). */
     bool issueOne(SimCycle now, IssueQueue &iq, int slot);
-    bool issueLoad(SimCycle now, Thread &t, RobEntry &e);
-    bool issueStore(SimCycle now, Thread &t, RobEntry &e);
+    /** Execute a load or store. Returns LSQ_DONE when it completed (or
+     *  faulted), else the replay stamp: the earliest cycle the access
+     *  may be attempted again, always later than `now`. */
+    static constexpr SimCycle LSQ_DONE = SimCycle(0);
+    SimCycle issueLoad(SimCycle now, Thread &t, RobEntry &e);
+    SimCycle issueStore(SimCycle now, Thread &t, RobEntry &e);
     void resolveBranch(SimCycle now, Thread &t, int rob_idx, RobEntry &e);
     bool commitThread(SimCycle now, Thread &t, int &budget);
     void commitUopState(Thread &t, RobEntry &e);

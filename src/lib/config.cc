@@ -462,6 +462,23 @@ SimConfig::validate() const
     if (int_prf_size < rob_size / 2)
         fatal("int_prf_size %d too small for rob_size %d",
               int_prf_size, rob_size);
+    // The issue-queue wakeup lists pack a slot index into 6 bits.
+    if (int_iq_size < 1 || int_iq_size > 64 || fp_iq_size < 1
+        || fp_iq_size > 64)
+        fatal("issue queue sizes int_iq_size %d / fp_iq_size %d out of "
+              "range [1, 64]", int_iq_size, fp_iq_size);
+    // Out-of-order select assumes nothing issued in a cycle can become
+    // ready in that same cycle; a zero latency would make issue depend
+    // on queue order, and a negative one would wrap the cycle stamp.
+    for (const auto &[name, lat] :
+         {std::pair<const char *, int>{"lat_alu", lat_alu},
+          {"lat_mul", lat_mul}, {"lat_div", lat_div}, {"lat_fp", lat_fp},
+          {"lat_ld", lat_ld}}) {
+        if (lat < 1)
+            fatal("%s %d must be at least 1", name, lat);
+    }
+    if (fp_cluster_delay < 0)
+        fatal("fp_cluster_delay %d must not be negative", fp_cluster_delay);
     // Force geometry checks.
     (void)l1i.sets();
     (void)l1d.sets();

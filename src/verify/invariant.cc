@@ -258,75 +258,97 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
             }
         }
 
-        // ---- LSQ vs. ROB consistency ----
-        for (const std::vector<OooCore::LsqEntry> *lsq : {&t.ldq, &t.stq}) {
-            bool is_ldq = (lsq == &t.ldq);
-            int valid = 0;
-            const OooCore::LsqEntry *newest_older = nullptr;
-            for (size_t li = 0; li < lsq->size(); li++) {
-                const OooCore::LsqEntry &l = (*lsq)[li];
+        // ---- LSQ rings vs. the ROB ----
+        // Each queue is a program-order ring: the valid entries must be
+        // exactly the `used` slots that end at the tail, with rising
+        // sequence numbers, and each must mirror its ROB entry.
+        struct LsqRing
+        {
+            const char *name;
+            const std::vector<OooCore::LsqEntry> &q;
+            int head, tail, used;
+            bool is_ldq;
+        };
+        for (const LsqRing &r :
+             {LsqRing{"LDQ", t.ldq, t.ldq_head, t.ldq_tail, t.ldq_used,
+                      true},
+              LsqRing{"STQ", t.stq, t.stq_head, t.stq_tail, t.stq_used,
+                      false}}) {
+            int qsize = (int)r.q.size();
+            if (r.used < 0 || r.used > qsize || r.tail < 0
+                || r.tail >= qsize) {
+                VERIFY_VIOLATION(vstats.lsq_state,
+                                 "[cycle %llu] verify: thread %zu %s "
+                                 "tail %d / used %d outside a %d-entry "
+                                 "ring", cyc, ti, r.name, r.tail, r.used,
+                                 qsize);
+                continue;
+            }
+            int first = (r.tail - r.used + qsize) % qsize;
+            if (r.head != first)
+                VERIFY_VIOLATION(vstats.lsq_state,
+                                 "[cycle %llu] verify: thread %zu %s "
+                                 "cursors head=%d tail=%d disagree with "
+                                 "used %d", cyc, ti, r.name, r.head,
+                                 r.tail, r.used);
+            U64 prev_lsq_seq = 0;
+            for (int li = 0; li < qsize; li++) {
+                const OooCore::LsqEntry &l = r.q[li];
+                int age = (li - first + qsize) % qsize;  // 0 = oldest
+                bool live = age < r.used;
+                if (l.valid != live)
+                    VERIFY_VIOLATION(vstats.lsq_state,
+                                     "[cycle %llu] verify: thread %zu %s "
+                                     "slot %d is %s but the ring's "
+                                     "cursors say %s", cyc, ti, r.name, li,
+                                     l.valid ? "valid" : "free",
+                                     live ? "live" : "free");
+            }
+            for (int age = 0; age < r.used; age++) {
+                int li = (first + age) % qsize;
+                const OooCore::LsqEntry &l = r.q[li];
                 if (!l.valid)
-                    continue;
-                valid++;
+                    continue;  // reported above
+                if (age > 0 && l.seq <= prev_lsq_seq)
+                    VERIFY_VIOLATION(vstats.lsq_age,
+                                     "[cycle %llu] verify: thread %zu %s "
+                                     "ring order broken at slot %d (seq "
+                                     "%llu after %llu)", cyc, ti, r.name,
+                                     li, (unsigned long long)l.seq,
+                                     (unsigned long long)prev_lsq_seq);
+                prev_lsq_seq = l.seq;
                 // Back-reference into the live ROB window.
                 int pos = (l.rob - t.rob_head + rsize) % rsize;
                 if (l.rob < 0 || l.rob >= rsize || pos >= used) {
                     VERIFY_VIOLATION(vstats.lsq_state,
                                      "[cycle %llu] verify: thread %zu "
-                                     "%s slot %zu references dead ROB "
-                                     "slot %d", cyc, ti,
-                                     is_ldq ? "LDQ" : "STQ", li, l.rob);
+                                     "%s slot %d references dead ROB "
+                                     "slot %d", cyc, ti, r.name, li,
+                                     l.rob);
                     continue;
                 }
                 const OooCore::RobEntry &e = t.rob[l.rob];
                 bool kind_ok =
-                    is_ldq ? e.uop.isLoad() : e.uop.isStore();
-                if (!kind_ok || e.lsq != (int)li)
+                    r.is_ldq ? e.uop.isLoad() : e.uop.isStore();
+                if (!kind_ok || e.lsq != li)
                     VERIFY_VIOLATION(vstats.lsq_state,
                                      "[cycle %llu] verify: thread %zu "
-                                     "%s slot %zu and ROB slot %d "
+                                     "%s slot %d and ROB slot %d "
                                      "back-references disagree "
-                                     "(rob.lsq=%d)", cyc, ti,
-                                     is_ldq ? "LDQ" : "STQ", li, l.rob,
-                                     e.lsq);
+                                     "(rob.lsq=%d)", cyc, ti, r.name, li,
+                                     l.rob, e.lsq);
                 // Age consistency: the queue entry carries the same
                 // program-order sequence number its ROB entry was
                 // renamed with.
                 else if (l.seq != e.seq)
                     VERIFY_VIOLATION(vstats.lsq_age,
                                      "[cycle %llu] verify: thread %zu "
-                                     "%s slot %zu seq %llu disagrees "
+                                     "%s slot %d seq %llu disagrees "
                                      "with ROB slot %d seq %llu",
-                                     cyc, ti, is_ldq ? "LDQ" : "STQ",
-                                     li, (unsigned long long)l.seq,
-                                     l.rob, (unsigned long long)e.seq);
-                // Pairwise: ROB position order must match seq order
-                // (track the entry with the largest seq seen so far and
-                // compare window positions).
-                if (newest_older) {
-                    int pos_a = (newest_older->rob - t.rob_head + rsize)
-                                % rsize;
-                    bool seq_older = newest_older->seq < l.seq;
-                    bool pos_older = pos_a < pos;
-                    if (seq_older != pos_older)
-                        VERIFY_VIOLATION(
-                            vstats.lsq_age,
-                            "[cycle %llu] verify: thread %zu %s age "
-                            "order inverted between seq %llu and %llu",
-                            cyc, ti, is_ldq ? "LDQ" : "STQ",
-                            (unsigned long long)newest_older->seq,
-                            (unsigned long long)l.seq);
-                }
-                if (!newest_older || l.seq > newest_older->seq)
-                    newest_older = &l;
+                                     cyc, ti, r.name, li,
+                                     (unsigned long long)l.seq, l.rob,
+                                     (unsigned long long)e.seq);
             }
-            int expect = is_ldq ? t.ldq_used : t.stq_used;
-            if (valid != expect)
-                VERIFY_VIOLATION(vstats.lsq_state,
-                                 "[cycle %llu] verify: thread %zu %s "
-                                 "has %d valid entries but the "
-                                 "occupancy counter says %d", cyc, ti,
-                                 is_ldq ? "LDQ" : "STQ", valid, expect);
         }
     }
 
@@ -442,6 +464,13 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                                          e.src[s]);
                 }
             }
+            if (slot.cls != e.uop.schedCls())
+                VERIFY_VIOLATION(vstats.iq_state,
+                                 "[cycle %llu] verify: iq[%zu] slot %zu "
+                                 "mirrored class %d disagrees with ROB "
+                                 "slot %d class %d", cyc, qi, si,
+                                 (int)slot.cls, slot.rob,
+                                 (int)e.uop.schedCls());
             // Scoreboard consistency: an entry still waiting in a
             // queue has not executed, so it must be InQueue and its
             // destination register must not be marked ready yet.
@@ -617,6 +646,18 @@ VerifyTestHook::corruptLsqAge(OooCore &core, int thread)
         return true;
     }
     return false;
+}
+
+bool
+VerifyTestHook::corruptLsqRing(OooCore &core, int thread)
+{
+    OooCore::Thread &t = core.threads[thread];
+    int size = (int)t.stq.size();
+    if (t.stq_used == 0 || t.stq_used == size)
+        return false;
+    // Advance the tail past a free slot without allocating it.
+    t.stq_tail = (t.stq_tail + 1) % size;
+    return true;
 }
 
 bool

@@ -138,6 +138,8 @@ struct VerifyTestHook
     static bool corruptRobCount(OooCore &core, int thread);
     static bool corruptRobOrder(OooCore &core, int thread);
     static bool corruptLsqAge(OooCore &core, int thread);
+    /** Move the STQ ring's tail past a free slot. */
+    static bool corruptLsqRing(OooCore &core, int thread);
     static bool corruptPrfLeak(OooCore &core);
     static bool corruptPrfDoubleFree(OooCore &core);
     static bool corruptIqReady(OooCore &core);

@@ -178,6 +178,38 @@ TEST(Config, ValidationCatchesBadGeometry)
         ::testing::ExitedWithCode(1), "smt_threads");
 }
 
+TEST(Config, ValidationRejectsNonPositiveLatencies)
+{
+    EXPECT_EXIT(
+        {
+            SimConfig c = SimConfig::preset("k8");
+            c.lat_alu = 0;  // same-cycle wakeup would break select
+            c.validate();
+        },
+        ::testing::ExitedWithCode(1), "lat_alu 0");
+    EXPECT_EXIT(
+        {
+            SimConfig c = SimConfig::preset("k8");
+            c.lat_ld = -1;
+            c.validate();
+        },
+        ::testing::ExitedWithCode(1), "lat_ld -1");
+    EXPECT_EXIT(
+        {
+            SimConfig c = SimConfig::preset("k8");
+            c.fp_cluster_delay = -2;
+            c.validate();
+        },
+        ::testing::ExitedWithCode(1), "fp_cluster_delay -2");
+    EXPECT_EXIT(
+        {
+            SimConfig c = SimConfig::preset("k8");
+            c.fp_iq_size = 65;  // wakeup lists hold 6-bit slot indices
+            c.validate();
+        },
+        ::testing::ExitedWithCode(1), "fp_iq_size 65");
+}
+
 TEST(Assist, CpuidIsDeterministic)
 {
     GuestRunner g1, g2;

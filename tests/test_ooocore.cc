@@ -598,5 +598,199 @@ TEST(OooCoreTest, SkipAheadIsDeterministic)
     EXPECT_GT(skipped[1], 0ULL);
 }
 
+// ---------------------------------------------------------------------
+// Exact timing of the LSQ and select. Each test pins the simulated
+// cycle count and the LSQ counters, so any change to which uop issues
+// when, or to what a load forwards or waits for, shows up here.
+// ---------------------------------------------------------------------
+
+/** The figures an exact-timing test pins. */
+struct Timing
+{
+    U64 cycles, replays, forwards, insns;
+};
+
+Timing
+timingOf(BareMachine &r, U64 cycles)
+{
+    return {cycles, r.stats().get("core0/lsq/replays"),
+            r.stats().get("core0/lsq/forwards"),
+            r.stats().get("core0/commit/insns")};
+}
+
+void
+expectTiming(const Timing &got, const Timing &want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.replays, want.replays);
+    EXPECT_EQ(got.forwards, want.forwards);
+    EXPECT_EQ(got.insns, want.insns);
+}
+
+TEST(OooTiming, YoungestOfTwoCoveringStoresForwards)
+{
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rcx, 60);
+    a.mov(R::r8, 0);
+    Label top = a.label();
+    a.mov(Mem::at(R::rbx), R::rcx);    // older store
+    a.lea(R::rax, Mem::at(R::rcx, 1000));
+    a.mov(Mem::at(R::rbx), R::rax);    // younger store, same bytes
+    a.mov(R::rdx, Mem::at(R::rbx));    // must see the younger one
+    a.add(R::r8, R::rdx);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+    U64 cycles = runOnCores(r, a);
+    EXPECT_EQ(r.vcpu(0).regs[REG_r8], 60ULL * 1000 + 60 * 61 / 2);
+    expectTiming(timingOf(r, cycles), {1021, 27, 52, 424});
+}
+
+TEST(OooTiming, OlderPartialOverlapMakesCoveredLoadWait)
+{
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rcx, 60);
+    a.mov(R::r8, 0);
+    Label top = a.label();
+    a.mov8(Mem::at(R::rbx, 1), R::rcx);  // older store, one byte inside
+    a.mov(Mem::at(R::rbx), R::rcx);      // younger store covers the load
+    a.mov(R::rdx, Mem::at(R::rbx));      // waits for the older store
+    a.add(R::r8, R::rdx);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+    U64 cycles = runOnCores(r, a);
+    EXPECT_EQ(r.vcpu(0).regs[REG_r8], 60ULL * 61 / 2);
+    expectTiming(timingOf(r, cycles), {1153, 1376, 0, 364});
+}
+
+TEST(OooTiming, LsqRingsWrap)
+{
+    // 300 iterations of two stores and three loads: far more than the
+    // K8's 44-entry LDQ and STQ, so both rings wrap many times.
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rcx, 0);
+    a.mov(R::r8, 0);
+    Label top = a.label();
+    a.mov(Mem::idx(R::rbx, R::rcx, 8), R::rcx);
+    a.mov(R::rax, Mem::idx(R::rbx, R::rcx, 8));
+    a.add(R::r8, R::rax);
+    a.mov(R::rdx, R::rcx);
+    a.and_(R::rdx, 15);
+    a.add(R::r8, Mem::idx(R::rbx, R::rdx, 8, 0x1000));
+    a.mov(Mem::idx(R::rbx, R::rdx, 8, 0x1000), R::r8);
+    a.add(R::r8, Mem::idx(R::rbx, R::rcx, 8));
+    a.inc(R::rcx);
+    a.cmp(R::rcx, 300);
+    a.jcc(COND_ne, top);
+    a.hlt();
+    U64 cycles = runOnCores(r, a);
+    expectTiming(timingOf(r, cycles), {7503, 28745, 300, 3304});
+}
+
+/**
+ * Two loops. The first runs three multiply chains and a divide beside
+ * their consumers, so the one multiplier and the one divider limit
+ * issue. The second wakes three multiplies and twelve moves with one
+ * load, more than the 3-wide issue of a lane, and the next iteration's
+ * load address waits on the youngest multiply.
+ */
+void
+mulDivMix(Assembler &a)
+{
+    a.mov(R::r8, 3);
+    a.mov(R::r9, 5);
+    a.mov(R::r10, 7);
+    a.mov(R::rbx, 3);
+    a.mov(R::rcx, 40);
+    Label hazards = a.label();
+    a.imul(R::r8, R::r8, 3);
+    a.imul(R::r9, R::r9, 5);
+    a.imul(R::r10, R::r10, 7);
+    a.mov(R::rax, R::rcx);
+    a.mov(R::rdx, 0);
+    a.div(R::rbx);
+    a.add(R::r11, R::rax);
+    a.imul(R::r12, R::r11);
+    a.add(R::r13, R::rdx);
+    a.mov(R::rsi, R::r8);
+    a.add(R::rsi, 1);
+    a.add(R::rbp, R::r9);
+    a.add(R::r14, R::r10);
+    a.add(R::r14, R::r9);
+    a.add(R::rsi, R::r10);
+    a.add(R::r15, 1);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, hazards);
+
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rsi, 3);
+    a.mov(R::rcx, 40);
+    Label width = a.label();
+    a.mov(R::rax, Mem::at(R::rbx));
+    a.imul(R::r8, R::rax);
+    a.imul(R::r9, R::rax);
+    a.imul(R::r11, R::rax);
+    for (int k = 0; k < 12; k++)
+        a.mov(R::r10, R::rax);
+    a.mov(R::rax, R::rcx);
+    a.mov(R::rdx, 0);
+    a.div(R::rsi);
+    a.add(R::rbx, R::r11);  // memory is zero-filled: rbx stays put
+    a.add(R::r15, 1);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, width);
+    a.hlt();
+}
+
+TEST(OooTiming, MulDivHazardAndIssueWidth)
+{
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
+    mulDivMix(a);
+    U64 cycles = runOnCores(r, a);
+    EXPECT_EQ(r.vcpu(0).regs[REG_r15], 80ULL);
+    expectTiming(timingOf(r, cycles), {2071, 0, 0, 1729});
+}
+
+TEST(OooTiming, SmtThreadsTieOnSeqInOneQueue)
+{
+    // Two threads share one integer queue and take turns on a locked
+    // add: the interlock keeps them in step, so their uops often sit
+    // in the queue with equal sequence numbers, and select breaks the
+    // tie by slot index. Thread t adds t+1, 100 + 5t times.
+    SimConfig cfg = oooConfig();
+    cfg.core = "smt";
+    cfg.vcpu_count = 2;
+    cfg.smt_threads = 2;
+    cfg.int_iq_count = 1;
+    cfg.int_iq_size = 24;
+    BareMachine r(cfg);
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
+    a.imul(R::rcx, R::rdi, 5);
+    a.add(R::rcx, 100);
+    a.lea(R::rdx, Mem::at(R::rdi, 1));
+    Label top = a.label();
+    a.mov(R::rax, R::rdx);
+    a.lockXadd(Mem::at(R::rbx), R::rax);
+    a.imul(R::r8, R::rax, 3);
+    a.imul(R::r9, R::rax, 5);
+    a.imul(R::r10, R::r10, 7);
+    a.add(R::r11, R::r8);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+    U64 cycles = runOnCores(r, a);
+    EXPECT_EQ(r.readGuest(DATA_BASE, 8), 100ULL * 1 + 105 * 2);
+    expectTiming(timingOf(r, cycles), {2188, 693, 0, 1650});
+}
+
 }  // namespace
 }  // namespace ptl

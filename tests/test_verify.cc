@@ -143,6 +143,18 @@ TEST(VerifyTest, DetectsLsqAgeCorruption)
               0u);
 }
 
+TEST(VerifyTest, DetectsLsqRingCorruption)
+{
+    VerifyRig rig;
+    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+        return VerifyTestHook::corruptLsqRing(c, 0);
+    }));
+    InvariantChecker chk(rig.runner.stats(), "verify/",
+                         InvariantChecker::Action::Count);
+    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(chk.counters().lsq_state.value(), 0u);
+}
+
 TEST(VerifyTest, DetectsPhysicalRegisterLeak)
 {
     VerifyRig rig;
