@@ -239,7 +239,6 @@ OooCore::resolveBranch(SimCycle now, Thread &t, int rob_idx, RobEntry &e)
         RatCheckpoint &c = t.checkpoints[e.checkpoint];
         std::memcpy(t.spec_rat, c.map, sizeof(t.spec_rat));
         predictor->rasRestore(c.ras_top);
-        t.checkpoint_used[e.checkpoint] = false;
         e.checkpoint = -1;
     } else {
         panic("mispredicted branch without checkpoint (%s at %llx)",
@@ -430,7 +429,7 @@ OooCore::runChecker(Thread &t, const RobEntry &e)
 }
 
 void
-OooCore::commitUopState(Thread &t, RobEntry &e)
+OooCore::commitUopState(SimCycle now, Thread &t, RobEntry &e)
 {
     const Uop &u = e.uop;
     Context &ctx = *t.ctx;
@@ -445,7 +444,7 @@ OooCore::commitUopState(Thread &t, RobEntry &e)
         LsqEntry &s = t.stq[e.lsq];
         GuestAccess a = guestWrite(*aspace, ctx, s.va, u.size, s.data);
         ptl_assert(a.ok());  // faults were resolved at issue
-        hierarchy->dataAccess(s.paddr, true, now_cache, true);
+        hierarchy->dataAccess(s.paddr, true, now, true);
         // Self-modifying code detection on the touched frame(s).
         Pfn first = s.paddr.pfn();
         if (sys->isCodeMfn(first))
@@ -487,10 +486,6 @@ OooCore::commitUopState(Thread &t, RobEntry &e)
             ringNext(e.lsq, (int)(ld ? t.ldq.size() : t.stq.size()));
         (ld ? t.ldq_used : t.stq_used)--;
         e.lsq = -1;
-    }
-    if (e.checkpoint >= 0) {
-        t.checkpoint_used[e.checkpoint] = false;
-        e.checkpoint = -1;
     }
     st_commit_uops++;
 }
@@ -654,7 +649,7 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
         RobEntry &e = t.rob[group[n]];
         if (e.uop.isAssist())
             break;  // executed below, after older effects apply
-        commitUopState(t, e);
+        commitUopState(now, t, e);
         if (has_assist) {
             // Pop committed leading uops now so the post-assist flush
             // cannot force-free their (architecturally live) registers.

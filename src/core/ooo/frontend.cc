@@ -197,11 +197,10 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
     if (u.isStore() && t.stq_used >= (int)t.stq.size())
         return false;
 
-    // Allocate the ROB slot (its index doubles as the checkpoint id).
+    // Allocate the ROB slot (its index doubles as the checkpoint id,
+    // so a free slot always has a free checkpoint).
     int idx = t.rob_tail;
     bool wants_checkpoint = (u.op == UopOp::BrCC || u.op == UopOp::Jmp);
-    if (wants_checkpoint && t.checkpoint_used[idx])
-        return false;
 
     t.rob_tail = robNext(t, idx);
     t.rob_used++;
@@ -284,7 +283,6 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
         std::memcpy(c.map, t.spec_rat, sizeof(c.map));
         c.ras_top = fu.ras_top;       // fetch-time snapshot
         c.history = fu.pred.history;
-        t.checkpoint_used[idx] = true;
         e.checkpoint = idx;
     }
 
@@ -331,7 +329,7 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
                         if (eff > slot.wake_cycle)
                             slot.wake_cycle = eff;
                     } else {
-                        addWaiter(p, qidx, slot_idx, s);
+                        waitMask(p, qidx) |= U64(1) << slot_idx;
                     }
                 }
                 slot.ready_mask = mask;
@@ -342,8 +340,6 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
                         std::max(slot.wake_cycle, now + cycles(1));
                     if (at < iq.next_wake)
                         iq.next_wake = at;
-                } else {
-                    iq.waiting++;
                 }
                 iq.used++;
                 if (qidx != fp_queue_index)

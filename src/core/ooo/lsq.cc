@@ -124,7 +124,6 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
         bool got = interlocks->acquire(paddr, owner);
         ptl_assert(got);
         l.lock_acquired = true;
-        t.holds_locks = true;
     }
 
     // Store queue search over the live older stores, youngest first:

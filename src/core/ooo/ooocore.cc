@@ -1,5 +1,6 @@
 #include "core/ooo/ooocore.h"
 
+#include <bit>
 #include <cstring>
 #include <cstdlib>
 
@@ -73,7 +74,6 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
     int int_total = cfg.int_prf_size + int_arch;
     int fp_total = cfg.fp_prf_size + fp_arch;
     prf.resize((size_t)int_total + (size_t)fp_total);
-    waiters.resize(prf.size());
     for (int i = 0; i < int_total; i++)
         free_int.push_back(i);
     for (int i = 0; i < fp_total; i++) {
@@ -95,6 +95,7 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
         fp_queue_index = (int)queues.size();
         queues.push_back(std::move(fpq));
     }
+    wait_masks.assign(prf.size() * queues.size(), 0);
 
     // Per-thread structures.
     threads.resize(params.contexts.size());
@@ -106,7 +107,6 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
         t.stq.resize((size_t)cfg.stq_size);
         t.fetch_queue.buf.resize((size_t)cfg.fetch_queue_size);
         t.checkpoints.resize((size_t)cfg.rob_size);
-        t.checkpoint_used.assign((size_t)cfg.rob_size, false);
         // Initialize the register maps: one phys per arch slot,
         // preloaded from the context.
         for (int r = 0; r < RAT_SIZE; r++) {
@@ -173,10 +173,10 @@ OooCore::allocPhys(bool fp)
     reg.ready_cycle = CYCLE_NEVER;
     reg.refcount = 0;
     reg.in_free_list = false;
-    // Drop waiter entries left behind if the previous owner was
+    // Drop subscriptions left behind if the previous owner was
     // squashed before it could broadcast.
-    waiters[(size_t)p].n = 0;
-    waiters[(size_t)p].overflow = false;
+    for (size_t q = 0; q < queues.size(); q++)
+        waitMask(p, (int)q) = 0;
     return p;
 }
 
@@ -210,68 +210,25 @@ OooCore::dropRefPhys(int phys)
         freePhys(phys);
 }
 
-bool
-OooCore::physReadyFor(int phys, int consumer_cluster, SimCycle now) const
-{
-    if (phys < 0)
-        return true;
-    const PhysReg &reg = prf[phys];
-    if (!reg.ready)
-        return false;
-    // Inter-cluster bypass delay (e.g. K8's FP cluster 2 cycles away).
-    return effectiveReadyCycle(reg, consumer_cluster) <= now;
-}
-
 void
 OooCore::broadcastReady(int phys)
 {
     const PhysReg &reg = prf[phys];
     st_wakeup_broadcasts++;
-    PhysWaiters &w = waiters[(size_t)phys];
-    if (w.overflow) {
-        w.n = 0;
-        w.overflow = false;
-        broadcastScan(phys);
-        return;
-    }
-    for (int i = 0; i < (int)w.n; i++) {
-        U16 code = w.e[i];
-        IssueQueue &iq = queues[code >> 8];
-        IqEntry &slot = iq.slots[(code >> 2) & 0x3F];
-        int s = code & 3;
-        // Re-validate: the slot may have been squashed or reused since
-        // the entry was pushed; the ready-bit check also de-dups.
-        if (!slot.valid || (int)slot.src[s] != phys
-            || (slot.ready_mask & (U8)(1 << s)))
+    for (size_t q = 0; q < queues.size(); q++) {
+        U64 &waiting = waitMask(phys, (int)q);
+        if (!waiting)
             continue;
-        slot.ready_mask |= (U8)(1 << s);
+        IssueQueue &iq = queues[q];
         SimCycle eff = effectiveReadyCycle(reg, iq.cluster);
-        if (eff > slot.wake_cycle)
-            slot.wake_cycle = eff;
-        if (slot.ready_mask == IQ_ALL_READY) {
-            iq.waiting--;
-            if (slot.wake_cycle < iq.next_wake)
-                iq.next_wake = slot.wake_cycle;
-        }
-    }
-    w.n = 0;
-}
-
-void
-OooCore::broadcastScan(int phys)
-{
-    const PhysReg &reg = prf[phys];
-    for (IssueQueue &iq : queues) {
-        if (iq.waiting == 0)
-            continue;
-        SimCycle eff = effectiveReadyCycle(reg, iq.cluster);
-        for (IqEntry &slot : iq.slots) {
-            if (!slot.valid || slot.ready_mask == IQ_ALL_READY)
+        for (U64 m = waiting; m; m &= m - 1) {
+            IqEntry &slot = iq.slots[(size_t)std::countr_zero(m)];
+            if (!slot.valid)
                 continue;
             U8 mask = slot.ready_mask;
             for (int s = 0; s < 4; s++) {
-                if (!(mask & (1 << s)) && (int)slot.src[s] == phys)
-                    mask |= 1 << s;
+                if ((int)slot.src[s] == phys)
+                    mask |= (U8)(1 << s);
             }
             if (mask == slot.ready_mask)
                 continue;
@@ -280,12 +237,10 @@ OooCore::broadcastScan(int phys)
                 slot.wake_cycle = eff;
             // Last operand arrived: the entry is now a select
             // candidate, so the queue's skip stamp must cover it.
-            if (mask == IQ_ALL_READY) {
-                iq.waiting--;
-                if (slot.wake_cycle < iq.next_wake)
-                    iq.next_wake = slot.wake_cycle;
-            }
+            if (mask == IQ_ALL_READY && slot.wake_cycle < iq.next_wake)
+                iq.next_wake = slot.wake_cycle;
         }
+        waiting = 0;
     }
 }
 
@@ -327,8 +282,6 @@ OooCore::squashYounger(Thread &t, int rob_idx, SimCycle /*now*/)
             for (IqEntry &slot : iq.slots) {
                 if (slot.valid && (int)slot.thread == tid
                     && (int)slot.rob == last) {
-                    if (slot.ready_mask != IQ_ALL_READY)
-                        iq.waiting--;
                     slot.valid = false;
                     iq.used--;
                     if (e.cluster != queues[fp_queue_index].cluster)
@@ -354,8 +307,6 @@ OooCore::squashYounger(Thread &t, int rob_idx, SimCycle /*now*/)
             prf[e.phys].refcount = 0;
             freePhys(e.phys);
         }
-        if (e.checkpoint >= 0)
-            t.checkpoint_used[e.checkpoint] = false;
         t.rob_tail = last;
         t.rob_used--;
     }
@@ -374,8 +325,6 @@ OooCore::flushThread(Thread &t)
             prf[e.phys].refcount = 0;
             freePhys(e.phys);
         }
-        if (e.checkpoint >= 0)
-            t.checkpoint_used[e.checkpoint] = false;
         t.rob_tail = last;
         t.rob_used--;
     }
@@ -383,8 +332,6 @@ OooCore::flushThread(Thread &t)
     for (IssueQueue &iq : queues) {
         for (IqEntry &slot : iq.slots) {
             if (slot.valid && slot.thread == tid) {
-                if (slot.ready_mask != IQ_ALL_READY)
-                    iq.waiting--;
                 slot.valid = false;
                 iq.used--;
             }
@@ -399,9 +346,7 @@ OooCore::flushThread(Thread &t)
     t.stq_head = t.stq_tail = t.stq_used = 0;
     t.fetch_queue.clear();
     std::memcpy(t.spec_rat, t.arch_rat, sizeof(t.spec_rat));
-    std::fill(t.checkpoint_used.begin(), t.checkpoint_used.end(), false);
     interlocks->releaseAll(ownerId(t));
-    t.holds_locks = false;
     t.fetch_bb = nullptr;
     t.fetch_faulted = false;
     t.fetch_rip = t.ctx->rip;
@@ -471,10 +416,6 @@ OooCore::resetTimebase(SimCycle now)
     idle_until = SimCycle(0);
     for (IssueQueue &iq : queues)
         iq.next_wake = SimCycle(0);
-    for (PhysWaiters &w : waiters) {
-        w.n = 0;
-        w.overflow = false;
-    }
     hierarchy->resetTimebase();
 }
 
@@ -541,7 +482,6 @@ OooCore::cycle(SimCycle now)
             }
         }
         if (!wake) {
-            now_cache = now;
             st_cycles++;
             st_skipped_cycles++;
             // Keep the SMT arbitration rotors bit-identical with a
@@ -558,7 +498,6 @@ OooCore::cycle(SimCycle now)
         idle_until = SimCycle(0);
     }
 
-    now_cache = now;
     st_cycles++;
     cycle_activity = false;
     stageCommit(now);

@@ -207,8 +207,8 @@ class OooCore : public CoreModel
         bool valid = false;
     };
     static constexpr U8 IQ_ALL_READY = 0xF;
-    /** Slots per issue queue: the waiter-list code keeps the slot
-     *  index in 6 bits (SimConfig::validate enforces it). */
+    /** Slots per issue queue: a queue's slots must fit in one U64
+     *  wakeup mask (SimConfig::validate enforces it). */
     static constexpr int MAX_IQ_SLOTS = 64;
 
     struct IssueQueue
@@ -216,10 +216,6 @@ class OooCore : public CoreModel
         std::vector<IqEntry> slots;
         int cluster = 0;
         int used = 0;
-        /** Valid slots whose ready mask is still incomplete. Broadcast
-         *  skips the whole queue when zero — entries that already have
-         *  every operand cannot match a new tag. */
-        int waiting = 0;
         /**
          * Lower bound on the earliest cycle any entry here can issue;
          * select skips the whole queue while next_wake > now. Lowered
@@ -294,10 +290,8 @@ class OooCore : public CoreModel
         int stq_head = 0, stq_tail = 0, stq_used = 0;
         // Checkpoints (parallel to ROB capacity).
         std::vector<RatCheckpoint> checkpoints;
-        std::vector<bool> checkpoint_used;
         U64 next_seq = 0;
         SimCycle last_commit_cycle;
-        bool holds_locks = false;
         int int_iq_inflight = 0;  ///< integer IQ slots held (SMT cap)
         /**
          * Why the last commitThread attempt this cycle could not make
@@ -326,7 +320,6 @@ class OooCore : public CoreModel
     void freePhys(int phys);
     void addRefPhys(int phys);
     void dropRefPhys(int phys);
-    bool physReadyFor(int phys, int consumer_cluster, SimCycle now) const;
     /** Cycle `reg`'s value is usable from `consumer_cluster`, with the
      *  inter-cluster bypass delay applied. The single readiness
      *  predicate shared by dispatch seeding, wakeup broadcast and the
@@ -341,40 +334,31 @@ class OooCore : public CoreModel
             eff += cycles((U64)cfg.fp_cluster_delay);
         return eff;
     }
-    /** Tag broadcast: `phys` just completed (its PhysReg ready bit and
-     *  ready_cycle are final); set the matching ready-mask bits in
-     *  every waiting issue-queue slot and lower queue wake stamps.
-     *  Walks the per-physreg waiter list (exact consumers) instead of
-     *  scanning every slot; falls back to broadcastScan on overflow. */
-    void broadcastReady(int phys);
-    /** Full-scan fallback for broadcastReady (waiter list overflowed). */
-    void broadcastScan(int phys);
     /**
-     * Per-physreg wakeup subscription: IQ slots whose source `s` still
-     * waits on this tag, encoded (queue << 8) | (slot << 2) | s.
-     * Appended at dispatch, drained (and cleared) by the tag
-     * broadcast. Entries can go stale — squash/flush invalidates the
-     * slot, or the slot is reused — so the broadcast re-validates each
-     * one against slot.valid, the mirrored src tag, and the ready bit
-     * (the bit check also makes duplicate entries harmless). A list
-     * that outlives its producer (squashed before completing) is wiped
-     * when the physreg is reallocated.
+     * Tag broadcast: `phys` just completed (its PhysReg ready bit and
+     * ready_cycle are final). Walks the set bits of the register's
+     * wakeup mask in every queue, sets the ready bit of each source
+     * that names the tag, lowers queue wake stamps, and clears the
+     * masks. Every effect is order-independent (bits are OR'd,
+     * wake_cycle takes the max, next_wake the min).
      */
-    struct PhysWaiters
+    void broadcastReady(int phys);
+    /**
+     * Wakeup subscriptions: bit `slot` of waitMask(phys, q) is set at
+     * dispatch when that slot of queue q has a source still waiting
+     * on `phys`. Bits can go stale (squash/flush invalidates the slot,
+     * or the slot is reused), so the broadcast re-checks each slot's
+     * valid flag, source tags and ready bits. A squashed producer
+     * never broadcasts; its masks are cleared when the register is
+     * reallocated.
+     */
+    U64 &waitMask(int phys, int queue)
     {
-        static constexpr int CAP = 6;
-        U16 e[CAP];
-        U8 n = 0;
-        bool overflow = false;
-    };
-    void
-    addWaiter(int phys, int queue, int slot, int s)
+        return wait_masks[(size_t)phys * queues.size() + (size_t)queue];
+    }
+    U64 waitMask(int phys, int queue) const
     {
-        PhysWaiters &w = waiters[(size_t)phys];
-        if (w.n < PhysWaiters::CAP)
-            w.e[w.n++] = (U16)((queue << 8) | (slot << 2) | s);
-        else
-            w.overflow = true;
+        return wait_masks[(size_t)phys * queues.size() + (size_t)queue];
     }
     /** Compute this core's next-interesting cycle after a cycle with
      *  no pipeline activity, snapshot per-thread running state, and
@@ -410,7 +394,7 @@ class OooCore : public CoreModel
     SimCycle issueStore(SimCycle now, Thread &t, RobEntry &e);
     void resolveBranch(SimCycle now, Thread &t, int rob_idx, RobEntry &e);
     bool commitThread(SimCycle now, Thread &t, int &budget);
-    void commitUopState(Thread &t, RobEntry &e);
+    void commitUopState(SimCycle now, Thread &t, RobEntry &e);
     void runChecker(Thread &t, const RobEntry &eom_entry);
     void lockstepStepReference(Thread &t, SimCycle now, GuestVirt insn_rip,
                                const Uop &first_uop);
@@ -444,14 +428,13 @@ class OooCore : public CoreModel
     std::unique_ptr<BranchPredictor> predictor;
     std::vector<Thread> threads;
     std::vector<PhysReg> prf;
-    std::vector<PhysWaiters> waiters;   ///< parallel to prf
+    std::vector<U64> wait_masks;   ///< [phys][queue], see waitMask()
     std::vector<int> free_int, free_fp;
     std::vector<IssueQueue> queues;   ///< int queues then FP queue
     int fp_queue_index = 0;
     int next_fetch_thread = 0;
     int next_rename_thread = 0;
     int next_commit_thread = 0;
-    SimCycle now_cache;
     /**
      * Skip-ahead state: while now < idle_until, cycle() takes a fast
      * path that only checks the externally-visible wake conditions

@@ -1,6 +1,8 @@
 #include "lib/config.h"
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -160,8 +162,34 @@ SimConfig::applyOption(const std::string &option)
     std::string name = option.substr(0, eq);
     std::string value = option.substr(eq + 1);
 
-    auto as_u64 = [&]() -> U64 { return std::strtoull(value.c_str(), nullptr, 0); };
-    auto as_int = [&]() -> int { return (int)std::strtol(value.c_str(), nullptr, 0); };
+    // Numbers parse strictly, in base 0 (so "0x40" is hex): the whole
+    // value must be a number, unsigned fields take no sign, and int
+    // fields must fit an int.
+    auto bad_number = [&]() {
+        fatal("option %s: bad number '%s'", name.c_str(), value.c_str());
+    };
+    auto as_u64 = [&]() -> U64 {
+        if (value.empty() || !std::isdigit((unsigned char)value[0]))
+            bad_number();
+        char *end = nullptr;
+        errno = 0;
+        U64 v = std::strtoull(value.c_str(), &end, 0);
+        if (*end != '\0' || errno == ERANGE)
+            bad_number();
+        return v;
+    };
+    auto as_int = [&]() -> int {
+        size_t digit = (!value.empty() && value[0] == '-') ? 1 : 0;
+        if (digit >= value.size()
+            || !std::isdigit((unsigned char)value[digit]))
+            bad_number();
+        char *end = nullptr;
+        errno = 0;
+        long long v = std::strtoll(value.c_str(), &end, 0);
+        if (*end != '\0' || errno == ERANGE || v < INT_MIN || v > INT_MAX)
+            bad_number();
+        return (int)v;
+    };
     auto as_bool = [&]() -> bool {
         if (value == "1" || value == "true" || value == "on") return true;
         if (value == "0" || value == "false" || value == "off") return false;
@@ -256,7 +284,6 @@ SimConfig::applyOption(const std::string &option)
         {"verify_interval", [&] { verify_interval = as_int(); }},
         {"net_latency_us", [&] { net_latency_us = as_int(); }},
         {"disk_latency_us", [&] { disk_latency_us = as_int(); }},
-        {"mask_external_interrupts", [&] { mask_external_interrupts = as_bool(); }},
     };
 
     auto it = setters.find(name);
@@ -462,7 +489,23 @@ SimConfig::validate() const
     if (int_prf_size < rob_size / 2)
         fatal("int_prf_size %d too small for rob_size %d",
               int_prf_size, rob_size);
-    // The issue-queue wakeup lists pack a slot index into 6 bits.
+    // Below these the core cannot make progress: it would never fetch,
+    // rename, issue or commit, or (int_iq_count 0) would send integer
+    // uops to the FP queue.
+    for (const auto &[name, n] :
+         {std::pair<const char *, int>{"fetch_width", fetch_width},
+          {"frontend_width", frontend_width},
+          {"issue_width_per_cluster", issue_width_per_cluster},
+          {"commit_width", commit_width},
+          {"fetch_queue_size", fetch_queue_size},
+          {"int_iq_count", int_iq_count}}) {
+        if (n < 1)
+            fatal("%s %d must be at least 1", name, n);
+    }
+    if (frontend_stages < 0 || mispredict_penalty < 0)
+        fatal("frontend_stages %d / mispredict_penalty %d must not be "
+              "negative", frontend_stages, mispredict_penalty);
+    // A queue's slots must fit in one U64 wakeup mask.
     if (int_iq_size < 1 || int_iq_size > 64 || fp_iq_size < 1
         || fp_iq_size > 64)
         fatal("issue queue sizes int_iq_size %d / fp_iq_size %d out of "

@@ -164,7 +164,6 @@ struct SimConfig
     // ---- devices / timing (Section 4.2) ----
     int net_latency_us = 50;              ///< loopback packet delivery delay
     int disk_latency_us = 200;            ///< virtual disk DMA latency
-    bool mask_external_interrupts = true; ///< paper's -maskints determinism
 
     /** Look up a preset by name ("default", "k8") and return it. */
     static SimConfig preset(const std::string &name);

@@ -226,14 +226,13 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
             prev_seq = e.seq;
             have_prev = true;
 
-            if (e.checkpoint >= 0
-                && (e.checkpoint >= rsize
-                    || !t.checkpoint_used[e.checkpoint]))
+            // Checkpoints are indexed by ROB slot, so a live entry can
+            // only hold its own slot's.
+            if (e.checkpoint >= 0 && e.checkpoint != idx)
                 VERIFY_VIOLATION(vstats.checkpoint,
                                  "[cycle %llu] verify: thread %zu ROB "
-                                 "slot %d holds checkpoint %d that is "
-                                 "not marked in use", cyc, ti, idx,
-                                 e.checkpoint);
+                                 "slot %d holds checkpoint %d, not its "
+                                 "own", cyc, ti, idx, e.checkpoint);
 
             if (e.phys >= 0) {
                 if ((size_t)e.phys >= nprf) {
@@ -365,14 +364,11 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
     for (size_t qi = 0; qi < core.queues.size(); qi++) {
         const OooCore::IssueQueue &iq = core.queues[qi];
         int valid = 0;
-        int waiting = 0;
         for (size_t si = 0; si < iq.slots.size(); si++) {
             const OooCore::IqEntry &slot = iq.slots[si];
             if (!slot.valid)
                 continue;
             valid++;
-            if (slot.ready_mask != OooCore::IQ_ALL_READY)
-                waiting++;
             if (slot.thread < 0
                 || (size_t)slot.thread >= core.threads.size()) {
                 VERIFY_VIOLATION(vstats.iq_state,
@@ -445,22 +441,14 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                                          e.src[s]);
                     // Subscription completeness: a still-waiting
                     // operand must be reachable by the producer's
-                    // eventual broadcast — either on the waiter list
-                    // or covered by the overflow full-scan fallback.
-                    const OooCore::PhysWaiters &w =
-                        core.waiters[(size_t)e.src[s]];
-                    U16 code = (U16)(((int)qi << 8) | ((int)si << 2)
-                                     | s);
-                    bool subscribed = w.overflow;
-                    for (int wi = 0; wi < (int)w.n && !subscribed; wi++)
-                        if (w.e[wi] == code)
-                            subscribed = true;
-                    if (!subscribed)
+                    // eventual broadcast, i.e. its slot's bit is set
+                    // in the producer's wakeup mask for this queue.
+                    if (!((core.waitMask(e.src[s], (int)qi) >> si) & 1))
                         VERIFY_VIOLATION(vstats.iq_state,
                                          "[cycle %llu] verify: iq[%zu] "
                                          "slot %zu src%d waits on phys "
-                                         "%d but is not on its waiter "
-                                         "list", cyc, qi, si, s,
+                                         "%d but its wakeup mask bit "
+                                         "is clear", cyc, qi, si, s,
                                          e.src[s]);
                 }
             }
@@ -493,12 +481,6 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                              "[cycle %llu] verify: iq[%zu] has %d valid "
                              "slots but the occupancy counter says %d",
                              cyc, qi, valid, iq.used);
-        if (waiting != iq.waiting)
-            VERIFY_VIOLATION(vstats.iq_state,
-                             "[cycle %llu] verify: iq[%zu] has %d "
-                             "operand-waiting slots but the broadcast "
-                             "skip counter says %d",
-                             cyc, qi, waiting, iq.waiting);
     }
     for (size_t ti = 0; ti < core.threads.size(); ti++) {
         const OooCore::Thread &t = core.threads[ti];
@@ -687,6 +669,26 @@ VerifyTestHook::corruptIqReady(OooCore &core)
             // Pretend the uop executed without leaving the queue.
             t.rob[slot.rob].state = OooCore::RobState::Done;
             return true;
+        }
+    }
+    return false;
+}
+
+bool
+VerifyTestHook::dropWaiterSubscription(OooCore &core)
+{
+    for (size_t q = 0; q < core.queues.size(); q++) {
+        OooCore::IssueQueue &iq = core.queues[q];
+        for (size_t si = 0; si < iq.slots.size(); si++) {
+            const OooCore::IqEntry &slot = iq.slots[si];
+            if (!slot.valid)
+                continue;
+            for (int s = 0; s < 4; s++) {
+                if (slot.src[s] < 0 || ((slot.ready_mask >> s) & 1))
+                    continue;
+                core.waitMask(slot.src[s], (int)q) &= ~(U64(1) << si);
+                return true;
+            }
         }
     }
     return false;

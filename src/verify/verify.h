@@ -143,6 +143,9 @@ struct VerifyTestHook
     static bool corruptPrfLeak(OooCore &core);
     static bool corruptPrfDoubleFree(OooCore &core);
     static bool corruptIqReady(OooCore &core);
+    /** Clear the wakeup-mask bit of a source still waiting on its
+     *  producer, so that producer's broadcast would miss the slot. */
+    static bool dropWaiterSubscription(OooCore &core);
     /** Flip one bit in the lockstep checker's shadow architectural
      *  register, so the next commit diverges from the reference. */
     static bool skewShadowReg(OooCore &core, int thread, int reg);

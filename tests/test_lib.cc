@@ -119,6 +119,38 @@ TEST(Config, ApplyOptionOverrides)
     EXPECT_EQ(c.coherence, CoherenceKind::Moesi);
 }
 
+TEST(Config, NumbersParseStrictly)
+{
+    SimConfig c = SimConfig::preset("default");
+    c.applyOptions("rob_size=0x40 seed=0x10 mem_latency=-5");
+    EXPECT_EQ(c.rob_size, 64);
+    EXPECT_EQ(c.seed, 16u);
+    EXPECT_EQ(c.mem_latency, -5);
+
+    for (const char *bad : {"rob_size=72x", "rob_size=", "seed=abc",
+                            "seed=-1", "seed=99999999999999999999",
+                            "rob_size=4294967368", "rob_size=-",
+                            "rob_size= 7", "l2_size=-1"}) {
+        std::string opt(bad);
+        std::string name = opt.substr(0, opt.find('='));
+        std::string value = opt.substr(opt.find('=') + 1);
+        EXPECT_EXIT(
+            {
+                SimConfig d = SimConfig::preset("default");
+                d.applyOption(opt);
+            },
+            ::testing::ExitedWithCode(1),
+            "option " + name + ": bad number '" + value + "'");
+    }
+    // The memory JSON block goes through the same parser.
+    EXPECT_EXIT(
+        {
+            SimConfig d = SimConfig::preset("default");
+            d.applyMemoryJson(R"({"version": "1", "dram": {"banks": "8k"}})");
+        },
+        ::testing::ExitedWithCode(1), "option dram_banks: bad number '8k'");
+}
+
 TEST(Config, CacheGeometryDerivesSets)
 {
     CacheParams p{64 << 10, 2, 64, 3, 8, 8};

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "core/coreapi.h"
 #include "guest_harness.h"
@@ -204,10 +205,42 @@ TEST(Config, ValidationRejectsNonPositiveLatencies)
     EXPECT_EXIT(
         {
             SimConfig c = SimConfig::preset("k8");
-            c.fp_iq_size = 65;  // wakeup lists hold 6-bit slot indices
+            c.fp_iq_size = 65;  // a queue's slots fit one 64-bit mask
             c.validate();
         },
         ::testing::ExitedWithCode(1), "fp_iq_size 65");
+}
+
+TEST(Config, ValidationRejectsUnrunnableCoreSizes)
+{
+    // Each of these ran to the cycle limit without committing, or
+    // (int_iq_count 0) sent integer uops to the FP queue.
+    for (const char *opt :
+         {"fetch_width=0", "frontend_width=0", "issue_width_per_cluster=0",
+          "commit_width=0", "fetch_queue_size=0", "int_iq_count=0"}) {
+        std::string name(opt, std::strchr(opt, '='));
+        EXPECT_EXIT(
+            {
+                SimConfig c = SimConfig::preset("k8");
+                c.applyOption(opt);
+                c.validate();
+            },
+            ::testing::ExitedWithCode(1), name + " 0 must be at least 1");
+    }
+    EXPECT_EXIT(
+        {
+            SimConfig c = SimConfig::preset("k8");
+            c.frontend_stages = -1;
+            c.validate();
+        },
+        ::testing::ExitedWithCode(1), "frontend_stages -1");
+    EXPECT_EXIT(
+        {
+            SimConfig c = SimConfig::preset("k8");
+            c.mispredict_penalty = -3;
+            c.validate();
+        },
+        ::testing::ExitedWithCode(1), "mispredict_penalty -3");
 }
 
 TEST(Assist, CpuidIsDeterministic)

@@ -759,6 +759,56 @@ TEST(OooTiming, MulDivHazardAndIssueWidth)
     expectTiming(timingOf(r, cycles), {2071, 0, 0, 1729});
 }
 
+TEST(OooTiming, WideFanOutWakesEveryConsumer)
+{
+    // One add, stuck behind a divide, produces a value and all three
+    // flag groups for eleven consumers: flag readers (setcc, cmov, adc),
+    // value readers spread over the integer lanes by least occupancy,
+    // a multiply on the multiply lane, and two converts in the FP
+    // queue. Its one broadcast must wake every one of them.
+    BareMachine r(oooConfig());
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rsi, 7);
+    a.mov(R::rcx, 30);
+    Label top = a.label();
+    a.mov(R::rax, Mem::at(R::rbx));  // memory is zero-filled
+    a.add(R::rax, R::rcx);
+    a.mov(R::rdx, 0);
+    a.div(R::rsi);
+    a.add(R::rax, R::rdx);  // the producer: rcx / 7 + rcx % 7
+    a.setcc(COND_ne, R::r12);
+    a.cmovcc(COND_ns, R::r13, R::rax);
+    a.adc(R::r11, 0);
+    a.mov(R::r8, R::rax);
+    a.lea(R::r9, Mem::at(R::rax, 1));
+    a.add(R::r10, R::rax);
+    a.sub(R::r14, R::rax);
+    a.imul(R::rdi, R::rax);
+    a.mov(R::rbp, R::rax);
+    a.cvtsi2sd(X::xmm1, R::rax);
+    a.cvtsi2sd(X::xmm2, R::rax);
+    a.addsd(X::xmm0, X::xmm1);
+    a.addsd(X::xmm0, X::xmm2);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.cvttsd2si(R::r15, X::xmm0);
+    a.hlt();
+    U64 cycles = runOnCores(r, a);
+    U64 sum = 0;
+    for (U64 n = 1; n <= 30; n++)
+        sum += n / 7 + n % 7;
+    const U64 *regs = r.vcpu(0).regs;
+    EXPECT_EQ(regs[REG_r10], sum);
+    EXPECT_EQ(regs[REG_r14], (U64)0 - sum);
+    EXPECT_EQ(regs[REG_r15], 2 * sum);
+    EXPECT_EQ(regs[REG_r12], 1ULL);
+    EXPECT_EQ(regs[REG_r13], 1ULL);  // the last (rcx = 1) value
+    EXPECT_EQ(regs[REG_r9], 2ULL);
+    EXPECT_EQ(regs[REG_r11], 0ULL);  // the add never carries
+    expectTiming(timingOf(r, cycles), {1544, 0, 0, 665});
+}
+
 TEST(OooTiming, SmtThreadsTieOnSeqInOneQueue)
 {
     // Two threads share one integer queue and take turns on a locked

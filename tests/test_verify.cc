@@ -191,6 +191,18 @@ TEST(VerifyTest, DetectsIssueQueueScoreboardBreak)
     EXPECT_GT(chk.counters().iq_state.value(), 0u);
 }
 
+TEST(VerifyTest, DetectsMissingWakeupSubscription)
+{
+    VerifyRig rig;
+    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+        return VerifyTestHook::dropWaiterSubscription(c);
+    }));
+    InvariantChecker chk(rig.runner.stats(), "verify/",
+                         InvariantChecker::Action::Count);
+    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(chk.counters().iq_state.value(), 0u);
+}
+
 TEST(VerifyTest, DetectsIllegalMesiDirectoryState)
 {
     StatsTree stats;
