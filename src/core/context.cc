@@ -6,15 +6,10 @@
 #include "lib/logging.h"
 #include "mem/transcache.h"
 
-#ifndef PTL_VERIFY
-#define PTL_VERIFY 1
-#endif
-
 namespace ptl {
 
 namespace {
 
-#if PTL_VERIFY
 /** Shadow mode: re-walk a cached hit and panic on any divergence. */
 inline void
 shadowCheck(AddressSpace &aspace, const Context &ctx, GuestVirt va,
@@ -27,13 +22,6 @@ shadowCheck(AddressSpace &aspace, const Context &ctx, GuestVirt va,
     verifyCachedTranslation(aspace, ctx.cr3, va, kind, !ctx.kernel_mode,
                             out.fault, out.paddr, entry_dirty);
 }
-#else
-inline void
-shadowCheck(AddressSpace &, const Context &, GuestVirt, MemAccess,
-            const GuestAccess &, bool)
-{
-}
-#endif
 
 }  // namespace
 

@@ -6,10 +6,6 @@
 
 #include "lib/logging.h"
 
-#ifndef PTL_VERIFY
-#define PTL_VERIFY 1
-#endif
-
 namespace ptl {
 
 OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
@@ -68,6 +64,7 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
     // additionally pins one physical register per architectural slot,
     // so reserve those on top (otherwise a 16-thread SMT core could
     // not even hold its architectural state).
+    static_assert(RAT_SIZE == SimConfig::OOO_ARCH_REGS_PER_THREAD);
     int nthreads = (int)params.contexts.size();
     int int_arch = nthreads * (NUM_UOP_REGS - 16 + NUM_FLAG_GROUPS);
     int fp_arch = nthreads * 16;
@@ -523,13 +520,10 @@ OooCore::cycle(SimCycle now)
         }
     }
 
-#if PTL_VERIFY
     // End-of-cycle invariant audit (src/verify): all pipeline stages
     // have run, so every structure should be self-consistent.
-    if (verifier && cfg.verify_interval > 0
-        && now.raw() % (U64)cfg.verify_interval == 0)
+    if (verifier)
         verifyNow(now);
-#endif
 
     if (cfg.skip_ahead && !cycle_activity)
         sleepCore(now);
@@ -556,7 +550,8 @@ OooCore::cycle(SimCycle now)
  *    faulted (waits on commit), or queue-full (waits on rename, which
  *    waits on front().ready_at or on resources freed by activity).
  *  - Watchdog: the rescue deadline for any thread with in-flight work.
- *  - Audit: never skip past the next verifier cadence point.
+ *  - Audit: an attached auditor checks every evaluated cycle, so
+ *    never skip past the next one.
  */
 void
 OooCore::sleepCore(SimCycle now)
@@ -585,12 +580,8 @@ OooCore::sleepCore(SimCycle now)
             fold(t.last_commit_cycle
                  + cycles((U64)cfg.smt_deadlock_timeout + 1));
     }
-#if PTL_VERIFY
-    if (verifier && cfg.verify_interval > 0) {
-        U64 iv = (U64)cfg.verify_interval;
-        fold(SimCycle((now.raw() / iv + 1) * iv));
-    }
-#endif
+    if (verifier)
+        fold(now + cycles(1));
     // Memory backend deferred work (e.g. the hybrid model's
     // deferred-write queue): drain everything due by now, then never
     // skip past the next due stamp. After drainTo(now) the head's

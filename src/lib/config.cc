@@ -281,7 +281,6 @@ SimConfig::applyOption(const std::string &option)
         {"native_ipc_x1000", [&] { native_ipc_x1000 = as_u64(); }},
         {"commit_checker", [&] { commit_checker = as_bool(); }},
         {"verify", [&] { verify = as_bool(); }},
-        {"verify_interval", [&] { verify_interval = as_int(); }},
         {"net_latency_us", [&] { net_latency_us = as_int(); }},
         {"disk_latency_us", [&] { disk_latency_us = as_int(); }},
     };
@@ -489,6 +488,17 @@ SimConfig::validate() const
     if (int_prf_size < rob_size / 2)
         fatal("int_prf_size %d too small for rob_size %d",
               int_prf_size, rob_size);
+    // The out-of-order core names physical registers and ROB slots
+    // with 16-bit signed tags.
+    if (rob_size > 32767)
+        fatal("rob_size %d exceeds 32767", rob_size);
+    if ((long long)int_prf_size + fp_prf_size
+            + (long long)smt_threads * OOO_ARCH_REGS_PER_THREAD
+        > 32768)
+        fatal("int_prf_size %d + fp_prf_size %d + %d architectural "
+              "registers per thread x %d threads exceeds 32768",
+              int_prf_size, fp_prf_size, OOO_ARCH_REGS_PER_THREAD,
+              smt_threads);
     // Below these the core cannot make progress: it would never fetch,
     // rename, issue or commit, or (int_iq_count 0) would send integer
     // uops to the FP queue.

@@ -159,7 +159,6 @@ struct SimConfig
 
     // ---- correctness tooling (src/verify) ----
     bool verify = false;                  ///< per-cycle invariant checker
-    int verify_interval = 1;              ///< audit every N cycles (0 = off)
 
     // ---- devices / timing (Section 4.2) ----
     int net_latency_us = 50;              ///< loopback packet delivery delay
@@ -193,6 +192,11 @@ struct SimConfig
 
     /** Sanity-check derived quantities; fatal() on invalid geometry. */
     void validate() const;
+
+    /** Physical registers the out-of-order core pins per hardware
+     *  thread for architectural state (35 integer/flag + 16 FP),
+     *  on top of int_prf_size + fp_prf_size. */
+    static constexpr int OOO_ARCH_REGS_PER_THREAD = 51;
 };
 
 }  // namespace ptl

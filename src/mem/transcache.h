@@ -114,7 +114,7 @@ class TranslationCache
     U64 misses() const { return n_misses; }
     U64 flushes() const { return n_flushes; }
 
-    /** PTL_VERIFY shadow mode: re-walk on every hit and compare. */
+    /** Shadow mode: re-walk on every hit and compare. */
     bool shadowEnabled() const { return shadow; }
     void setShadowEnabled(bool on) { shadow = on; }
 
@@ -137,14 +137,15 @@ enum class MemAccess : U8;
 enum class GuestFault : U8;
 
 /**
- * PTL_VERIFY shadow mode for this cache: on every cached hit,
+ * Shadow mode for this cache: on every cached hit,
  * guestTranslate() re-runs the uncached 4-level walk and panics
  * unless the cached outcome — fault kind, machine-physical address,
  * and the claimed leaf Dirty state — is byte-identical to what the
  * walker produces. Declared here (the layer that owns the cache) so
  * the functional path never depends on src/verify; the checking
  * implementation lives in verify/invariant.cc. Runtime-gated by
- * setShadowEnabled() (default on), compiled out when PTL_VERIFY=OFF.
+ * setShadowEnabled() (default on; machines enable it only when
+ * verification is requested).
  */
 void verifyCachedTranslation(const AddressSpace &aspace, Pfn cr3,
                              GuestVirt va, MemAccess kind, bool user_mode,

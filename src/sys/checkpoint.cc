@@ -14,15 +14,8 @@ MachineCheckpoint::serialize(Machine &machine)
     cycle = machine.timeKeeper().cycle();
     hidden_cycles = machine.timeKeeper().hiddenCycles();
     last_snapshot = machine.lastSnapshotCycle();
-    // Pending guest-visible work. Timer deliveries are enumerated from
-    // the EventQueue by tag, in firing order (so restore re-schedules
-    // them in the same relative order); device payloads come from the
-    // devices' own queues.
-    for (const EventQueue::PendingEvent &e :
-         machine.eventQueue().pendingSorted()) {
-        if (e.kind == EVK_TIMER_PORT)
-            timer_events.push_back({e.due, (int)e.arg});
-    }
+    // Pending guest-visible work, from the subsystem that owns it.
+    timer_events = machine.eventChannels().pendingSends();
     const std::deque<VirtualDisk::Pending> &dp =
         machine.disk().pendingTransfers();
     disk_pending.assign(dp.begin(), dp.end());
@@ -58,8 +51,7 @@ MachineCheckpoint::restore(Machine &machine) const
     // captured phase, then rebuild pending guest-visible work from the
     // serialized payloads.
     machine.rearmAfterRestore(last_snapshot);
-    for (const TimerEventRecord &t : timer_events)
-        machine.eventChannels().sendAt(t.when, t.port);
+    machine.eventChannels().restorePendingSends(timer_events);
     machine.disk().restorePending(disk_pending);
     machine.net().restorePending(net_pending, net_last_ready);
     machine.net().restoreRx(net_rx);

@@ -5,13 +5,13 @@
  * Section 4.2's record-and-replay flow starts from "a checkpoint of
  * the target machine's physical memory and register state". We capture
  * exactly that — all machine frames, every VCPU Context, and the
- * virtual-time state — plus the guest-visible pending work: scheduled
- * timer deliveries (enumerated from the machine's EventQueue by their
- * EVK_TIMER_PORT tags) and the devices' in-flight DMA/packet queues.
- * The EventQueue itself is derived state: restore drops it wholesale
- * and each subsystem re-arms its own events from the serialized
- * payloads, so a checkpoint taken mid-I/O resumes with identical
- * completion timing.
+ * virtual-time state — plus the guest-visible pending work, each piece
+ * taken from the subsystem that owns it: scheduled timer sends from
+ * EventChannels and the devices' in-flight DMA/packet queues. The
+ * EventQueue itself is derived state: restore drops it wholesale and
+ * each subsystem re-arms its own events from the serialized payloads,
+ * so a checkpoint taken mid-I/O resumes with identical completion
+ * timing.
  *
  * MachineCheckpoint carries a serialize/restore pair, which puts it
  * under simlint's checkpoint-coverage rule: every data member added
@@ -31,13 +31,6 @@
 namespace ptl {
 
 class Machine;
-
-/** A pending event-channel delivery (EventQueue EVK_TIMER_PORT tag). */
-struct TimerEventRecord
-{
-    SimCycle when;
-    int port = 0;
-};
 
 struct MachineCheckpoint
 {

@@ -20,11 +20,8 @@ VirtualDisk::VirtualDisk(EventChannels &channels, EventQueue &eventq,
 void
 VirtualDisk::armCompletion(SimCycle ready)
 {
-    EventQueue::Options opts;
-    opts.name = "disk";
-    opts.kind = EVK_DEVICE;
     queue->schedule(ready, EVPRI_DISK,
-                    [this](SimCycle now) { processDue(now); }, opts);
+                    [this](SimCycle now) { processDue(now); });
 }
 
 bool
@@ -91,11 +88,8 @@ VirtualNet::VirtualNet(EventChannels &channels, EventQueue &eventq,
 void
 VirtualNet::armDelivery(SimCycle ready)
 {
-    EventQueue::Options opts;
-    opts.name = "net";
-    opts.kind = EVK_DEVICE;
     queue->schedule(ready, EVPRI_NET,
-                    [this](SimCycle now) { processDue(now); }, opts);
+                    [this](SimCycle now) { processDue(now); });
 }
 
 void

@@ -9,55 +9,23 @@ namespace ptl {
 EventQueue::EventQueue(StatsTree &stats)
     : st_scheduled(stats.counter("eventq/scheduled")),
       st_fired(stats.counter("eventq/fired")),
-      st_cancelled(stats.counter("eventq/cancelled")),
       st_peak_pending(stats.counter("eventq/peak_pending"))
 {
 }
 
-EventHandle
-EventQueue::schedule(SimCycle due, int priority, Callback cb,
-                     const Options &opts)
+void
+EventQueue::schedule(SimCycle due, int priority, Callback cb, bool wakes)
 {
     ptl_assert(cb != nullptr);
-    Entry e;
-    e.due = due;
-    e.priority = priority;
-    e.seq = next_seq++;
-    const U64 id = next_id++;
-    e.id = id;
-    e.kind = opts.kind;
-    e.arg = opts.arg;
-    e.name = opts.name;
-    e.wakes = opts.wakes;
-    e.cb = std::move(cb);
-    heap.push_back(std::move(e));
+    heap.push_back({due, priority, next_seq++, wakes, std::move(cb)});
     std::push_heap(heap.begin(), heap.end(), laterFirst);
-    if (opts.wakes)
+    if (wakes)
         wake_count++;
     st_scheduled++;
     if (heap.size() > peak) {
         st_peak_pending += heap.size() - peak;
         peak = heap.size();
     }
-    return EventHandle{id};
-}
-
-bool
-EventQueue::cancel(EventHandle h)
-{
-    if (!h.valid())
-        return false;
-    for (auto it = heap.begin(); it != heap.end(); ++it) {
-        if (it->id != h.id)
-            continue;
-        if (it->wakes)
-            wake_count--;
-        heap.erase(it);
-        std::make_heap(heap.begin(), heap.end(), laterFirst);
-        st_cancelled++;
-        return true;
-    }
-    return false;
 }
 
 int
@@ -85,26 +53,6 @@ EventQueue::clear()
 {
     heap.clear();
     wake_count = 0;
-}
-
-std::vector<EventQueue::PendingEvent>
-EventQueue::pendingSorted() const
-{
-    std::vector<Entry const *> order;
-    order.reserve(heap.size());
-    for (const Entry &e : heap)
-        order.push_back(&e);
-    std::sort(order.begin(), order.end(),
-              [](const Entry *a, const Entry *b) {
-                  return laterFirst(*b, *a);
-              });
-    std::vector<PendingEvent> out;
-    out.reserve(order.size());
-    for (const Entry *e : order) {
-        out.push_back({e->due, e->priority, e->seq, e->kind, e->arg,
-                       e->name, e->wakes});
-    }
-    return out;
 }
 
 }  // namespace ptl

@@ -18,14 +18,10 @@
  *    ties by schedule order;
  *  - O(1) nextDue(): the master loop's per-cycle cost drops to a
  *    single integer compare against the heap head;
- *  - cancellable handles (snapshot re-arming after checkpoint restore,
- *    aborted work);
- *  - serialization support: every entry carries an EventKind tag so
- *    checkpoint code can enumerate pending *guest-visible* work (timer
- *    deliveries) and rebuild it on restore. Callbacks themselves are
- *    derived state: each schedule site pairs payload-owning state in a
- *    subsystem (disk request queues, net packets) with a queue arm, so
- *    a checkpoint serializes the payloads and re-arms the queue.
+ *  - purely derived state: every schedule site pairs payload-owning
+ *    state in a subsystem (timer sends in EventChannels, disk request
+ *    queues, net packets) with a queue arm, so a checkpoint serializes
+ *    the payloads, clears the queue and lets each subsystem re-arm.
  *
  * Determinism rule: for a fixed sequence of schedule() calls, runDue()
  * invokes callbacks in exactly (due, priority, seq) order, and a
@@ -63,22 +59,6 @@ enum EventPriority : int {
     EVPRI_GENERIC = 6,
 };
 
-/** Serializable identity of an event (checkpoint support). */
-enum EventKind : U16 {
-    EVK_GENERIC = 0,      ///< derived/bookkeeping; never serialized
-    EVK_TIMER_PORT = 1,   ///< arg = event-channel port; serialized
-    EVK_SNAPSHOT = 2,     ///< machine re-arms from last_snapshot
-    EVK_CONTROL = 3,      ///< transient (due next cycle); dropped
-    EVK_DEVICE = 4,       ///< payload serialized by the device itself
-};
-
-/** Cancellable reference to a scheduled event. */
-struct EventHandle
-{
-    U64 id = 0;
-    bool valid() const { return id != 0; }
-};
-
 class EventQueue
 {
   public:
@@ -89,32 +69,14 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Optional per-event metadata. */
-    struct Options
-    {
-        const char *name = "";      ///< debug label (static storage)
-        EventKind kind = EVK_GENERIC;
-        U64 arg = 0;                ///< kind-specific payload
-        bool wakes = true;          ///< counts as work for an all-idle
-                                    ///< machine (stall detection)
-    };
-
     /**
      * Schedule `cb` to fire at absolute cycle `due`. Events already in
      * the past (due <= now at the next runDue) fire on that pass.
+     * `wakes` says whether the event counts as work for an all-idle
+     * machine (stall detection); only the stats snapshot passes false.
      */
-    EventHandle schedule(SimCycle due, int priority, Callback cb,
-                         const Options &opts);
-
-    EventHandle
-    schedule(SimCycle due, int priority, Callback cb)
-    {
-        return schedule(due, priority, std::move(cb), Options());
-    }
-
-    /** Remove a pending event. Returns false if it already fired or
-     *  was cancelled (handles are never reused). */
-    bool cancel(EventHandle h);
+    void schedule(SimCycle due, int priority, Callback cb,
+                  bool wakes = true);
 
     /** Cycle of the earliest pending event, CYCLE_NEVER if none. O(1):
      *  this is the master loop's per-cycle check. */
@@ -141,31 +103,12 @@ class EventQueue
     /** Drop every pending event (checkpoint restore; callers re-arm). */
     void clear();
 
-    /** A pending event, minus its callback (introspection/serialize). */
-    struct PendingEvent
-    {
-        SimCycle due;
-        int priority = 0;
-        U64 seq = 0;
-        EventKind kind = EVK_GENERIC;
-        U64 arg = 0;
-        const char *name = "";
-        bool wakes = true;
-    };
-
-    /** All pending events in firing order. */
-    std::vector<PendingEvent> pendingSorted() const;
-
   private:
     struct Entry
     {
         SimCycle due;
         int priority;
         U64 seq;
-        U64 id;
-        EventKind kind;
-        U64 arg;
-        const char *name;
         bool wakes;
         Callback cb;
     };
@@ -183,14 +126,12 @@ class EventQueue
 
     std::vector<Entry> heap;
     U64 next_seq = 0;
-    U64 next_id = 1;
     size_t wake_count = 0;
     size_t peak = 0;
     bool in_run = false;
 
     Counter &st_scheduled;
     Counter &st_fired;
-    Counter &st_cancelled;
     Counter &st_peak_pending;
 };
 

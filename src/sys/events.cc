@@ -1,5 +1,7 @@
 #include "sys/events.h"
 
+#include <algorithm>
+
 #include "lib/logging.h"
 
 namespace ptl {
@@ -41,12 +43,26 @@ EventChannels::sendAt(SimCycle when, int port)
 {
     ptl_assert(port >= 0 && port < MAX_EVENT_PORTS);
     st_scheduled++;
-    EventQueue::Options opts;
-    opts.name = "evchn";
-    opts.kind = EVK_TIMER_PORT;
-    opts.arg = (U64)port;
-    queue->schedule(when, EVPRI_EVCHAN,
-                    [this, port](SimCycle) { send(port); }, opts);
+    const TimerEventRecord rec{when, port};
+    pending_sends.push_back(rec);
+    queue->schedule(when, EVPRI_EVCHAN, [this, rec](SimCycle) {
+        // Equal records are interchangeable: dropping the first match
+        // drops this send's own record.
+        auto it = std::find(pending_sends.begin(), pending_sends.end(),
+                            rec);
+        ptl_assert(it != pending_sends.end());
+        pending_sends.erase(it);
+        send(rec.port);
+    });
+}
+
+void
+EventChannels::restorePendingSends(
+    const std::vector<TimerEventRecord> &sends)
+{
+    pending_sends.clear();
+    for (const TimerEventRecord &t : sends)
+        sendAt(t.when, t.port);
 }
 
 U64

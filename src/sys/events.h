@@ -23,11 +23,21 @@
 
 namespace ptl {
 
+/** A pending cycle-keyed event-channel send (checkpoint payload). */
+struct TimerEventRecord
+{
+    SimCycle when;
+    int port = 0;
+
+    bool operator==(const TimerEventRecord &) const = default;
+};
+
 /**
- * Per-domain event channel state. Cycle-keyed deliveries live on the
- * machine's central EventQueue (kind EVK_TIMER_PORT, priority
- * EVPRI_EVCHAN), so pending timer events are enumerable for
- * checkpoints and the master loop never polls this module.
+ * Per-domain event channel state. Cycle-keyed sends are payload this
+ * module owns: each is a TimerEventRecord kept in schedule order, with
+ * a derived EventQueue arm (priority EVPRI_EVCHAN) that drops its
+ * record and raises the port. Checkpoints capture and restore the
+ * records; the master loop never polls this module.
  */
 class EventChannels
 {
@@ -41,6 +51,22 @@ class EventChannels
 
     /** Schedule `port` to be raised at absolute cycle `when`. */
     void sendAt(SimCycle when, int port);
+
+    /** Scheduled, not yet raised sends, in schedule order (checkpoint
+     *  capture). */
+    const std::vector<TimerEventRecord> &
+    pendingSends() const
+    {
+        return pending_sends;
+    }
+
+    /**
+     * Replace the scheduled sends with `sends` and re-arm each on the
+     * queue (checkpoint restore; call after EventQueue::clear()).
+     * Only these sends use EVPRI_EVCHAN, so re-arming them in schedule
+     * order keeps the firing order of equal-due sends.
+     */
+    void restorePendingSends(const std::vector<TimerEventRecord> &sends);
 
     /**
      * Read-and-clear the pending port bitmask for `vcpu` (the
@@ -71,6 +97,7 @@ class EventChannels
   private:
     std::vector<Context *> vcpus;
     std::vector<U64> pending_mask;  ///< per-vcpu bitmask of ports
+    std::vector<TimerEventRecord> pending_sends;  ///< schedule order
     int port_vcpu[MAX_EVENT_PORTS] = {};
     EventQueue *queue;
     Counter &st_sent;

@@ -79,11 +79,8 @@ Machine::Machine(const SimConfig &config)
         if (control_armed)
             return;
         control_armed = true;
-        EventQueue::Options opts;
-        opts.name = "control";
-        opts.kind = EVK_CONTROL;
         eventq.schedule(time.cycle() + cycles(1), EVPRI_CONTROL,
-                        [this](SimCycle now) { onControlEvent(now); }, opts);
+                        [this](SimCycle now) { onControlEvent(now); });
     });
 }
 
@@ -132,29 +129,23 @@ Machine::armReplayer()
 {
     if (!replayer || replayer->finished())
         return;
-    EventQueue::Options opts;
-    opts.name = "replay";
     // One event per distinct record cycle; the callback injects every
     // record due and re-arms for the next stamp.
     eventq.schedule(replayer->nextDue(), EVPRI_REPLAY,
                     [this](SimCycle now) {
                         replayer->processDue(now);
                         armReplayer();
-                    },
-                    opts);
+                    });
 }
 
 void
 Machine::armSnapshot()
 {
-    EventQueue::Options opts;
-    opts.name = "snapshot";
-    opts.kind = EVK_SNAPSHOT;
     // A snapshot alone must not keep an otherwise-dead domain alive
     // (the old loop broke out as stalled before considering the
-    // snapshot cadence).
-    opts.wakes = false;
-    snapshot_event = eventq.schedule(
+    // snapshot cadence), so it is scheduled as non-waking.
+    snapshot_armed = true;
+    eventq.schedule(
         last_snapshot + cycles(cfg.snapshot_interval), EVPRI_SNAPSHOT,
         [this](SimCycle now) {
             // Time never runs past the queue head, so `now` is exactly
@@ -164,7 +155,7 @@ Machine::armSnapshot()
             stats_tree.takeSnapshot(now);
             armSnapshot();
         },
-        opts);
+        /*wakes=*/false);
 }
 
 void
@@ -185,7 +176,6 @@ Machine::rearmAfterRestore(SimCycle last_snapshot_cycle)
 {
     eventq.clear();
     control_armed = false;
-    snapshot_event = {};
     hv->clearModeRequests();
     hv->clearShutdown();
     last_snapshot = last_snapshot_cycle;
@@ -322,7 +312,7 @@ Machine::run(U64 max_cycles)
         stats_tree.takeSnapshot(time.cycle());
         last_snapshot = time.cycle();
     }
-    if (!snapshot_event.valid())
+    if (!snapshot_armed)
         armSnapshot();
 
     while (time.cycle() < deadline && !hv->shutdownRequested()) {

@@ -168,7 +168,7 @@ class Machine
 
     Mode run_mode = Mode::Simulation;
     SimCycle last_snapshot;
-    EventHandle snapshot_event;
+    bool snapshot_armed = false;   ///< the snapshot cadence is queued
     bool control_armed = false;
     std::optional<U64> rip_trigger;   ///< armed native->sim trigger RIP
     size_t native_rr = 0;             ///< native-mode round-robin cursor

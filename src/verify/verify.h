@@ -34,9 +34,9 @@
  * mode, used by tests/test_verify.cc to prove deliberate corruptions
  * are detected).
  *
- * The per-cycle hook in OooCore::cycle() is compile-time selectable
- * via the PTL_VERIFY CMake option and runtime-gated by the `verify`
- * config flag, so a release build (PTL_VERIFY=OFF) pays nothing.
+ * The per-cycle hook in OooCore::cycle() is runtime-gated: a core
+ * audits itself only when an auditor is attached (the `verify` config
+ * flag or PTLSIM_VERIFY), so a run without one pays a null test.
  */
 
 #ifndef PTLSIM_VERIFY_VERIFY_H_

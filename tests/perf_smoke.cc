@@ -2,8 +2,8 @@
  * @file
  * Fast perf smoke test (`ctest -L perf`): runs a hash-and-update
  * compute kernel briefly on the out-of-order core with the per-cycle
- * invariant checker enabled and (in PTL_VERIFY builds) the translation
- * cache's shadow-walk verification live, checks that the scheduler's
+ * invariant checker enabled and the translation cache's shadow-walk
+ * verification live, checks that the scheduler's
  * fast paths engage, and bounds OoO simulation speed relative to the
  * functional engine. Catches a translation-cache, pipeline or speed
  * regression in seconds, without a perfbench run.
@@ -51,7 +51,6 @@ TEST(PerfSmoke, BenchKernelShortRunUnderVerification)
     SimConfig cfg = testConfig(SimConfig::preset("k8"));
     cfg.core = "ooo";
     cfg.verify = true;
-    cfg.verify_interval = 1;
     BareMachine r(cfg);
 
     Assembler a(CODE_BASE);
@@ -64,12 +63,10 @@ TEST(PerfSmoke, BenchKernelShortRunUnderVerification)
     const TranslationCache &tc = r.addressSpace().transCache();
     EXPECT_GT(tc.hits(), 10'000ULL);
     EXPECT_LT(tc.misses(), tc.hits() / 10);
-#if PTL_VERIFY
     ASSERT_TRUE(tc.shadowEnabled());
     EXPECT_GT(r.stats().get("transcache/shadow_checks"), 0ULL);
     // The invariant checker actually audited the pipeline.
     EXPECT_GT(r.stats().get("core0/verify/checks"), 0ULL);
-#endif
 }
 
 /** The hot-path machinery must actually engage on a stall-heavy
@@ -150,10 +147,10 @@ kernelInsnsPerSec(const SimConfig &cfg, U64 iters, bool functional)
  * uninstrumented builds, so debug/sanitizer builds skip.
  *
  * How the floor was set, on a 4-core x86-64 Linux host with g++ 12:
- * RelWithDebInfo with PTL_VERIFY=ON gave ratios of 0.203-0.260 over
- * 13 runs (median 0.22) while absolute OoO speed varied 0.85-1.5M
- * insns/s; Release with PTL_VERIFY=OFF gave 0.159-0.219 over 16 runs
- * (median 0.19). Four runs of each build ran in parallel to load the
+ * RelWithDebInfo gave ratios of 0.203-0.260 over 13 runs (median
+ * 0.22) while absolute OoO speed varied 0.85-1.5M insns/s; Release,
+ * then built without the per-cycle audit call, gave 0.159-0.219 over
+ * 16 runs (median 0.19). Four runs of each build ran in parallel to load the
  * host. The floor sits 25% below the lowest ratio seen, so it fails
  * on an OoO slowdown of roughly 40% relative to the functional
  * engine, not on host noise.

@@ -1,9 +1,10 @@
 /**
- * Discrete-event kernel tests: EventQueue ordering/cancel/stats
- * semantics, whole-machine run-to-run determinism (bit-identical stats
- * trees and snapshots), checkpoint round-trips with in-flight device
- * work, idle fast-forward through the queue head, and the native-mode
- * round-robin across multiple VCPUs.
+ * Discrete-event kernel tests: EventQueue ordering/stats semantics,
+ * EventChannels' ownership of pending timer sends, whole-machine
+ * run-to-run determinism (bit-identical stats trees and snapshots),
+ * checkpoint round-trips with in-flight device work, idle fast-forward
+ * through the queue head, and the native-mode round-robin across
+ * multiple VCPUs.
  */
 
 #include <gtest/gtest.h>
@@ -77,34 +78,20 @@ TEST(EventQueue, CallbackMayScheduleIntoTheSamePass)
     EXPECT_EQ(f.q.nextDue(), SimCycle(6));
 }
 
-TEST(EventQueue, CancelRemovesPendingAndOnlyOnce)
-{
-    QueueFixture f;
-    EventHandle a = f.q.schedule(SimCycle(3), EVPRI_GENERIC, f.mark(1));
-    EventHandle b = f.q.schedule(SimCycle(8), EVPRI_GENERIC, f.mark(2));
-    EXPECT_TRUE(f.q.cancel(a));
-    EXPECT_FALSE(f.q.cancel(a));          // already gone
-    EXPECT_EQ(f.q.nextDue(), SimCycle(8));       // heap re-ordered
-    f.q.runDue(SimCycle(10));
-    EXPECT_EQ(f.fired, (std::vector<int>{2}));
-    EXPECT_FALSE(f.q.cancel(b));          // already fired
-    EXPECT_FALSE(f.q.cancel(EventHandle{}));
-}
-
 TEST(EventQueue, WakePendingExcludesNonWakingEvents)
 {
     QueueFixture f;
-    EventQueue::Options quiet;
-    quiet.wakes = false;
-    f.q.schedule(SimCycle(10), EVPRI_SNAPSHOT, f.mark(1), quiet);
+    f.q.schedule(SimCycle(10), EVPRI_SNAPSHOT, f.mark(1), /*wakes=*/false);
     EXPECT_EQ(f.q.pendingCount(), 1u);
     EXPECT_EQ(f.q.wakePendingCount(), 0u);
-    EventHandle h = f.q.schedule(SimCycle(12), EVPRI_EVCHAN, f.mark(2));
+    f.q.schedule(SimCycle(12), EVPRI_EVCHAN, f.mark(2));
     EXPECT_EQ(f.q.wakePendingCount(), 1u);
-    f.q.cancel(h);
-    EXPECT_EQ(f.q.wakePendingCount(), 0u);
     f.q.runDue(SimCycle(10));
+    EXPECT_EQ(f.q.pendingCount(), 1u);
+    EXPECT_EQ(f.q.wakePendingCount(), 1u);
+    f.q.runDue(SimCycle(12));
     EXPECT_EQ(f.q.pendingCount(), 0u);
+    EXPECT_EQ(f.q.wakePendingCount(), 0u);
 }
 
 TEST(EventQueue, ClearDropsEverything)
@@ -119,38 +106,65 @@ TEST(EventQueue, ClearDropsEverything)
     EXPECT_TRUE(f.fired.empty());
 }
 
-TEST(EventQueue, PendingSortedExposesTagsInFiringOrder)
-{
-    QueueFixture f;
-    EventQueue::Options timer;
-    timer.kind = EVK_TIMER_PORT;
-    timer.arg = 4;
-    timer.name = "evchn";
-    f.q.schedule(SimCycle(30), EVPRI_EVCHAN, f.mark(1), timer);
-    EventQueue::Options dev;
-    dev.kind = EVK_DEVICE;
-    f.q.schedule(SimCycle(20), EVPRI_DISK, f.mark(2), dev);
-    std::vector<EventQueue::PendingEvent> p = f.q.pendingSorted();
-    ASSERT_EQ(p.size(), 2u);
-    EXPECT_EQ(p[0].due, SimCycle(20));
-    EXPECT_EQ(p[0].kind, EVK_DEVICE);
-    EXPECT_EQ(p[1].due, SimCycle(30));
-    EXPECT_EQ(p[1].kind, EVK_TIMER_PORT);
-    EXPECT_EQ(p[1].arg, 4ULL);
-    EXPECT_STREQ(p[1].name, "evchn");
-}
-
 TEST(EventQueue, StatsCountersTrackActivity)
 {
     QueueFixture f;
-    EventHandle h = f.q.schedule(SimCycle(1), EVPRI_GENERIC, f.mark(1));
+    f.q.schedule(SimCycle(1), EVPRI_GENERIC, f.mark(1));
     f.q.schedule(SimCycle(2), EVPRI_GENERIC, f.mark(2));
-    f.q.cancel(h);
+    f.q.schedule(SimCycle(9), EVPRI_GENERIC, f.mark(3));
     f.q.runDue(SimCycle(5));
-    EXPECT_EQ(f.stats.get("eventq/scheduled"), 2ULL);
-    EXPECT_EQ(f.stats.get("eventq/cancelled"), 1ULL);
-    EXPECT_EQ(f.stats.get("eventq/fired"), 1ULL);
-    EXPECT_EQ(f.stats.get("eventq/peak_pending"), 2ULL);
+    EXPECT_EQ(f.stats.get("eventq/scheduled"), 3ULL);
+    EXPECT_EQ(f.stats.get("eventq/fired"), 2ULL);
+    EXPECT_EQ(f.stats.get("eventq/peak_pending"), 3ULL);
+}
+
+// ---------------------------------------------------------------------
+// EventChannels owns its pending timer sends.
+// ---------------------------------------------------------------------
+
+/**
+ * Scheduled sends are listed in schedule order, a fired send drops out
+ * of the list, and restorePendingSends replaces the list and re-arms it
+ * in that order. Equal-due sends share EVPRI_EVCHAN, so the queue's
+ * schedule-order tie-break (SameCyclePriorityTiesBreakByScheduleOrder)
+ * fires them in their original order, each dropping its own record.
+ */
+TEST(EventChannels, PendingSendsAreOwnedAndRestoredInOrder)
+{
+    StatsTree stats;
+    EventQueue q(stats);
+    Context ctx;
+    EventChannels ch({&ctx}, q, stats);
+    using Sends = std::vector<TimerEventRecord>;
+
+    ch.sendAt(SimCycle(20), 5);
+    ch.sendAt(SimCycle(10), 3);
+    ch.sendAt(SimCycle(20), 1);
+    const Sends captured = ch.pendingSends();
+    EXPECT_EQ(captured, (Sends{{SimCycle(20), 5}, {SimCycle(10), 3},
+                               {SimCycle(20), 1}}));
+
+    q.runDue(SimCycle(10));
+    EXPECT_EQ(ch.consumePending(0), U64(1) << 3);
+    EXPECT_EQ(ch.pendingSends(),
+              (Sends{{SimCycle(20), 5}, {SimCycle(20), 1}}));
+
+    // Roll back to the capture: the fired send is pending again and
+    // the queue holds exactly one arm per send.
+    q.clear();
+    ch.restorePendingSends(captured);
+    EXPECT_EQ(ch.pendingSends(), captured);
+    EXPECT_EQ(q.pendingCount(), captured.size());
+
+    // The restored sends fire again at their captured cycles.
+    q.runDue(SimCycle(10));
+    EXPECT_EQ(ch.consumePending(0), U64(1) << 3);
+    EXPECT_EQ(ch.pendingSends(),
+              (Sends{{SimCycle(20), 5}, {SimCycle(20), 1}}));
+    q.runDue(SimCycle(20));
+    EXPECT_EQ(ch.consumePending(0), (U64(1) << 5) | (U64(1) << 1));
+    EXPECT_TRUE(ch.pendingSends().empty());
+    EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------------------------------
@@ -306,6 +320,27 @@ TEST(EventMachine, CheckpointRoundTripWithInFlightEvents)
     EXPECT_TRUE(diff.equal) << diff.description;
 }
 
+/** Serialized pointer chase: each load address depends on the
+ *  previous load, 64 loads at an 8 KB stride, then exit(7). */
+void
+pointerChaseGuest(Assembler &a, GuestLib &lib)
+{
+    a.movImm64(R::rbx, USER_DATA_VA);
+    a.mov(R::rcx, 64);
+    a.mov(R::rax, 0);
+    Label top = a.label();
+    a.mov(R::rdx, R::rcx);
+    a.shl(R::rdx, 13);           // 8 KB stride
+    a.add(R::rdx, R::rbx);
+    a.add(R::rdx, R::rax);       // serialize on previous load
+    a.mov(R::rsi, Mem::at(R::rdx));
+    a.add(R::rax, R::rsi);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.mov(R::rdi, 7);
+    lib.syscall(GSYS_exit);
+}
+
 /**
  * Checkpoint mid-stall on the OOO core: the guest runs a serialized
  * pointer-chase (each load address depends on the previous load), so
@@ -322,23 +357,8 @@ TEST(EventMachine, CheckpointRoundTripWithInFlightEvents)
  */
 TEST(EventMachine, CheckpointRoundTripMidStallOnOooCore)
 {
-    auto bm = std::make_unique<BootedMachine>(
-        bootConfig("ooo"), [](Assembler &a, GuestLib &lib) {
-            a.movImm64(R::rbx, USER_DATA_VA);
-            a.mov(R::rcx, 64);
-            a.mov(R::rax, 0);
-            Label top = a.label();
-            a.mov(R::rdx, R::rcx);
-            a.shl(R::rdx, 13);           // 8 KB stride
-            a.add(R::rdx, R::rbx);
-            a.add(R::rdx, R::rax);       // serialize on previous load
-            a.mov(R::rsi, Mem::at(R::rdx));
-            a.add(R::rax, R::rsi);
-            a.dec(R::rcx);
-            a.jcc(COND_ne, top);
-            a.mov(R::rdi, 7);
-            lib.syscall(GSYS_exit);
-        });
+    auto bm = std::make_unique<BootedMachine>(bootConfig("ooo"),
+                                              pointerChaseGuest);
     Machine &m = bm->machine;
 
     U64 prev_skip = 0, prev_insns = 0;
@@ -386,23 +406,7 @@ TEST(EventMachine, CheckpointRoundTripMidStallOnBankedDram)
 {
     SimConfig cfg = bootConfig("ooo");
     cfg.applyMemoryJson(R"({"version": "1", "backend": "banked"})");
-    auto bm = std::make_unique<BootedMachine>(
-        cfg, [](Assembler &a, GuestLib &lib) {
-            a.movImm64(R::rbx, USER_DATA_VA);
-            a.mov(R::rcx, 64);
-            a.mov(R::rax, 0);
-            Label top = a.label();
-            a.mov(R::rdx, R::rcx);
-            a.shl(R::rdx, 13);           // 8 KB stride
-            a.add(R::rdx, R::rbx);
-            a.add(R::rdx, R::rax);       // serialize on previous load
-            a.mov(R::rsi, Mem::at(R::rdx));
-            a.add(R::rax, R::rsi);
-            a.dec(R::rcx);
-            a.jcc(COND_ne, top);
-            a.mov(R::rdi, 7);
-            lib.syscall(GSYS_exit);
-        });
+    auto bm = std::make_unique<BootedMachine>(cfg, pointerChaseGuest);
     Machine &m = bm->machine;
 
     U64 prev_insns = 0;

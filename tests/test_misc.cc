@@ -243,6 +243,43 @@ TEST(Config, ValidationRejectsUnrunnableCoreSizes)
         ::testing::ExitedWithCode(1), "mispredict_penalty -3");
 }
 
+TEST(Config, ValidationRejectsSizesOverflowingCoreTags)
+{
+    // The out-of-order core tags physical registers and ROB slots with
+    // S16. This run used to pass validation and then panic in the
+    // commit checker ("value mismatch") once tags wrapped.
+    EXPECT_DEATH(
+        {
+            SimConfig cfg = testConfig(SimConfig::preset("k8"));
+            cfg.core = "ooo";
+            cfg.commit_checker = true;
+            cfg.applyOption("int_prf_size=40000");
+            BareMachine m(cfg);
+            Assembler a(CODE_BASE);
+            a.mov(R::rax, 64);
+            a.hlt();
+            runOnCores(m, a, 100'000);
+        },
+        "int_prf_size 40000 \\+ fp_prf_size 128 .* exceeds 32768");
+
+    // The pool bound counts 51 architectural pins per SMT thread.
+    SimConfig c = SimConfig::preset("k8");
+    c.smt_threads = 4;
+    c.int_prf_size = 32768 - 4 * 51 - c.fp_prf_size;
+    c.validate();  // exactly at the bound
+    c.int_prf_size++;
+    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
+                "x 4 threads exceeds 32768");
+
+    SimConfig r = SimConfig::preset("k8");
+    r.rob_size = 32767;
+    r.int_prf_size = 16384;
+    r.validate();
+    r.rob_size = 32768;
+    EXPECT_EXIT(r.validate(), ::testing::ExitedWithCode(1),
+                "rob_size 32768 exceeds 32767");
+}
+
 TEST(Assist, CpuidIsDeterministic)
 {
     GuestRunner g1, g2;

@@ -336,7 +336,7 @@ TEST(TransCache, GuestFillWritesAndFaultsLikeCopy)
 }
 
 /** Engine-level sanity: running real guest code populates the cache
- *  and the shadow-walk verifier (PTL_VERIFY builds) stays silent. */
+ *  and the shadow-walk verifier stays silent. */
 TEST(TransCache, EngineRunProducesHitsUnderShadowVerification)
 {
     GuestRunner r;
@@ -354,9 +354,7 @@ TEST(TransCache, EngineRunProducesHitsUnderShadowVerification)
     r.load(a);
     r.execute();
     EXPECT_GT(r.aspace.transCache().hits(), 500ULL);
-#if PTL_VERIFY
     EXPECT_GT(r.stats().get("transcache/shadow_checks"), 0ULL);
-#endif
 }
 
 }  // namespace

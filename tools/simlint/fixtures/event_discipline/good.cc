@@ -1,28 +1,26 @@
 // Golden POSITIVE fixture for event-discipline: the callback re-arms
-// by storing the fresh handle, and the one deliberate re-entry is
+// with a further schedule(), and the one deliberate re-entry is
 // waived with a reason.
 struct Replayer
 {
     void
     arm(EventQueue &eventq)
     {
-        handle = eventq.schedule(period, [this, &eventq] {
+        eventq.schedule(period, [this, &eventq] {
             deliver();
-            handle = eventq.schedule(period, [] {});
+            eventq.schedule(period, [] {});
         });
     }
 
     void
     pump(EventQueue &eventq)
     {
-        sweeper = eventq.schedule(period, [&eventq] {
+        eventq.schedule(period, [&eventq] {
             eventq.step();  // simlint: event-ok (test-only pump)
         });
     }
 
     void deliver();
 
-    EventHandle handle;
-    EventHandle sweeper;
     CycleDelta period;
 };

@@ -28,8 +28,7 @@ consume:
                context on each side (entropy sources, unordered
                containers, time)
   callbacks    lambda bodies passed to EventQueue::schedule/sendAt:
-               the calls they make and any re-arming schedule calls
-               (with whether the returned handle is kept)
+               the calls they make
   waivers      line -> `// simlint: <name>` waiver names (a waiver may
                carry an argument: `raw-escape-ok(reason)`)
   funcs        per-function nodes of the call graph: qualified name,
@@ -57,7 +56,7 @@ import os
 from . import cfg as cfg_mod
 from . import lexer, model
 
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 
 # Identifiers whose every occurrence is recorded with context.
 # nondeterminism (and any future rule keying on bare identifiers)
@@ -385,25 +384,16 @@ def _scan_stream(toks):
 
 def _callback_facts(line, body):
     """Facts about one lambda body passed to schedule()/sendAt()."""
-    calls, rearms = [], []
+    calls = []
     n = len(body)
     for i, t in enumerate(body):
         if not (t.kind == "id" and i + 1 < n
                 and body[i + 1].value == "("):
             continue
         prev = body[i - 1].value if i > 0 else None
-        if t.value in SCHEDULE_IDS:
-            # Re-arm: is the returned handle kept? Look backwards in
-            # the same statement for '=' / 'return' / 'auto'.
-            lo = i
-            while lo > 0 and body[lo - 1].value not in (";", "{", "}"):
-                lo -= 1
-            kept = any(x.value in ("=", "return", "auto")
-                       for x in body[lo:i])
-            rearms.append((t.line, bool(kept)))
-        elif prev != "::":
+        if t.value not in SCHEDULE_IDS and prev != "::":
             calls.append((t.line, t.value, prev in (".", "->")))
-    return {"line": line, "calls": calls, "rearms": rearms}
+    return {"line": line, "calls": calls}
 
 
 def _callbacks(toks):

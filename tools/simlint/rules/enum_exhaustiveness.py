@@ -1,10 +1,10 @@
 """enum-exhaustiveness: switches over registered enums cover everything.
 
-For the enums that gate simulator correctness — event kinds, uop
-functional-unit classes, hypercall/ptlcall ids — a switch that
-silently falls through on a newly added enumerator is a latent
-wrong-results bug (a new uop class issuing with a default latency, a
-new event kind dropped on the floor). Every `switch` whose case
+For the enums that gate simulator correctness — uop functional-unit
+classes, hypercall/ptlcall ids — a switch that silently falls through
+on a newly added enumerator is a latent wrong-results bug (a new uop
+class issuing with a default latency, a new hypercall dropped on the
+floor). Every `switch` whose case
 labels name enumerators of a REGISTERED enum must either:
 
   - cover every enumerator, or
@@ -23,7 +23,6 @@ WAIVER = "enum-ok"
 # Correctness-critical enums: a non-exhaustive switch over one of
 # these is a simulation-accuracy bug, not a style issue.
 REGISTERED = frozenset({
-    "EventKind",    # event-queue payload kinds (checkpoint sections)
     "UopClass",     # uop functional-unit class (latency/port choice)
     "Hypercall",    # guest->hypervisor call ids
     "PtlcallOp",    # guest->simulator PTLcall ids
@@ -48,8 +47,8 @@ def run(ctx):
             # Qualified labels name their enum directly; trust that
             # and never fall back to bare-enumerator lookup for them
             # (UopOp::Fence must not be mistaken for UopClass just
-            # because both enums spell a `Fence`). Bare labels (HC_*,
-            # EVK_*) resolve through the enumerator table.
+            # because both enums spell a `Fence`). Bare labels (HC_*)
+            # resolve through the enumerator table.
             quals = {lab.split("::")[-2]
                      for lab in sw["labels"] if "::" in lab}
             if quals:

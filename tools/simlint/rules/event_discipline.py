@@ -1,22 +1,14 @@
-"""event-discipline: EventQueue callbacks stay non-reentrant and
-never leak a fired handle.
+"""event-discipline: EventQueue callbacks stay non-reentrant.
 
 EventQueue::runDue is documented "Not reentrant": a callback that
 calls back into run()/step()/runDue() re-enters the dispatch loop
-mid-dispatch and corrupts the pending heap. And a callback that
-re-arms itself with a bare `schedule(...)` — discarding the returned
-EventHandle — leaves the object holding the OLD handle, which has
-already fired: a later cancel() on it is a no-op (or, worse, cancels
-a recycled id). Both bugs only bite under rare interleavings, which
-is exactly why they are lint rules and not test cases.
+mid-dispatch and corrupts the pending heap. The bug only bites under
+rare interleavings, which is exactly why it is a lint rule and not a
+test case.
 
-Checked inside every lambda passed to schedule()/sendAt():
-
-  1. no calls to run / step / runDue / runUntil (method or free);
-  2. every schedule()/sendAt() call keeps its returned handle
-     (assignment, `auto h = ...`, or `return ...`). Re-arming through
-     a named helper (armSnapshot(), armReplayer()) is the sanctioned
-     pattern and is naturally fine — the helper stores the handle.
+Checked inside every lambda passed to schedule()/sendAt(): no calls
+to run / step / runDue / runUntil (method or free). Re-arming with a
+further schedule() is fine.
 
 Waiver: `// simlint: event-ok` on the offending line.
 """
@@ -44,16 +36,4 @@ def run(ctx):
                     "is not reentrant; set state and let the outer "
                     "loop advance, or defer via a scheduled event"
                     % name))
-            for line, kept in cb["rearms"]:
-                if kept:
-                    continue
-                if fi.waived(line, WAIVER):
-                    continue
-                findings.append(Finding(
-                    NAME, fi.path, line,
-                    "event callback re-arms with schedule()/sendAt() "
-                    "but discards the returned EventHandle — the "
-                    "handle it holds has already fired; store the "
-                    "new handle (or re-arm through a helper that "
-                    "does)"))
     return findings
