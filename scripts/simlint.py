@@ -3,7 +3,7 @@
 
 Two-pass: pass 1 builds (or loads from cache) a per-file semantic
 index — includes, classes/members, enums, function bodies, switches,
-event-callback bodies — keyed by content hash under
+call-graph nodes with their CFGs — keyed by content hash under
 build/simlint-cache/; pass 2 runs the rules against the index, so
 warm runs only re-analyze files whose content changed.
 
@@ -33,15 +33,11 @@ Options:
                    — the minimal edit that takes code from flagged to
                    clean; exits without analyzing anything
   --summary        print a per-rule findings/timing table, waiver
-                   usage counts, and index cache statistics
-                   (markdown; used for the CI job summary)
-  --summary-json F write the same data as JSON to file F ('-' for
-                   stdout): per-rule findings/timings, waiver counts,
-                   cache stats, and the full findings list — the
-                   machine-readable artifact the CI lint job renders
-                   its step summary from
+                   usage counts, and index cache statistics (markdown,
+                   under a `## simlint` heading; the CI lint job
+                   appends it to the job summary); with --baseline,
+                   each count also shows its delta vs the baseline
   --no-cache       bypass the semantic-index cache entirely
-  --cache-dir DIR  cache location (default: build/simlint-cache)
   --baseline FILE  ratchet: per-rule finding counts and per-waiver
                    line counts must not exceed FILE, and FILE may name
                    only registered rules (exit 1 otherwise; tightening
@@ -58,11 +54,11 @@ Rules and waivers (line-scoped `// simlint: <waiver>` comments):
   checkpoint-coverage  transient       serialize/restore field parity
   stats-coverage       stats-ok        counter registration + snapshot
   enum-exhaustiveness  enum-ok         switches over registered enums
-  event-discipline     event-ok        EventQueue callback hygiene
-  raw-cycle            raw-cycle-ok    SimCycle/CycleDelta discipline
-  nondeterminism       nondet-ok       entropy / iteration order
-  nondet-taint         nondet-taint-ok unordered iteration reaching
-                                       simulated state (call graph)
+  raw-cycle            raw-cycle-ok    no ~0ULL never-sentinel on
+                                       cycle stamps (CYCLE_NEVER)
+  nondet-taint         nondet-taint-ok entropy calls anywhere; unordered
+                                       iteration reaching sys/stats
+                                       entry points (call graph)
   checkpoint-symmetry  ckpt-sym-ok(..) serialize/restore ordered
                                        stream parity (flow-sensitive)
   simcycle-escape      raw-escape-ok(..) .raw() taint back into cycle
@@ -211,56 +207,61 @@ def waiver_counts(ctx):
     return counts
 
 
-def print_summary(rule_mods, findings, timings, stats, ctx):
+def print_summary(rule_mods, findings, timings, stats, ctx, base):
+    """Markdown tables under a `## simlint` heading.  A loaded
+    baseline `base` (None without --baseline) adds a "vs baseline"
+    delta column after each count."""
+    def row(*cells):
+        print("| " + " | ".join(cells) + " |")
+
+    def delta(section, name, cur):
+        if base is None:
+            return []
+        d = cur - base.get(section, {}).get(name, 0)
+        return ["%+d" % d if d else "="]
+
+    vs = [] if base is None else ["vs baseline"]
+    pad = [""] * len(vs)
     print()
-    print("| rule | findings | time (ms) |")
-    print("| --- | ---: | ---: |")
+    print("## simlint")
+    row("rule", "findings", *vs, "time (ms)")
+    row("---", "---:", *["---:"] * len(vs), "---:")
     for mod in rule_mods:
         n = sum(1 for f in findings if f.rule == mod.NAME)
-        print("| %s | %d | %.1f |"
-              % (mod.NAME, n, timings.get(mod.NAME, 0.0)))
-    print("| index (pass 1) | %d files | %.1f |"
-          % (stats["files"], stats["index_ms"]))
-    print("| index cache hits | %d / %d | |"
-          % (stats["cache_hits"], stats["files"]))
-    total = stats["index_ms"] + sum(timings.values())
-    print("| total | | %.1f |" % total)
+        row(mod.NAME, "%d" % n, *delta("rules", mod.NAME, n),
+            "%.1f" % timings.get(mod.NAME, 0.0))
+    row("index (pass 1)", "%d files" % stats["files"], *pad,
+        "%.1f" % stats["index_ms"])
+    row("index cache hits",
+        "%d / %d" % (stats["cache_hits"], stats["files"]), *pad, "")
+    row("total", "", *pad,
+        "%.1f" % (stats["index_ms"] + sum(timings.values())))
     waivers = waiver_counts(ctx)
-    if waivers:
+    names = set(waivers) | set((base or {}).get("waivers", {}))
+    if names:
         print()
-        print("| waiver | lines |")
-        print("| --- | ---: |")
-        for name in sorted(waivers):
-            print("| %s | %d |" % (name, waivers[name]))
+        row("waiver", "lines", *vs)
+        row("---", "---:", *["---:"] * len(vs))
+        for name in sorted(names):
+            n = waivers.get(name, 0)
+            row(name, "%d" % n, *delta("waivers", name, n))
 
 
-def summary_payload(rule_mods, findings, timings, stats, ctx,
-                    repo_root):
-    """The --summary data as a JSON-serializable dict."""
-    return {
-        "files": stats["files"],
-        "cache_hits": stats["cache_hits"],
-        "index_ms": round(stats["index_ms"], 1),
-        "total_ms": round(stats["index_ms"] + sum(timings.values()), 1),
-        "rules": {
-            mod.NAME: {
-                "findings": sum(1 for f in findings
-                                if f.rule == mod.NAME),
-                "ms": round(timings.get(mod.NAME, 0.0), 1),
-            } for mod in rule_mods},
-        "waivers": waiver_counts(ctx),
-        "findings": [
-            {"path": os.path.relpath(f.path, repo_root)
-             .replace(os.sep, "/"),
-             "line": f.line, "rule": f.rule, "message": f.message}
-            for f in findings],
-    }
+def load_baseline(path):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        print("simlint: cannot read baseline %s: %s" % (path, e),
+              file=sys.stderr)
+        return None
 
 
-def check_baseline(path, rule_mods, findings, ctx, update):
+def check_baseline(path, base, rule_mods, findings, ctx, update):
     """Ratchet: per-rule finding counts and per-waiver line counts may
-    only go down relative to the committed baseline.  Returns the
-    number of violations (0 when clean or when updating)."""
+    only go down relative to the committed baseline `base` (loaded
+    from `path`; None when unreadable).  Returns the number of
+    violations (0 when clean or when updating)."""
     current = {
         "rules": {mod.NAME: sum(1 for f in findings
                                 if f.rule == mod.NAME)
@@ -273,12 +274,7 @@ def check_baseline(path, rule_mods, findings, ctx, update):
             f.write("\n")
         print("simlint: baseline updated: %s" % path)
         return 0
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            base = json.load(f)
-    except (OSError, ValueError) as e:
-        print("simlint: cannot read baseline %s: %s" % (path, e),
-              file=sys.stderr)
+    if base is None:
         return 1
     errors = 0
     improvable = []
@@ -420,9 +416,7 @@ def main():
     ap.add_argument("--self-test", action="store_true")
     ap.add_argument("--explain", metavar="RULE", default=None)
     ap.add_argument("--summary", action="store_true")
-    ap.add_argument("--summary-json", metavar="FILE", default=None)
     ap.add_argument("--no-cache", action="store_true")
-    ap.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     ap.add_argument("--baseline", metavar="FILE", default=None)
     ap.add_argument("--update-baseline", action="store_true")
     ap.add_argument("paths", nargs="*")
@@ -461,7 +455,7 @@ def main():
 
     paths = args.paths or [os.path.join(REPO_ROOT, "src")]
     files = collect_files(paths)
-    cache_dir = None if args.no_cache else args.cache_dir
+    cache_dir = None if args.no_cache else DEFAULT_CACHE_DIR
     ctx, stats = build_context(files, REPO_ROOT, layers, cache_dir)
     findings, timings = run_rules(rule_mods, ctx)
 
@@ -473,18 +467,11 @@ def main():
             in changed]
 
     print_findings(findings, REPO_ROOT)
+    base = None
+    if args.baseline and not args.update_baseline:
+        base = load_baseline(args.baseline)
     if args.summary:
-        print_summary(rule_mods, findings, timings, stats, ctx)
-    if args.summary_json:
-        payload = summary_payload(rule_mods, findings, timings, stats,
-                                  ctx, REPO_ROOT)
-        if args.summary_json == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.summary_json, "w", encoding="utf-8") as f:
-                json.dump(payload, f, indent=2)
-                f.write("\n")
+        print_summary(rule_mods, findings, timings, stats, ctx, base)
 
     ratchet_errors = 0
     if args.baseline:
@@ -492,7 +479,7 @@ def main():
             print("simlint: --baseline ignores --diff filtering "
                   "(ratchet is whole-tree)", file=sys.stderr)
         ratchet_errors = check_baseline(
-            args.baseline, rule_mods, findings, ctx,
+            args.baseline, base, rule_mods, findings, ctx,
             args.update_baseline)
 
     if findings:

@@ -169,15 +169,6 @@ std::unique_ptr<CoreModel> createCoreModel(const std::string &name,
 /** Names of all registered models. */
 std::vector<std::string> coreModelNames();
 
-/** Helper object whose constructor registers a model. */
-struct CoreModelRegistration
-{
-    CoreModelRegistration(const std::string &name, CoreFactory factory)
-    {
-        registerCoreModel(name, std::move(factory));
-    }
-};
-
 }  // namespace ptl
 
 #endif  // PTLSIM_CORE_COREAPI_H_

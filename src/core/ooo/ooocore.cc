@@ -594,29 +594,6 @@ OooCore::sleepCore(SimCycle now)
     idle_until = wake;
 }
 
-void
-OooCore::validateInterlocks() const
-{
-    for (const auto &[paddr, owner] : interlocks->heldLocks()) {
-        if (owner / 16 != core_id)
-            continue;
-        int tid = owner % 16;
-        if (tid >= (int)threads.size())
-            panic("interlock owner %d has no thread", owner);
-        const Thread &t = threads[tid];
-        bool found = false;
-        for (const LsqEntry &l : t.ldq)
-            found |= (l.valid && l.lock_acquired
-                      && (l.paddr.raw() >> 3) == (paddr >> 3));
-        for (const LsqEntry &l : t.stq)
-            found |= (l.valid && l.lock_acquired
-                      && (l.paddr.raw() >> 3) == (paddr >> 3));
-        if (!found)
-            panic("orphaned interlock paddr=%llx owner=%d",
-                  (unsigned long long)paddr, owner);
-    }
-}
-
 std::string
 OooCore::debugState() const
 {

@@ -94,10 +94,6 @@ class OooCore : public CoreModel
         idle_until = SimCycle(0);
     }
 
-    /** Invariant check: every interlock owned by this core's threads
-     *  must be held by a live LSQ entry. panic()s on an orphan. */
-    void validateInterlocks() const;
-
     /**
      * Run the attached auditor once (ROB/LSQ/PRF/issue queues, plus
      * the coherence directory when multi-core). Returns the violation
@@ -364,7 +360,6 @@ class OooCore : public CoreModel
      *  no pipeline activity, snapshot per-thread running state, and
      *  arm idle_until. */
     void sleepCore(SimCycle now);
-    RobEntry &robAt(Thread &t, int idx) { return t.rob[idx]; }
     /** Ring cursor steps (ROB, LDQ/STQ, fetch queue), division-free. */
     static int ringNext(int idx, int size)
     {

@@ -544,8 +544,6 @@ SimConfig::validate() const
     if (!isPow2((U64)btb_entries) || !isPow2((U64)gshare_entries)
         || !isPow2((U64)bimodal_entries) || !isPow2((U64)meta_entries))
         fatal("predictor table sizes must be powers of two");
-    if (membackend.version != 1)
-        fatal("membackend version %d unsupported", membackend.version);
     if (membackend.dram_banks < 1 || !isPow2((U64)membackend.dram_banks))
         fatal("dram_banks %d must be a power of two",
               membackend.dram_banks);

@@ -49,9 +49,9 @@ struct CacheParams
 };
 
 /**
- * Main-memory backend parameters (the versioned `memory` config
- * block). `version` gates the JSON schema: applyMemoryJson() rejects
- * blocks written for a different layout instead of misreading them.
+ * Main-memory backend parameters (the `memory` config block, whose
+ * JSON form carries a "version" key that applyMemoryJson() checks, so
+ * blocks written for a different layout are rejected, not misread).
  *
  * The banked-DRAM defaults are chosen so a row-buffer CONFLICT costs
  * t_rp + t_rcd + t_cas = 112 cycles — exactly the flat mem_latency of
@@ -59,7 +59,6 @@ struct CacheParams
  */
 struct MemBackendParams
 {
-    int version = 1;
     MemBackendKind kind = MemBackendKind::Fixed;
 
     // -- banked DRAM timing (also the hybrid model's bank substrate) --

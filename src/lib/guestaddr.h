@@ -63,7 +63,6 @@ constexpr U64 PAGE_MASK = PAGE_SIZE - 1;
 
 /** Raw-value page helpers (implementation plumbing; typed code uses
  *  the member forms below). */
-constexpr U64 pageOf(U64 addr) { return addr >> PAGE_SHIFT; }
 constexpr U64 pageOffset(U64 addr) { return addr & PAGE_MASK; }
 
 class GuestVirt;

@@ -8,7 +8,6 @@ namespace ptl {
 namespace {
 
 void (*log_sink)(const std::string &) = nullptr;
-bool log_quiet = false;
 
 std::string
 vstrprintf(const char *fmt, va_list ap)
@@ -26,8 +25,6 @@ vstrprintf(const char *fmt, va_list ap)
 void
 emit(const std::string &line)
 {
-    if (log_quiet)
-        return;
     if (log_sink) {
         log_sink(line);
     } else {
@@ -52,12 +49,6 @@ void
 setLogSink(void (*sink)(const std::string &))
 {
     log_sink = sink;
-}
-
-void
-setLogQuiet(bool quiet)
-{
-    log_quiet = quiet;
 }
 
 void

@@ -35,9 +35,6 @@ void informImpl(const char *fmt, ...)
 /** Route all warn()/inform() output through this sink (default stderr). */
 void setLogSink(void (*sink)(const std::string &line));
 
-/** Silence warn()/inform() (tests use this to keep output clean). */
-void setLogQuiet(bool quiet);
-
 }  // namespace ptl
 
 #define panic(...)  ::ptl::panicImpl(__FILE__, __LINE__, __VA_ARGS__)

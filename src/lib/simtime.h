@@ -27,7 +27,7 @@
  * Comparisons only work within a kind. Construction from a raw
  * integer is explicit (`SimCycle(0)`, `cycles(100)`), and the escape
  * hatch back to an integer is the explicit `.raw()` — which is the
- * token the `simlint` raw-cycle rule keys on at review time.
+ * token the `simlint` simcycle-escape rule keys on at review time.
  *
  * CYCLE_NEVER is the typed "no cycle scheduled / never" sentinel.
  * Adding a duration to CYCLE_NEVER saturates (stays CYCLE_NEVER)

@@ -437,15 +437,6 @@ MemoryHierarchy::flushTlbs()
 }
 
 void
-MemoryHierarchy::flushTlbVpn(Vpn vpn)
-{
-    dtlb.flushVpn(vpn);
-    itlb.flushVpn(vpn);
-    if (tlb2_enabled)
-        tlb2.flushVpn(vpn);
-}
-
-void
 MemoryHierarchy::flushCaches()
 {
     l1i.invalidateAll();

@@ -89,9 +89,6 @@ class MemoryHierarchy
     /** CR3 reload: drop all TLB state (x86 has no ASIDs here). */
     void flushTlbs();
 
-    /** Flush one page's translations (invlpg; SMC handling). */
-    void flushTlbVpn(Vpn vpn);
-
     /** Flush all cache tags (the paper's -perfctr pre-run flush). */
     void flushCaches();
 
@@ -130,7 +127,6 @@ class MemoryHierarchy
     /** Make a peer's write visible: downgrade M/E/O to Shared. */
     void downgradeLine(GuestPhys line_addr);
 
-    int coreId() const { return core_id; }
     const SimConfig &config() const { return cfg; }
     AddressSpace &addressSpace() { return *aspace; }
 

@@ -38,7 +38,6 @@ class PhysMem
     PhysMem(U64 bytes, U64 seed = 42, bool shuffle = true);
 
     U64 frameCount() const { return frame_count; }
-    U64 freeFrames() const { return free_list.size() - next_free; }
 
     /** Allocate one machine frame; fatal() when exhausted. */
     Pfn allocFrame();

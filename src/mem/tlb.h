@@ -51,8 +51,6 @@ class Tlb
     /** Drop one page's translation (invlpg / SMC handling). */
     void flushVpn(Vpn vpn);
 
-    int entryCount() const { return (int)entries.size(); }
-
   private:
     int sets;
     int ways;

@@ -69,19 +69,6 @@ hashGuestMemory(const PhysMem &mem)
     return h;
 }
 
-U64
-runUntilInsns(Machine &machine, U64 insns, U64 budget)
-{
-    U64 spent = 0;
-    while (machine.totalCommittedInsns() < insns && spent < budget) {
-        Machine::RunResult r = machine.run(2'000);
-        spent += r.cycles;
-        if (r.shutdown || r.stalled)
-            break;
-    }
-    return machine.totalCommittedInsns();
-}
-
 CosimResult
 validateModeSwitching(const MachineFactory &factory, Machine::Mode ref_mode,
                       U64 switch_cycles, U64 budget)

@@ -75,10 +75,6 @@ CosimResult validateModeSwitching(const MachineFactory &factory,
 U64 findDivergenceInsn(const MachineFactory &factory_a,
                        const MachineFactory &factory_b, U64 max_insns);
 
-/** Run a machine until at least `insns` instructions have committed
- *  (or shutdown); returns the exact count reached. */
-U64 runUntilInsns(Machine &machine, U64 insns, U64 budget = 1ULL << 34);
-
 }  // namespace ptl
 
 #endif  // PTLSIM_NATIVE_COSIM_H_

@@ -73,7 +73,6 @@ class VirtualDisk
                 StatsTree &stats);
 
     void setImage(std::vector<U8> data) { image = std::move(data); }
-    const std::vector<U8> &imageData() const { return image; }
     U64 sectorCount() const { return image.size() / DISK_SECTOR_BYTES; }
 
     /**

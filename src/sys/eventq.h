@@ -89,7 +89,8 @@ class EventQueue
     /**
      * Fire every event with due <= now, in (due, priority, seq) order,
      * including events scheduled by the callbacks themselves. Returns
-     * the number fired. Not reentrant.
+     * the number fired. Not reentrant: a callback that calls runDue()
+     * panics (the ptl_assert is on in every build).
      */
     int runDue(SimCycle now);
 

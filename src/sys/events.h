@@ -78,9 +78,6 @@ class EventChannels
     /** Bind a port to a VCPU (default: all ports to VCPU 0). */
     void bind(int port, int vcpu);
 
-    /** True if any port is pending for `vcpu`. */
-    bool anyPending(int vcpu) const { return pending_mask[vcpu] != 0; }
-
     /** Raised-but-unconsumed port bitmasks (checkpoint capture). */
     const std::vector<U64> &pendingMasks() const { return pending_mask; }
 

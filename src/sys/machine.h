@@ -79,8 +79,6 @@ class Machine
      */
     void finalizeCores();
 
-    /** The memory hierarchy assembled for core i (finalizeCores). */
-    MemoryHierarchy &coreHierarchy(int i) { return *hw.hierarchies[i]; }
     int coreCount() const { return (int)hw.cores.size(); }
 
     enum class Mode { Simulation, Native };

@@ -13,7 +13,7 @@
  * Time is strongly typed (lib/simtime.h): the master counter is a
  * SimCycle, the hidden TSC gap is a CycleDelta, and the wall-time
  * conversion helpers return CycleDelta — so a caller can arm
- * `now + nsToCycles(period)` but cannot accidentally treat a period
+ * `now + usToCycles(period)` but cannot accidentally treat a period
  * as an absolute stamp.
  */
 
@@ -37,19 +37,9 @@ class TimeKeeper
 
     /** Convert guest-visible durations to cycles. */
     CycleDelta
-    nsToCycles(U64 ns) const
-    {
-        return cycles(ns * freq / 1'000'000'000ULL);
-    }
-    CycleDelta
     usToCycles(U64 us) const
     {
         return cycles(us * freq / 1'000'000ULL);
-    }
-    CycleDelta
-    msToCycles(U64 ms) const
-    {
-        return cycles(ms * freq / 1'000ULL);
     }
     U64
     cyclesToNs(CycleDelta d) const

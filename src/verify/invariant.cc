@@ -33,6 +33,7 @@ VerifyStats::VerifyStats(StatsTree &stats, const std::string &prefix)
       prf_leak(stats.counter(prefix + "verify/prf/leak")),
       prf_double_free(stats.counter(prefix + "verify/prf/double_free")),
       iq_state(stats.counter(prefix + "verify/iq/state")),
+      interlock(stats.counter(prefix + "verify/interlock")),
       mesi(stats.counter(prefix + "verify/mesi")),
       membackend(stats.counter(prefix + "verify/membackend"))
 {
@@ -511,6 +512,31 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
     }
 
     // ------------------------------------------------------------------
+    // Interlocks: every lock a thread of this core owns must be held by
+    // one of its live LDQ/STQ entries. An orphaned lock is never
+    // released by commit or flush and blocks every other owner forever.
+    // ------------------------------------------------------------------
+    for (const auto &[paddr, owner] : core.interlocks->heldLocks()) {
+        for (size_t ti = 0; ti < core.threads.size(); ti++) {
+            const OooCore::Thread &t = core.threads[ti];
+            if (core.ownerId(t) != owner)
+                continue;
+            bool found = false;
+            for (const auto *q : {&t.ldq, &t.stq}) {
+                for (const OooCore::LsqEntry &l : *q)
+                    found |= (l.valid && l.lock_acquired
+                              && (l.paddr.raw() >> 3) == (paddr >> 3));
+            }
+            if (!found)
+                VERIFY_VIOLATION(vstats.interlock,
+                                 "[cycle %llu] verify: thread %zu owns "
+                                 "the interlock on paddr %llx but no "
+                                 "live LSQ entry holds it (orphaned)",
+                                 cyc, ti, (unsigned long long)paddr);
+        }
+    }
+
+    // ------------------------------------------------------------------
     // PRF leak / refcount conservation (needs the full reachability
     // picture, so runs after all threads and queues are walked).
     // ------------------------------------------------------------------
@@ -692,6 +718,15 @@ VerifyTestHook::dropWaiterSubscription(OooCore &core)
         }
     }
     return false;
+}
+
+bool
+VerifyTestHook::orphanInterlock(OooCore &core, int thread)
+{
+    // The top 8-byte region of a 4 GiB physical space: no test guest
+    // touches it, so no LSQ entry can hold its lock.
+    return core.interlocks->acquire(GuestPhys(0xfffffff8ULL),
+                                    core.ownerId(core.threads[thread]));
 }
 
 bool

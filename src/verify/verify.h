@@ -67,6 +67,7 @@ struct VerifyStats
     Counter &prf_leak;        ///< allocated-but-unreachable registers
     Counter &prf_double_free; ///< free-list duplicates / freed-but-live
     Counter &iq_state;        ///< issue-queue / scoreboard breaks
+    Counter &interlock;       ///< interlocks held by no live LSQ entry
     Counter &mesi;            ///< coherence directory legality breaks
     Counter &membackend;      ///< memory-backend bookkeeping breaks
 };
@@ -146,6 +147,8 @@ struct VerifyTestHook
     /** Clear the wakeup-mask bit of a source still waiting on its
      *  producer, so that producer's broadcast would miss the slot. */
     static bool dropWaiterSubscription(OooCore &core);
+    /** Acquire an interlock for `thread` that no LSQ entry holds. */
+    static bool orphanInterlock(OooCore &core, int thread);
     /** Flip one bit in the lockstep checker's shadow architectural
      *  register, so the next commit diverges from the reference. */
     static bool skewShadowReg(OooCore &core, int thread, int reg);

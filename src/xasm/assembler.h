@@ -99,7 +99,6 @@ class Assembler
     U64 labelVa(Label l) const;        ///< valid only after bind
     U64 here() const { return base + code.size(); }
     void align(unsigned boundary, U8 fill = 0x90);
-    void db(U8 byte) { code.push_back(byte); }
     void dbs(const void *data, size_t n);
     void dd(U32 v);
     void dq(U64 v);

@@ -78,6 +78,16 @@ TEST(EventQueue, CallbackMayScheduleIntoTheSamePass)
     EXPECT_EQ(f.q.nextDue(), SimCycle(6));
 }
 
+TEST(EventQueue, ReentrantRunDuePanics)
+{
+    // Dispatch is not reentrant: a callback that runs the queue again
+    // would pop entries out from under the outer loop's heap walk.
+    QueueFixture f;
+    f.q.schedule(SimCycle(5), EVPRI_GENERIC,
+                 [&f](SimCycle now) { f.q.runDue(now); });
+    EXPECT_DEATH(f.q.runDue(SimCycle(5)), "assertion failed: !in_run");
+}
+
 TEST(EventQueue, WakePendingExcludesNonWakingEvents)
 {
     QueueFixture f;

@@ -6,7 +6,9 @@ own rule, and each good fixture must be clean under ALL rules. It
 also proves the checks that keep deleted rules from lingering: the
 self-test fails on a fixture directory no registered rule owns, and
 the --baseline ratchet fails on a baseline entry for an unregistered
-rule.
+rule. Likewise every fact the index extracts (index._FIELDS) must
+have a reader in tools/simlint/rules/ or scripts/simlint.py, so a
+fact whose rule was retired does not linger in pass 1.
 
 Part 2 proves the pass-1 cache is correct, not just fast:
 
@@ -25,9 +27,11 @@ Part 2 proves the pass-1 cache is correct, not just fast:
     interprocedural rules behave identically on warm and cold runs.
 """
 
+import glob
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -111,6 +115,37 @@ def run_stale_rule_test():
               "baseline naming an unregistered rule fails")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    return failures
+
+
+def unread_fields(fields, sources):
+    """Index fields that no `.field` attribute access in `sources`
+    (source texts) reads."""
+    return [f for f in fields
+            if not any(re.search(r"\.%s\b" % re.escape(f), text)
+                       for text in sources)]
+
+
+def run_field_reader_test():
+    """Every index fact has a reader among the rules or the driver."""
+    sources = []
+    for p in [SIMLINT] + sorted(glob.glob(os.path.join(
+            REPO_ROOT, "tools", "simlint", "rules", "*.py"))):
+        with open(p, encoding="utf-8") as f:
+            sources.append(f.read())
+    failures = 0
+
+    def check(cond, what):
+        nonlocal failures
+        print("%s index-fields: %s" % ("ok  " if cond else "FAIL", what))
+        if not cond:
+            failures += 1
+
+    check(unread_fields(("retired_fact",), sources) == ["retired_fact"],
+          "a fact no code reads is reported")
+    for name in unread_fields(index_mod._FIELDS, sources):
+        check(False, "'%s' is extracted by index.py but read by no rule "
+              "or the driver — delete it" % name)
     return failures
 
 
@@ -237,6 +272,7 @@ def run_callgraph_cache_test():
 def main():
     failed = run_self_test()
     failed += run_stale_rule_test()
+    failed += run_field_reader_test()
     failed += run_cache_test()
     failed += run_callgraph_cache_test()
     if failed:

@@ -2,7 +2,7 @@
  * Tests for the correctness-tooling layer (src/verify): prove that the
  * invariant checker detects deliberately injected corruption in every
  * structure family it audits (ROB, LSQ, PRF, issue queues/scoreboard,
- * MESI directory), and that the lockstep commit checker panics on an
+ * interlocks, MESI directory), and that the lockstep commit checker panics on an
  * architectural divergence from the functional reference.
  */
 
@@ -201,6 +201,18 @@ TEST(VerifyTest, DetectsMissingWakeupSubscription)
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().iq_state.value(), 0u);
+}
+
+TEST(VerifyTest, DetectsOrphanedInterlock)
+{
+    VerifyRig rig;
+    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+        return VerifyTestHook::orphanInterlock(c, 0);
+    }));
+    InvariantChecker chk(rig.runner.stats(), "verify/",
+                         InvariantChecker::Action::Count);
+    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(chk.counters().interlock.value(), 0u);
 }
 
 TEST(VerifyTest, DetectsIllegalMesiDirectoryState)

@@ -1,17 +1,29 @@
 """simlint: PTLsim-specific static analysis.
 
-Three rules, each a module under rules/:
+Nine rules, each a module under rules/ and each the one owner of its
+invariant (the type system and always-on assertions own the rest):
 
+  layering             quoted #includes follow the layers.toml DAG;
   checkpoint-coverage  every data member of a class with a
-                       serialize/restore pair must be touched by both
-                       (or carry a `// simlint: transient` waiver);
-  raw-cycle            no raw-integer cycle-stamp declarations or
-                       ~0ULL cycle sentinels outside lib/simtime.h;
-  nondeterminism       no wall-clock/rand/unordered-iteration sources
-                       in serialized or statistics paths.
+                       serialize/restore pair is touched by both (or
+                       carries a `// simlint: transient` waiver);
+  checkpoint-symmetry  serialize and restore stream fields in the
+                       same order;
+  stats-coverage       every Counter member is bound to the stats
+                       tree;
+  enum-exhaustiveness  switches over registered enums cover them or
+                       reach a guarded default;
+  raw-cycle            no untyped ~0ULL never-sentinel on cycle
+                       stamps outside lib/simtime.h;
+  simcycle-escape      .raw() cycle values do not re-enter cycle math;
+  address-kind         guest-virtual and guest-physical values do not
+                       mix;
+  nondet-taint         no wall-clock/rand call anywhere, and no
+                       unordered-container iteration reachable from a
+                       serialized or statistics entry point.
 
-The backend is a hand-rolled token-level C++ lexer (lexer.py): the
-container has no libclang, so rules consume a deliberately small
+The backend is a hand-rolled token-level C++ lexer (lexer.py), so
+libclang is not a dependency; rules consume a deliberately small
 backend-independent model (model.py) that a libclang backend could
 also produce.
 """

@@ -47,13 +47,13 @@ _NORETURN = {"fatal", "panic", "abort", "exit", "_exit",
              "__builtin_unreachable", "__builtin_trap"}
 
 # Identifiers that are exact cycle-stamp names or carry a stamp
-# suffix; mirrors rules/raw_cycle.py so the two rules agree on what a
-# "cycle-typed value" looks like.
+# suffix: the one vocabulary raw-cycle (through the index's
+# never_stmts) and simcycle-escape share for a "cycle-typed value".
 _STAMP_EXACT = {"now", "cycle", "due", "deadline"}
 _STAMP_SUFFIXES = ("_cycle", "_due", "_deadline", "_until", "_stamp")
 
-# Address-kind vocabulary (lib/guestaddr.h domains); mirrors
-# rules/address_kind.py the way _STAMP_* mirrors raw_cycle.  A name
+# Address-kind vocabulary (lib/guestaddr.h domains) for the taint
+# half of rules/address_kind.py.  A name
 # classifies as guest-virtual, guest-physical, or neither — the taint
 # rule uses the kind to detect raw values crossing the translation
 # boundary without going through AddressSpace::walk().

@@ -46,6 +46,14 @@ U64 archImage(GuestVirt va)
     return image;                // taint without a sink is clean
 }
 
+// Template parameter lists declare compile-time constants, not
+// address variables, even when their names look like addresses.
+template <U64 base_vaddr = 0, unsigned long long first_pfn = 1>
+struct Window
+{
+    GuestVirt base;
+};
+
 bool identityMapped(GuestVirt va, GuestPhys paddr)
 {
     return va.raw() == paddr.raw();  // simlint: addr-ok(identity mapping check compares the numeric words by design)

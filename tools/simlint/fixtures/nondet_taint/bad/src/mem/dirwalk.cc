@@ -1,7 +1,7 @@
 // Part of the nondet-taint BAD fixture: the sink. Iterating an
-// unordered container is legal here in src/mem/ as far as the
-// per-file nondeterminism rule cares — the breakage only appears
-// when a serialized src/sys/ entry point reaches this function.
+// unordered container in src/mem/ is no finding on its own — the
+// breakage only appears when a serialized src/sys/ entry point
+// reaches this function.
 
 #include <unordered_map>
 

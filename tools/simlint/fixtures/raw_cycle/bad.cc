@@ -1,18 +1,18 @@
-// Golden NEGATIVE fixture for raw-cycle: a raw-integer cycle stamp
-// and the untyped ~0ULL never-sentinel. simlint must flag both.
-using U64 = unsigned long long;
+// Golden NEGATIVE fixture for raw-cycle: the untyped ~0ULL
+// never-sentinel beside cycle stamps. simlint must flag both uses.
+#include "lib/simtime.h"
 
-struct Core
+using namespace ptl;
+
+bool
+parked(U64 wake_raw, SimCycle wake_cycle)
 {
-    U64 ready_cycle = 0;       // raw stamp declaration: BUG
-    U64 budget_cycles = 0;     // plural: a count, legal
-};
+    // Compared against a stamp: the untyped never: BUG
+    return wake_raw == ~0ULL && wake_cycle == SimCycle(wake_raw);
+}
 
 U64
-arm(U64 now, int latency)      // raw `now` parameter: BUG
+deadlineOf(SimCycle now)
 {
-    U64 deadline = now + (U64)latency;   // raw stamp: BUG
-    if (deadline == ~0ULL)               // untyped never: BUG
-        return ~0ULL - 1;
-    return deadline;
+    return now == SimCycle(0) ? ~0ULL : now.raw();   // BUG: wraps on +
 }

@@ -1,15 +1,14 @@
-// Golden POSITIVE fixture for raw-cycle: strong types everywhere a
-// stamp appears; raw integers only for counts (plural names) and the
-// one explicitly waived legacy field. simlint must report nothing.
+// Golden POSITIVE fixture for raw-cycle: the typed, saturating
+// CYCLE_NEVER wherever a stamp can mean "never"; an all-ones mask that
+// names no stamp is just a mask. simlint must report nothing.
 #include "lib/simtime.h"
 
 using namespace ptl;
 
 struct Core
 {
-    SimCycle ready_cycle;
-    U64 budget_cycles = 0;              // a count, not a stamp
-    U64 boot_cycle = 0;  // simlint: raw-cycle-ok (arch register value)
+    SimCycle ready_cycle = CYCLE_NEVER;
+    U64 valid_mask = ~0ULL;             // a bit mask, not a stamp
 };
 
 SimCycle

@@ -17,18 +17,14 @@ consume:
   switches     switch statements: subject ids, case label texts and
                trailing ids, default presence + whether the default
                body contains a guard (ptl_assert/ptl_warn_once/...)
-  int_decls    raw-integer declarations of cycle-stamp-named
-               variables, with an in-template flag
   addr_decls   raw-integer declarations of address-kind-named
                variables (*vaddr*/*paddr*/*pfn*/*vpn*), with an
-               in-template flag — same shape as int_decls
+               in-template flag (template parameter lists declare
+               compile-time constants, not variables)
   never_stmts  ~0ULL-style sentinels and the stamp id (if any) in the
                enclosing statement
   watch        occurrences of WATCHLIST identifiers with one token of
-               context on each side (entropy sources, unordered
-               containers, time)
-  callbacks    lambda bodies passed to EventQueue::schedule/sendAt:
-               the calls they make
+               context on each side (entropy sources and time)
   waivers      line -> `// simlint: <name>` waiver names (a waiver may
                carry an argument: `raw-escape-ok(reason)`)
   funcs        per-function nodes of the call graph: qualified name,
@@ -56,20 +52,16 @@ import os
 from . import cfg as cfg_mod
 from . import lexer, model
 
-INDEX_VERSION = 6
+INDEX_VERSION = 7
 
-# Identifiers whose every occurrence is recorded with context.
-# nondeterminism (and any future rule keying on bare identifiers)
-# matches against these; extend here and bump INDEX_VERSION.
+# Identifiers whose every occurrence is recorded with context: the
+# libc / C++ entropy and wall-clock sources nondet-taint reports.
+# Extend here and bump INDEX_VERSION.
 WATCHLIST = frozenset({
-    # libc / C++ entropy and wall-clock sources
     "rand", "srand", "drand48", "lrand48", "srand48", "rand_r",
     "random_device", "gettimeofday", "clock_gettime",
     "system_clock", "steady_clock", "high_resolution_clock",
     "time",
-    # iteration-order-dependent containers
-    "unordered_map", "unordered_set",
-    "unordered_multimap", "unordered_multiset",
 })
 
 # A switch default body counts as guarded when it names one of these.
@@ -78,13 +70,9 @@ GUARD_IDS = frozenset({
     "assert", "__builtin_unreachable",
 })
 
-# Calls whose lambda arguments are event-queue callbacks.
-SCHEDULE_IDS = frozenset({"schedule", "sendAt"})
-
 _FIELDS = ("includes", "classes", "enums", "bodies", "binds",
-           "switches", "int_decls", "never_stmts", "watch",
-           "callbacks", "waivers", "funcs", "unordered_decls",
-           "iter_sites", "addr_decls")
+           "switches", "never_stmts", "watch", "waivers", "funcs",
+           "unordered_decls", "iter_sites", "addr_decls")
 
 _INCLUDE_PREFIX = "#include"
 
@@ -133,7 +121,6 @@ class FileIndex:
         data["waivers"] = {int(ln): set(v)
                            for ln, v in data["waivers"].items()}
         data["includes"] = [tuple(x) for x in data["includes"]]
-        data["int_decls"] = [tuple(x) for x in data["int_decls"]]
         data["addr_decls"] = [tuple(x) for x in data["addr_decls"]]
         data["never_stmts"] = [tuple(x) for x in data["never_stmts"]]
         data["watch"] = [tuple(x) for x in data["watch"]]
@@ -306,15 +293,9 @@ def _template_spans(toks):
     return spans
 
 
-_STAMP_SUFFIXES = ("_cycle", "_due", "_deadline", "_until", "_stamp")
-_STAMP_EXACT = {"now", "cycle", "due", "deadline"}
 _INT_TYPES = {"U64", "uint64_t", "U32", "uint32_t", "S64", "int64_t",
               "size_t", "int", "long", "unsigned"}
 _DECL_FOLLOWERS = {";", "=", ",", ")", "{", "[", ":"}
-
-
-def is_stamp_name(name):
-    return name in _STAMP_EXACT or name.endswith(_STAMP_SUFFIXES)
 
 
 # Address-kind declaration vocabulary: the deliberately narrow
@@ -338,15 +319,13 @@ def addr_decl_type(name):
 
 
 def _scan_stream(toks):
-    """One pass for int_decls, addr_decls, never_stmts and watch
-    occurrences."""
+    """One pass for addr_decls, never_stmts and watch occurrences."""
     spans = _template_spans(toks)
 
     def in_template(i):
         return any(lo <= i <= hi for lo, hi in spans)
 
-    int_decls, never_stmts, watch = [], [], []
-    addr_decls = []
+    addr_decls, never_stmts, watch = [], [], []
     n = len(toks)
     for i, t in enumerate(toks):
         if t.kind == "id":
@@ -354,11 +333,7 @@ def _scan_stream(toks):
                     and toks[i + 1].kind == "id"
                     and (i + 2 >= n
                          or toks[i + 2].value in _DECL_FOLLOWERS)):
-                if is_stamp_name(toks[i + 1].value):
-                    int_decls.append((toks[i + 1].line, t.value,
-                                      toks[i + 1].value,
-                                      bool(in_template(i + 1))))
-                elif addr_decl_type(toks[i + 1].value):
+                if addr_decl_type(toks[i + 1].value):
                     addr_decls.append((toks[i + 1].line, t.value,
                                        toks[i + 1].value,
                                        bool(in_template(i + 1))))
@@ -376,64 +351,11 @@ def _scan_stream(toks):
             while hi < n - 1 and toks[hi].value not in (";", "{"):
                 hi += 1
             stamp = next((x.value for x in toks[lo:hi]
-                          if x.kind == "id" and is_stamp_name(x.value)),
+                          if x.kind == "id"
+                          and cfg_mod.is_stamp_name(x.value)),
                          None)
             never_stmts.append((t.line, stamp))
-    return int_decls, addr_decls, never_stmts, watch
-
-
-def _callback_facts(line, body):
-    """Facts about one lambda body passed to schedule()/sendAt()."""
-    calls = []
-    n = len(body)
-    for i, t in enumerate(body):
-        if not (t.kind == "id" and i + 1 < n
-                and body[i + 1].value == "("):
-            continue
-        prev = body[i - 1].value if i > 0 else None
-        if t.value not in SCHEDULE_IDS and prev != "::":
-            calls.append((t.line, t.value, prev in (".", "->")))
-    return {"line": line, "calls": calls}
-
-
-def _callbacks(toks):
-    out = []
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if (t.kind == "id" and t.value in SCHEDULE_IDS
-                and i + 1 < len(toks) and toks[i + 1].value == "("):
-            close = _match_paren(toks, i + 1)
-            args = toks[i + 2 : close]
-            m = 0
-            while m < len(args):
-                if args[m].value == "[":
-                    d, e = 0, m
-                    while e < len(args):
-                        if args[e].value == "[":
-                            d += 1
-                        elif args[e].value == "]":
-                            d -= 1
-                            if d == 0:
-                                break
-                        e += 1
-                    p = e + 1
-                    if p < len(args) and args[p].value == "(":
-                        p = _match_paren(args, p) + 1
-                    while (p < len(args)
-                           and args[p].value not in ("{", ",")):
-                        p += 1
-                    if p < len(args) and args[p].value == "{":
-                        bend = model._match_brace(args, p)
-                        out.append(_callback_facts(
-                            t.line, args[p:bend]))
-                        m = bend
-                        continue
-                m += 1
-            i = close + 1
-            continue
-        i += 1
-    return out
+    return addr_decls, never_stmts, watch
 
 
 # ---------------------------------------------------------------------
@@ -625,7 +547,7 @@ def build(path, rel, sha=None, text=None):
     for qual, unit in units:
         bodies.setdefault(qual, set()).update(
             t.value for t in unit if t.kind == "id")
-    int_decls, addr_decls, never_stmts, watch = _scan_stream(toks)
+    addr_decls, never_stmts, watch = _scan_stream(toks)
     data = {
         "includes": _includes(toks),
         "classes": [
@@ -638,11 +560,9 @@ def build(path, rel, sha=None, text=None):
         "bodies": bodies,
         "binds": _binds(units),
         "switches": _switches(toks),
-        "int_decls": int_decls,
         "addr_decls": addr_decls,
         "never_stmts": never_stmts,
         "watch": watch,
-        "callbacks": _callbacks(toks),
         "waivers": {ln: set(ns) for ln, ns in lf.waivers.items()},
         "funcs": _func_facts(units_ex),
         "unordered_decls": _unordered_decls(toks),

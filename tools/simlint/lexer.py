@@ -38,7 +38,7 @@ _TOKEN_RE = re.compile(
 )
 
 # A waiver is a kebab-case name with an optional parenthesized
-# argument: `// simlint: nondet-ok` or
+# argument: `// simlint: nondet-taint-ok` or
 # `// simlint: raw-escape-ok(stamp compared for equality only)`.
 # Arguments carry the justification a rule demands; they may not
 # contain commas, which separate multiple waivers.

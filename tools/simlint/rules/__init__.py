@@ -31,10 +31,8 @@ from . import (  # noqa: E402
     checkpoint_coverage,
     checkpoint_symmetry,
     enum_exhaustiveness,
-    event_discipline,
     layering,
     nondet_taint,
-    nondeterminism,
     raw_cycle,
     simcycle_escape,
     stats_coverage,
@@ -46,11 +44,9 @@ ALL = [
     checkpoint_symmetry,
     stats_coverage,
     enum_exhaustiveness,
-    event_discipline,
     raw_cycle,
     simcycle_escape,
     address_kind,
-    nondeterminism,
     nondet_taint,
 ]
 BY_NAME = {r.NAME: r for r in ALL}

@@ -12,12 +12,13 @@ virtual aliases of one physical frame defeated forwarding).
 
 Two checks, same reporting name:
 
-  1. Declaration lint (the raw-cycle analog): a raw-integer
-     declaration whose name contains `vaddr`, `paddr`, `pfn` or `vpn`
-     must use the matching strong type.  The vocabulary is
-     deliberately narrow — names that specific are always guest
-     addresses; ambiguous locals (`va`, `addr`) are left to the taint
-     analysis.
+  1. Declaration lint: a raw-integer declaration whose name contains
+     `vaddr`, `paddr`, `pfn` or `vpn` must use the matching strong
+     type.  The vocabulary is deliberately narrow — names that
+     specific are always guest addresses; ambiguous locals (`va`,
+     `addr`) are left to the taint analysis.  Template parameter
+     lists (`template <U64 base_vaddr = 0>`) declare compile-time
+     constants, not variables, and are skipped.
 
   2. May-taint over the CFG (the simcycle-escape analog), with the
      taint carrying a *kind*:

@@ -1,38 +1,63 @@
-"""nondet-taint: interprocedural nondeterminism reachability.
+"""nondet-taint: no ambient entropy, no hash order reaching sys/stats.
 
-The per-file `nondeterminism` rule sees a rand() call or an unordered
-container where it happens. What it cannot see is a src/sys/ entry
-point whose determinism contract is broken three calls away — e.g.
-Machine::run -> audit -> CoherenceController::auditAll iterating an
-unordered_map. This rule closes that hole with call-graph taint
-propagation over the v3 index:
+PTLsim's checkpoints, record/replay and run-to-run determinism tests
+depend on the simulation being a pure function of (config, guest
+image, seed). Two entropy classes break that silently:
 
-  sinks    entropy calls (rand/clock/... — same disambiguation as the
-           nondeterminism rule) and iteration over a variable declared
-           anywhere in the tree with an unordered container type
-           (range-for subject or .begin()/.cbegin() receiver);
-  graph    name-based and over-approximating: a call `f(...)` edges to
-           every indexed function whose unqualified name is `f`; no
-           type resolution, so virtual dispatch and function pointers
-           over-taint rather than under-taint;
-  entries  functions defined under src/sys/ or src/stats/ (the
-           serialized / statistics scope whose determinism the
-           checkpoint and stats machinery depends on).
+  entropy  wall-clock / libc randomness anywhere in src/: rand,
+           srand, drand48, random_device, std::chrono clocks,
+           gettimeofday, clock_gettime, std::time. Everything
+           stochastic must draw from the explicitly seeded generator
+           in lib/rng.h (exempt: it is the sanctioned source). Each
+           call is reported where it happens, so it taints nothing
+           upstream.
+  order    iteration over a variable declared anywhere in the tree
+           with an unordered container type (range-for subject or
+           .begin()/.cbegin() receiver). Hash iteration order varies
+           across libstdc++ versions and ASLR, but a table that is
+           only probed is deterministic, so the declaration alone is
+           never a finding. What matters is whether a src/sys/ or
+           src/stats/ entry point (the serialized / statistics scope
+           the checkpoint and stats machinery depends on) reaches the
+           iteration, possibly three calls away — e.g. Machine::run ->
+           audit -> CoherenceController::auditAll iterating an
+           unordered_map. That is found by call-graph taint
+           propagation over the index:
 
-A tainted entry is reported at its definition line with the full call
-chain down to the sink, so the fix site is visible without re-running
-anything.
+             graph  name-based and over-approximating: a call `f(...)`
+                    edges to every indexed function whose unqualified
+                    name is `f`; no type resolution, so virtual
+                    dispatch and function pointers over-taint rather
+                    than under-taint.
 
-Waiver: `// simlint: nondet-taint-ok` — on a sink line it asserts the
-operation is order-independent (an erase-everything loop) and kills
-all taint flowing from it; on an entry's definition line it exempts
-just that entry.
+           A tainted entry is reported at its definition line with
+           the full call chain down to the iteration, so the fix site
+           is visible without re-running anything.
+
+`time` is flagged only when it is unambiguously the libc call —
+qualified with `::`, or passed the canonical null argument — so a
+member named `time` (TimeKeeper *time) and its constructor-initializer
+`time(&timekeeper)` stay legal.
+
+Waiver: `// simlint: nondet-taint-ok` — on an entropy line it accepts
+that call; on an iteration line it asserts the loop is
+order-independent (an erase-everything loop) and kills all taint
+flowing from it; on an entry's definition line it exempts just that
+entry.
 """
 
-from .nondeterminism import _ENTROPY_IDS, _TIME_CALL_ARGS
+from ..index import WATCHLIST
 
 NAME = "nondet-taint"
 WAIVER = "nondet-taint-ok"
+
+EXEMPT_PATH_SUFFIXES = ("lib/rng.h",)
+
+# The index records every occurrence of these with context; `time`
+# needs the call-shape check below.
+_ENTROPY_IDS = WATCHLIST - {"time"}
+
+_TIME_CALL_ARGS = {"nullptr", "NULL", "0"}
 
 _ENTRY_SCOPE = ("src/sys/", "src/stats/")
 
@@ -73,21 +98,23 @@ def run(ctx):
         for _line, name in fi.unordered_decls:
             unordered_names.add(name)
 
+    findings = []
     # Sinks: (node, description). Waived sink lines taint nothing.
     sinks = []
     for i, fi in enumerate(files):
-        for line, name, prev, nxt, nxt2 in fi.watch:
-            is_entropy = name in _ENTROPY_IDS
-            is_time = (name == "time" and nxt == "("
-                       and (prev == "::" or nxt2 in _TIME_CALL_ARGS))
-            if not (is_entropy or is_time):
-                continue
-            if fi.waived(line, WAIVER):
-                continue
-            node = _containing_node(nodes_by_file, i, line)
-            if node:
-                sinks.append((node, "%s() at %s:%d"
-                              % (name, fi.rel, line)))
+        if not fi.rel.endswith(EXEMPT_PATH_SUFFIXES):
+            for line, name, prev, nxt, nxt2 in fi.watch:
+                if name in _ENTROPY_IDS:
+                    msg = ("nondeterministic source '%s' — draw from "
+                           "the seeded Rng in lib/rng.h instead" % name)
+                elif (name == "time" and nxt == "("
+                      and (prev == "::" or nxt2 in _TIME_CALL_ARGS)):
+                    msg = ("wall-clock time() call — simulated time "
+                           "comes from TimeKeeper, never the host clock")
+                else:
+                    continue
+                if not fi.waived(line, WAIVER):
+                    findings.append(Finding(NAME, fi.path, line, msg))
         for line, ids in fi.iter_sites:
             hit = unordered_names.intersection(ids)
             if not hit:
@@ -134,7 +161,6 @@ def run(ctx):
             key = taint[key][1]
         return quals
 
-    findings = []
     for i, fi in enumerate(files):
         if not any(s in fi.rel for s in _ENTRY_SCOPE):
             continue
@@ -148,10 +174,9 @@ def run(ctx):
             desc = taint[key][0]
             findings.append(Finding(
                 NAME, fi.path, line,
-                "'%s' transitively reaches a nondeterministic sink: "
-                "%s — call chain: %s. Make the sink deterministic "
-                "(sorted iteration, seeded Rng) or waive the sink "
-                "line with `// simlint: nondet-taint-ok` and an "
-                "order-independence argument"
+                "'%s' transitively reaches %s — call chain: %s. "
+                "Iterate in a deterministic order (std::map, sorted "
+                "keys) or waive the loop line with `// simlint: "
+                "nondet-taint-ok` and an order-independence argument"
                 % (fn["qual"], desc, " -> ".join(chain(key)))))
     return findings

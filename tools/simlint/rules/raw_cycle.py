@@ -1,26 +1,22 @@
-"""raw-cycle: cycle stamps must use the strong types in lib/simtime.h.
+"""raw-cycle: no untyped never-sentinel on cycle stamps.
 
-Flags, outside lib/simtime.h:
+Flags, outside lib/simtime.h, the untyped never-sentinel `~0ULL` (or
+`~0UL`) in a statement that also names a cycle-stamp identifier —
+that is the wraparound bug (`~0ULL + latency` == small cycle number)
+the saturating CYCLE_NEVER exists to kill.
 
-  1. raw-integer declarations of cycle-stamp-named variables:
-     `U64 now`, `uint64_t ready_cycle = ...`, `U64 fetch_stall_until;`
-     — these must be SimCycle (absolute stamps) or CycleDelta
-     (durations);
-  2. the untyped never-sentinel `~0ULL` (or `~0UL`) in a statement
-     that also names a cycle-stamp identifier — that is the
-     wraparound bug (`~0ULL + latency` == small cycle number) the
-     saturating CYCLE_NEVER exists to kill.
+Stamp-ish names are cfg.is_stamp_name(): `now`, `cycle`, `due`,
+`deadline`, and anything ending in `_cycle`, `_due`, `_deadline`,
+`_until`, or `_stamp`. Plural `*_cycles` names are counts and are
+not stamps.
 
-Stamp-ish names: `now`, `cycle`, `due`, `deadline`, and anything
-ending in `_cycle`, `_due`, `_deadline`, `_until`, or `_stamp`.
-Plural `*_cycles` names are NOT flagged: those are counts (durations
-serialized as raw integers is fine via .raw()).
-
-Two false-positive classes are excluded structurally by the index:
-template parameter lists (`template <U64 stall_until = 0>` declares a
-compile-time constant, not a stamp variable — int_decls carries an
-in-template flag) and string literals (raw strings lex as single
-opaque tokens, so their contents never reach the scanner).
+A raw-integer *declaration* of a stamp is left to the type system:
+every stamp in src/ is a SimCycle, and since its constructor is
+explicit and it has no raw-integer arithmetic, turning one back into
+a U64 breaks every use that arms, compares or stores it
+(`until = now + cycles(n)`, `until <= now`). String literals are
+opaque to the lexer (raw strings lex as single tokens), so
+sentinel-like text in documentation never reaches the scanner.
 
 Waiver: `// simlint: raw-cycle-ok` on the offending line.
 """
@@ -38,16 +34,6 @@ def run(ctx):
     for fi in ctx.files:
         if fi.rel.endswith(EXEMPT_PATH_SUFFIXES):
             continue
-        for line, itype, name, in_template in fi.int_decls:
-            if in_template:
-                continue
-            if fi.waived(line, WAIVER):
-                continue
-            findings.append(Finding(
-                NAME, fi.path, line,
-                "raw %s declaration of cycle stamp '%s' — use "
-                "SimCycle/CycleDelta from lib/simtime.h"
-                % (itype, name)))
         for line, stamp in fi.never_stmts:
             if stamp is None:
                 continue

@@ -1,14 +1,14 @@
 """simcycle-escape: .raw() escapes must not re-enter cycle math.
 
-The raw-cycle rule catches raw-integer *declarations* of stamp-named
-variables, but `U64 t = now.raw(); ... t + latency ...` launders a
-cycle stamp through an innocently named local and lands right back in
-the wraparound/saturation bugs SimCycle/CycleDelta exist to prevent.
+The SimCycle type makes raw-integer stamp arithmetic a compile error,
+but `U64 t = now.raw(); ... t + latency ...` launders a cycle stamp
+through an innocently named local and lands right back in the
+wraparound/saturation bugs SimCycle/CycleDelta exist to prevent.
 This rule runs a may-taint analysis over the CFG:
 
   gen   `x = <expr containing stamp.raw()>` taints x (stamp = `now`,
         `cycle`, `due`, `deadline` or a `_cycle/_due/_deadline/
-        _until/_stamp` suffix — same vocabulary as raw-cycle);
+        _until/_stamp` suffix — cfg.is_stamp_name(), as raw-cycle);
         `y = x` propagates; reassignment from untainted sources
         kills.
   sink  a tainted local in `+ - += -=`, or in an ordering comparison
