@@ -51,7 +51,8 @@ plain `path:line: [rule] message` format is used locally.
 
 Rules and waivers (line-scoped `// simlint: <waiver>` comments):
   layering             layering-ok     module DAG (layers.toml)
-  checkpoint-coverage  transient       serialize/restore field parity
+  checkpoint-coverage  transient       visit (or serialize/restore)
+                                       covers every field
   stats-coverage       stats-ok        counter registration + snapshot
   enum-exhaustiveness  enum-ok         switches over registered enums
   raw-cycle            raw-cycle-ok    no ~0ULL never-sentinel on
@@ -59,8 +60,6 @@ Rules and waivers (line-scoped `// simlint: <waiver>` comments):
   nondet-taint         nondet-taint-ok entropy calls anywhere; unordered
                                        iteration reaching sys/stats
                                        entry points (call graph)
-  checkpoint-symmetry  ckpt-sym-ok(..) serialize/restore ordered
-                                       stream parity (flow-sensitive)
   simcycle-escape      raw-escape-ok(..) .raw() taint back into cycle
                                        math (flow-sensitive)
   address-kind         addr-ok(..)     guest virt/phys kind mixing
@@ -154,7 +153,7 @@ def changed_files(base):
 def expand_changed(changed, ctx):
     """Close the changed set over reverse includes: an edit to a
     header can surface findings in any TU that (transitively)
-    includes it — rules report symmetry/coverage defects at the .cc
+    includes it — rules report coverage defects at the .cc
     definition site — and the plain path filter would silently drop
     those.  Include strings are resolved against the src/ include
     root and against the including file's own directory."""

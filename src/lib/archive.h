@@ -1,0 +1,163 @@
+/**
+ * @file
+ * One symmetric checkpoint archive over a flat word image.
+ *
+ * A checkpointed class writes a single `void visit(Archive &ar)` that
+ * names each piece of its state once; the same body saves it (into a
+ * std::vector<U64>) and loads it back. Because one walk serves both
+ * directions, the save and load sides cannot drift apart in order,
+ * width or repetition, the way a hand-written serialize/restore pair
+ * can.
+ *
+ * What an archive carries, in call order:
+ *  - tag(): a model tag, checked on load so an image written by
+ *    another model (or another layout version) is rejected;
+ *  - ar(x, y, ...): 8-byte trivially copyable values (U64, SimCycle,
+ *    GuestPhys, ...) through std::bit_cast, and bools as 0/1 words;
+ *  - size(): a container size fixed by the configuration, recorded on
+ *    save and checked on load (bank counts, cache geometry);
+ *  - length(): the length of a variable-length std::vector or
+ *    std::deque, which the load side resizes to before the caller
+ *    visits the elements.
+ *
+ * Loading malformed input ends in fatal(): a truncated image, trailing
+ * words, a wrong tag, a size mismatch, a non-0/1 bool, or a length
+ * longer than the words left.
+ */
+
+#ifndef PTLSIM_LIB_ARCHIVE_H_
+#define PTLSIM_LIB_ARCHIVE_H_
+
+#include <bit>
+#include <cstddef>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "lib/bitops.h"
+#include "lib/logging.h"
+
+namespace ptl {
+
+/** Saves to, or loads from, a flat word image through the same calls. */
+class Archive
+{
+  public:
+    /** The word image of `obj`, which has `void visit(Archive &)`. */
+    template <typename T>
+    static std::vector<U64>
+    save(T &obj)
+    {
+        Archive ar(nullptr);
+        obj.visit(ar);
+        return std::move(ar.out);
+    }
+
+    /** Load `obj` from `words`; fatal() unless they are consumed exactly. */
+    template <typename T>
+    static void
+    load(T &obj, const std::vector<U64> &words)
+    {
+        Archive ar(&words);
+        obj.visit(ar);
+        if (ar.pos != words.size())
+            fatal("checkpoint: %zu trailing words after %zu",
+                  words.size() - ar.pos, ar.pos);
+    }
+
+    /** Model tag: written on save, must match on load. */
+    void
+    tag(U64 model)
+    {
+        U64 v = model;
+        word(v);
+        if (v != model)
+            fatal("checkpoint: model tag %#llx, expected %#llx",
+                  (unsigned long long)v, (unsigned long long)model);
+    }
+
+    /** Configuration-fixed size: recorded on save, checked on load. */
+    void
+    size(size_t n)
+    {
+        U64 v = n;
+        word(v);
+        if (v != n)
+            fatal("checkpoint: recorded size %llu, configured %zu",
+                  (unsigned long long)v, n);
+    }
+
+    /**
+     * Variable-length container: records its length on save; on load
+     * resizes `c` to the recorded length. Every element must carry at
+     * least one word, so a corrupt length cannot allocate past the
+     * image.
+     */
+    template <typename C>
+    void
+    length(C &c)
+    {
+        U64 n = c.size();
+        word(n);
+        if (!in)
+            return;
+        if (n > in->size() - pos)
+            fatal("checkpoint: length %llu exceeds the %zu words left",
+                  (unsigned long long)n, in->size() - pos);
+        c.resize((size_t)n);
+    }
+
+    /** Values in call order: 8-byte trivially copyable, or bool. */
+    template <typename... Ts>
+    void
+    operator()(Ts &...vs)
+    {
+        (value(vs), ...);
+    }
+
+  private:
+    explicit Archive(const std::vector<U64> *src) : in(src) {}
+
+    void
+    word(U64 &v)
+    {
+        if (!in) {
+            out.push_back(v);
+            return;
+        }
+        if (pos >= in->size())
+            fatal("checkpoint: truncated after %zu words", pos);
+        v = (*in)[pos++];
+    }
+
+    void
+    value(bool &b)
+    {
+        U64 v = b;
+        word(v);
+        if (v > 1)
+            fatal("checkpoint: bool word %llu at %zu",
+                  (unsigned long long)v, pos - 1);
+        b = v != 0;
+    }
+
+    template <typename T>
+    void
+    value(T &x)
+    {
+        static_assert(sizeof(T) == sizeof(U64)
+                          && std::is_trivially_copyable_v<T>,
+                      "archive values are 8-byte trivially copyable");
+        U64 v = std::bit_cast<U64>(x);
+        word(v);
+        x = std::bit_cast<T>(v);
+    }
+
+    const std::vector<U64> *in;  ///< load source; null when saving
+    size_t pos = 0;              ///< next word to load
+    std::vector<U64> out;        ///< save image
+};
+
+}  // namespace ptl
+
+#endif  // PTLSIM_LIB_ARCHIVE_H_

@@ -9,17 +9,10 @@ namespace ptl {
 
 namespace {
 
-// serialize() stream tags: first word identifies the model, second
-// the layout version, so restore() can reject a stream written by a
-// different backend or build instead of misreading it.
-constexpr U64 TAG_FIXED = 0xF1A7'0001;
-constexpr U64 TAG_BANKED = 0xBA2C'0001;
-constexpr U64 TAG_HYBRID = 0x4B1D'0001;
-
 /**
  * The pre-refactor timing model: every access to main memory costs a
- * flat cfg.mem_latency. Stateless, so serialize() carries only the
- * stream tag and the default configuration stays bit-identical to
+ * flat cfg.mem_latency. Stateless, so visit() carries only the model
+ * tag and the default configuration stays bit-identical to
  * the original inline `latency += cfg.mem_latency`.
  */
 class FixedLatencyBackend final : public MemBackend
@@ -42,8 +35,7 @@ class FixedLatencyBackend final : public MemBackend
 
     void resetTimebase() override {}
 
-    void serialize(std::vector<U64> &out) const override;
-    bool restore(const std::vector<U64> &words) override;
+    void visit(Archive &ar) override;
 
     AuditView audit() const override { return {}; }
 
@@ -55,16 +47,13 @@ class FixedLatencyBackend final : public MemBackend
     Counter &st_writes;   // simlint: transient (stats tree owns values)
 };
 
+// Each visit() opens with its model tag (the backend in the high
+// half, the image layout version in the low half), so a load rejects
+// an image written by another backend or layout.
 void
-FixedLatencyBackend::serialize(std::vector<U64> &out) const
+FixedLatencyBackend::visit(Archive &ar)
 {
-    out.push_back(TAG_FIXED);
-}
-
-bool
-FixedLatencyBackend::restore(const std::vector<U64> &words)
-{
-    return words.size() == 1 && words[0] == TAG_FIXED;
+    ar.tag(0xF1A7'0001);
 }
 
 /**
@@ -122,8 +111,7 @@ class BankedDramBackend final : public MemBackend
             b = Bank{};
     }
 
-    void serialize(std::vector<U64> &out) const override;
-    bool restore(const std::vector<U64> &words) override;
+    void visit(Archive &ar) override;
 
     AuditView
     audit() const override
@@ -167,31 +155,12 @@ class BankedDramBackend final : public MemBackend
 };
 
 void
-BankedDramBackend::serialize(std::vector<U64> &out) const
+BankedDramBackend::visit(Archive &ar)
 {
-    out.push_back(TAG_BANKED);
-    out.push_back((U64)banks.size());
-    for (const Bank &b : banks) {
-        out.push_back(b.busy_until.raw());
-        out.push_back(b.open_row);
-        out.push_back(b.row_valid ? 1 : 0);
-    }
-}
-
-bool
-BankedDramBackend::restore(const std::vector<U64> &words)
-{
-    if (words.size() < 2 || words[0] != TAG_BANKED
-        || words[1] != banks.size()
-        || words.size() != 2 + 3 * banks.size())
-        return false;
-    size_t i = 2;
-    for (Bank &b : banks) {
-        b.busy_until = SimCycle(words[i++]);
-        b.open_row = words[i++];
-        b.row_valid = words[i++] != 0;
-    }
-    return true;
+    ar.tag(0xBA2C'0001);
+    ar.size(banks.size());
+    for (Bank &b : banks)
+        ar(b.busy_until, b.open_row, b.row_valid);
 }
 
 /**
@@ -322,8 +291,7 @@ class HybridBackend final : public MemBackend
         tick = 0;
     }
 
-    void serialize(std::vector<U64> &out) const override;
-    bool restore(const std::vector<U64> &words) override;
+    void visit(Archive &ar) override;
 
     AuditView
     audit() const override
@@ -421,65 +389,19 @@ class HybridBackend final : public MemBackend
 };
 
 void
-HybridBackend::serialize(std::vector<U64> &out) const
+HybridBackend::visit(Archive &ar)
 {
-    out.push_back(TAG_HYBRID);
-    out.push_back(tick);
-    out.push_back((U64)edram.size());
-    for (const EdramLine &l : edram) {
-        out.push_back(l.tag);
-        out.push_back(l.stamp);
-        out.push_back((l.valid ? 1 : 0) | (l.dirty ? 2 : 0));
-    }
-    out.push_back((U64)banks.size());
-    for (const PcmBank &b : banks)
-        out.push_back(b.busy_until.raw());
-    out.push_back((U64)deferred.size());
-    for (const DeferredWrite &w : deferred) {
-        out.push_back(w.line.raw());
-        out.push_back(w.enq.raw());
-    }
-}
-
-bool
-HybridBackend::restore(const std::vector<U64> &words)
-{
-    size_t i = 0;
-    auto next = [&](U64 &v) {
-        if (i >= words.size())
-            return false;
-        v = words[i++];
-        return true;
-    };
-    U64 tag = 0, n = 0;
-    if (!next(tag) || tag != TAG_HYBRID || !next(tick) || !next(n)
-        || n != edram.size())
-        return false;
-    for (EdramLine &l : edram) {
-        U64 flags = 0;
-        if (!next(l.tag) || !next(l.stamp) || !next(flags))
-            return false;
-        l.valid = (flags & 1) != 0;
-        l.dirty = (flags & 2) != 0;
-    }
-    if (!next(n) || n != banks.size())
-        return false;
-    for (PcmBank &b : banks) {
-        U64 raw = 0;
-        if (!next(raw))
-            return false;
-        b.busy_until = SimCycle(raw);
-    }
-    if (!next(n))
-        return false;
-    deferred.clear();
-    for (U64 k = 0; k < n; k++) {
-        U64 line = 0, enq = 0;
-        if (!next(line) || !next(enq))
-            return false;
-        deferred.push_back(DeferredWrite{GuestPhys(line), SimCycle(enq)});
-    }
-    return i == words.size();
+    ar.tag(0x4B1D'0002);
+    ar(tick);
+    ar.size(edram.size());
+    for (EdramLine &l : edram)
+        ar(l.tag, l.stamp, l.valid, l.dirty);
+    ar.size(banks.size());
+    for (PcmBank &b : banks)
+        ar(b.busy_until);
+    ar.length(deferred);
+    for (DeferredWrite &w : deferred)
+        ar(w.line, w.enq);
 }
 
 }  // namespace

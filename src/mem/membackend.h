@@ -32,11 +32,11 @@
  * nextDue() into their sleep hints so skip-ahead never overshoots
  * pending deferred work.
  *
- * Checkpointing: serialize()/restore() round-trip the complete timing
- * state as a flat word stream (unit-testable mid-flight). Machine
- * checkpoints instead quiesce the microarchitecture on BOTH capture
- * and restore (resetTimebase), which keeps resumes cycle-exact by
- * construction.
+ * Checkpointing: each backend's visit(Archive &) saves and loads the
+ * complete timing state through one body (lib/archive.h), so a
+ * mid-flight image round-trips bit-exactly. Machine checkpoints
+ * instead quiesce the microarchitecture on BOTH capture and restore
+ * (resetTimebase), which keeps resumes cycle-exact by construction.
  */
 
 #ifndef PTLSIM_MEM_MEMBACKEND_H_
@@ -44,8 +44,8 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "lib/archive.h"
 #include "lib/config.h"
 #include "lib/guestaddr.h"
 #include "lib/simtime.h"
@@ -93,11 +93,8 @@ class MemBackend
      */
     virtual void resetTimebase() = 0;
 
-    /** Flat-word checkpoint of the complete timing state. */
-    virtual void serialize(std::vector<U64> &out) const = 0;
-
-    /** Inverse of serialize(); false on a malformed stream. */
-    virtual bool restore(const std::vector<U64> &words) = 0;
+    /** Save or load the complete timing state (lib/archive.h). */
+    virtual void visit(Archive &ar) = 0;
 
     virtual AuditView audit() const { return {}; }
 

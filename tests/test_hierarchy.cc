@@ -289,7 +289,8 @@ class CoherenceTest : public ::testing::Test
             kind, cfg.interconnect_latency, stats);
         for (int i = 0; i < 2; i++) {
             cores.push_back(std::make_unique<MemoryHierarchy>(
-                cfg, aspace, stats, "c" + std::to_string(i) + "/",
+                cfg, aspace, stats,
+                std::string("c").append(std::to_string(i)).append("/"),
                 ctrl.get()));
         }
     }

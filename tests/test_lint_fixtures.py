@@ -7,8 +7,10 @@ also proves the checks that keep deleted rules from lingering: the
 self-test fails on a fixture directory no registered rule owns, and
 the --baseline ratchet fails on a baseline entry for an unregistered
 rule. Likewise every fact the index extracts (index._FIELDS) must
-have a reader in tools/simlint/rules/ or scripts/simlint.py, so a
-fact whose rule was retired does not linger in pass 1.
+have a reader in tools/simlint/rules/ or scripts/simlint.py, and every
+CFG event kind and CFG dict key cfg.py emits must have a reader in
+the rules or dataflow.py, so a fact whose rule was retired does not
+linger in pass 1.
 
 Part 2 proves the pass-1 cache is correct, not just fast:
 
@@ -126,13 +128,50 @@ def unread_fields(fields, sources):
                        for text in sources)]
 
 
+def unread_literals(names, sources):
+    """CFG event kinds / dict keys that no quoted occurrence in
+    `sources` reads (`ev[0] == "as"`, `blk["e"]`, `.get("params")`)."""
+    return [n for n in names
+            if not any(re.search(r"[\"']%s[\"']" % re.escape(n), text)
+                       for text in sources)]
+
+
+def cfg_emissions():
+    """(event kinds, dict keys) the CFG builder emits: every kind named
+    by a `_ev([...])` call in cfg.py, and the keys of a built CFG and
+    of its blocks."""
+    with open(os.path.join(REPO_ROOT, "tools", "simlint", "cfg.py"),
+              encoding="utf-8") as f:
+        kinds = set(re.findall(r"_ev\(\[\s*\"(\w+)\"", f.read()))
+    tmp = tempfile.mkdtemp(prefix="simlint-cfg-keys-")
+    try:
+        src = os.path.join(tmp, "probe.cc")
+        with open(src, "w") as f:
+            f.write("int probe(int n) { if (n) return 1; return 0; }\n")
+        fi = index_mod.build(src, "probe.cc")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    cfg = fi.funcs[0]["cfg"]
+    keys = set(cfg)
+    for blk in cfg["blocks"]:
+        keys.update(blk)
+        kinds.update(ev[0] for ev in blk["e"])
+    return sorted(kinds), sorted(keys)
+
+
 def run_field_reader_test():
-    """Every index fact has a reader among the rules or the driver."""
-    sources = []
-    for p in [SIMLINT] + sorted(glob.glob(os.path.join(
-            REPO_ROOT, "tools", "simlint", "rules", "*.py"))):
+    """Every index fact, CFG event kind and CFG dict key has a
+    reader."""
+    rules = sorted(glob.glob(os.path.join(
+        REPO_ROOT, "tools", "simlint", "rules", "*.py")))
+    sources, cfg_sources = [], []
+    for p in [SIMLINT] + rules:
         with open(p, encoding="utf-8") as f:
             sources.append(f.read())
+    for p in rules + [os.path.join(REPO_ROOT, "tools", "simlint",
+                                   "dataflow.py")]:
+        with open(p, encoding="utf-8") as f:
+            cfg_sources.append(f.read())
     failures = 0
 
     def check(cond, what):
@@ -146,6 +185,18 @@ def run_field_reader_test():
     for name in unread_fields(index_mod._FIELDS, sources):
         check(False, "'%s' is extracted by index.py but read by no rule "
               "or the driver — delete it" % name)
+
+    check(unread_literals(("retired_kind",), cfg_sources)
+          == ["retired_kind"], "a CFG event kind no rule reads is reported")
+    kinds, keys = cfg_emissions()
+    check("as" in kinds and "blocks" in keys,
+          "CFG event kinds and keys are enumerated")
+    for name in unread_literals(kinds, cfg_sources):
+        check(False, "CFG event kind '%s' is emitted by cfg.py but read "
+              "by no rule — delete it" % name)
+    for name in unread_literals(keys, cfg_sources):
+        check(False, "CFG key '%s' is emitted by cfg.py but read by no "
+              "rule or dataflow.py — delete it" % name)
     return failures
 
 

@@ -2,10 +2,11 @@
  * Tests for the pluggable main-memory backends (src/mem/membackend.h)
  * and replacement policies (src/mem/replacement.h): per-model timing
  * (flat, row-buffer, eDRAM+PCM with deferred writes), config-JSON
- * selection, mid-flight checkpoint round-trips, two-run bit-identical
- * determinism, drain-cadence independence, and the bulk-fill
- * regression pinning the hierarchy's cycle counts under the fixed
- * (pre-refactor) and banked models.
+ * selection, mid-flight checkpoint round-trips through Archive,
+ * corrupt-image rejection, two-run bit-identical determinism,
+ * drain-cadence independence, and the bulk-fill regression pinning
+ * the hierarchy's cycle counts under the fixed (pre-refactor) and
+ * banked models.
  */
 
 #include <gtest/gtest.h>
@@ -100,10 +101,9 @@ TEST(BankedBackend, SerializeRestoreMidFlightIsBitExact)
         a->request(GuestPhys(rng.below(1 << 20) * 64), rng.chance(1, 4),
                    SimCycle(5000 + (U64)i));
 
-    std::vector<U64> words;
-    a->serialize(words);
+    std::vector<U64> words = Archive::save(*a);
     auto b = makeMemBackend(cfg, s2, "c0/");
-    ASSERT_TRUE(b->restore(words));
+    Archive::load(*b, words);
 
     // Identical follow-up traffic must produce identical stamps.
     Rng follow(7);
@@ -114,15 +114,7 @@ TEST(BankedBackend, SerializeRestoreMidFlightIsBitExact)
         EXPECT_EQ(a->request(GuestPhys(addr), wr, now), b->request(GuestPhys(addr), wr, now))
             << "divergence at follow-up access " << i;
     }
-    std::vector<U64> wa, wb;
-    a->serialize(wa);
-    b->serialize(wb);
-    EXPECT_EQ(wa, wb);
-    // A stream from a different model is rejected, not misread.
-    StatsTree s3;
-    auto fixed = makeMemBackend(backendConfig(MemBackendKind::Fixed),
-                                s3, "c0/");
-    EXPECT_FALSE(fixed->restore(words));
+    EXPECT_EQ(Archive::save(*a), Archive::save(*b));
 }
 
 // ---------------------------------------------------------------------
@@ -198,10 +190,9 @@ TEST(HybridBackend, SerializeRestoreWithNonEmptyDeferredQueue)
         a->request(GuestPhys((U64)i * SET_STRIDE), false, SimCycle(110 + (U64)i));
     ASSERT_GT(a->audit().deferred_depth, 0u);
 
-    std::vector<U64> words;
-    a->serialize(words);
+    std::vector<U64> words = Archive::save(*a);
     auto b = makeMemBackend(cfg, s2, "c0/");
-    ASSERT_TRUE(b->restore(words));
+    Archive::load(*b, words);
     EXPECT_EQ(b->audit().deferred_depth, a->audit().deferred_depth);
     EXPECT_EQ(b->nextDue(), a->nextDue());
 
@@ -215,15 +206,7 @@ TEST(HybridBackend, SerializeRestoreWithNonEmptyDeferredQueue)
         EXPECT_EQ(a->request(GuestPhys(addr), wr, now), b->request(GuestPhys(addr), wr, now))
             << "divergence at follow-up access " << i;
     }
-    std::vector<U64> wa, wb;
-    a->serialize(wa);
-    b->serialize(wb);
-    EXPECT_EQ(wa, wb);
-    // Truncated streams are rejected.
-    words.pop_back();
-    StatsTree s3;
-    auto c = makeMemBackend(cfg, s3, "c0/");
-    EXPECT_FALSE(c->restore(words));
+    EXPECT_EQ(Archive::save(*a), Archive::save(*b));
 }
 
 TEST(HybridBackend, DrainCadenceDoesNotChangeTiming)
@@ -251,10 +234,7 @@ TEST(HybridBackend, DrainCadenceDoesNotChangeTiming)
     }
     lazy->drainTo(SimCycle(1'000'000));
     eager->drainTo(SimCycle(1'000'000));
-    std::vector<U64> wl, we;
-    lazy->serialize(wl);
-    eager->serialize(we);
-    EXPECT_EQ(wl, we);
+    EXPECT_EQ(Archive::save(*lazy), Archive::save(*eager));
 }
 
 // ---------------------------------------------------------------------
@@ -280,16 +260,82 @@ TEST_P(BackendDeterminism, TwoRunsBitIdentical)
                        SimCycle(100 + (U64)i * 17));
         be.drainTo(SimCycle(1'000'000));
     }
-    std::vector<U64> wa, wb;
-    a->serialize(wa);
-    b->serialize(wb);
-    EXPECT_EQ(wa, wb);
+    EXPECT_EQ(Archive::save(*a), Archive::save(*b));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendDeterminism,
                          ::testing::Values(MemBackendKind::Fixed,
                                            MemBackendKind::BankedDram,
                                            MemBackendKind::Hybrid));
+
+// ---------------------------------------------------------------------
+// Corrupt checkpoint images: loading must end in fatal(), never in a
+// silently misread backend.
+// ---------------------------------------------------------------------
+
+/** A mid-flight hybrid image: dirty eDRAM lines, deferred writes. */
+std::vector<U64>
+hybridImage(const SimConfig &cfg)
+{
+    StatsTree stats;
+    auto be = makeMemBackend(cfg, stats, "c0/");
+    constexpr U64 SET_STRIDE = 8192 * 64;
+    for (int i = 0; i < 10; i++)
+        be->request(GuestPhys((U64)i * SET_STRIDE), true, SimCycle(100 + (U64)i));
+    return Archive::save(*be);
+}
+
+TEST(CorruptCheckpoint, TruncatedImageIsFatal)
+{
+    SimConfig cfg = backendConfig(MemBackendKind::Hybrid);
+    std::vector<U64> words = hybridImage(cfg);
+    words.pop_back();
+    StatsTree stats;
+    auto be = makeMemBackend(cfg, stats, "c0/");
+    EXPECT_DEATH(Archive::load(*be, words), "truncated");
+}
+
+TEST(CorruptCheckpoint, TrailingWordsAreFatal)
+{
+    SimConfig cfg = backendConfig(MemBackendKind::Hybrid);
+    std::vector<U64> words = hybridImage(cfg);
+    words.push_back(0);
+    StatsTree stats;
+    auto be = makeMemBackend(cfg, stats, "c0/");
+    EXPECT_DEATH(Archive::load(*be, words), "1 trailing words");
+}
+
+TEST(CorruptCheckpoint, WrongModelTagIsFatal)
+{
+    // A banked image loaded into the fixed model is rejected, not
+    // misread.
+    StatsTree s1, s2;
+    auto banked = makeMemBackend(backendConfig(MemBackendKind::BankedDram),
+                                 s1, "c0/");
+    auto fixed = makeMemBackend(backendConfig(MemBackendKind::Fixed),
+                                s2, "c0/");
+    std::vector<U64> words = Archive::save(*banked);
+    EXPECT_DEATH(Archive::load(*fixed, words), "model tag");
+}
+
+TEST(CorruptCheckpoint, GeometryMismatchIsFatal)
+{
+    // A different DRAM bank count.
+    SimConfig cfg = backendConfig(MemBackendKind::BankedDram);
+    StatsTree s1, s2;
+    auto a = makeMemBackend(cfg, s1, "c0/");
+    cfg.membackend.dram_banks *= 2;
+    auto b = makeMemBackend(cfg, s2, "c0/");
+    EXPECT_DEATH(Archive::load(*b, Archive::save(*a)), "recorded size");
+
+    // A different eDRAM size.
+    cfg = backendConfig(MemBackendKind::Hybrid);
+    std::vector<U64> words = hybridImage(cfg);
+    cfg.membackend.edram_size_bytes /= 2;
+    StatsTree s3;
+    auto c = makeMemBackend(cfg, s3, "c0/");
+    EXPECT_DEATH(Archive::load(*c, words), "recorded size");
+}
 
 // ---------------------------------------------------------------------
 // Config plumbing: backends and policies selected purely from JSON.

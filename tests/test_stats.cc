@@ -117,7 +117,7 @@ TEST(Stats, HandleStabilityUnderGrowth)
     StatsTree t;
     Counter &first = t.counter("first");
     for (int i = 0; i < 1000; i++)
-        t.counter("c" + std::to_string(i));
+        t.counter(std::string("c").append(std::to_string(i)));
     first += 42;
     EXPECT_EQ(t.get("first"), 42ULL);
 }

@@ -1,14 +1,13 @@
 """simlint: PTLsim-specific static analysis.
 
-Nine rules, each a module under rules/ and each the one owner of its
+Eight rules, each a module under rules/ and each the one owner of its
 invariant (the type system and always-on assertions own the rest):
 
   layering             quoted #includes follow the layers.toml DAG;
   checkpoint-coverage  every data member of a class with a
-                       serialize/restore pair is touched by both (or
-                       carries a `// simlint: transient` waiver);
-  checkpoint-symmetry  serialize and restore stream fields in the
-                       same order;
+                       visit(Archive &) body or a serialize/restore
+                       pair is touched by it (or carries a
+                       `// simlint: transient` waiver);
   stats-coverage       every Counter member is bound to the stats
                        tree;
   enum-exhaustiveness  switches over registered enums cover them or

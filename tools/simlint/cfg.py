@@ -4,24 +4,20 @@ Builds a basic-block CFG for every function unit that model.py
 recognizes, with an *ordered event stream* per block.  The CFG is
 serialized into the semantic index (JSON-native lists/dicts only, so
 the content-hash cache round-trips it bit-for-bit), and the
-flow-sensitive rules (checkpoint-symmetry, simcycle-escape,
-address-kind) consume only the serialized form — they never touch
-tokens, which keeps the two-pass cache sound.
+flow-sensitive rules (simcycle-escape, address-kind) consume only the
+serialized form — they never touch tokens, which keeps the two-pass
+cache sound.
 
 Serialized shape (see DESIGN.md §14):
 
     {
-      "params":   ["out", "words"],          # declared parameter names
+      "params":   ["now", "addr"],           # declared parameter names
       "blocks":   [{"s": [succ ids], "e": [events]}, ...],
-      "em":       [[line, loop_depth, stream, name_or_null], ...],
-      "cn":       [[line, loop_depth, stream, name_or_null,
-                    resolved_bool], ...],
     }
 
 Block 0 is the entry, block 1 the synthetic exit.  Events, in source
-order within a block:
+order within a block (only the kinds some rule reads):
 
-    ["u",  line, name]                    identifier use
     ["as", line, lhs, [rhs ids], raw_src] assignment to a simple local
                                           (raw_src = stamp whose
                                           .raw() feeds the RHS, else
@@ -33,7 +29,6 @@ order within a block:
                                           "#" for literals/unknown
     ["ca", line, callee, argidx, src]     call arg carrying
                                           <src>.raw()
-    ["cl", line, callee]                  plain call site
 
 Lambda bodies are split out as sub-CFGs (qual suffixed with
 "::<lambda@LINE>") so a deferred body never inherits the enclosing
@@ -74,26 +69,14 @@ _UNARY_PREV = {"=", "(", ",", ";", "{", "[", ":", "?", "<", ">", "+",
                "<<", ">>", "return", "case", "+=", "-=", "<=", ">=",
                "==", "!=", None}
 
-# Identifiers dropped when normalizing an emitted/consumed expression
-# to a field name (casts and accessor chaff).
+# Identifiers skipped when naming a binary-op operand or listing an
+# assignment's right-hand side (casts and accessor chaff).
 _NORM_DROP = {"U8", "U16", "U32", "U64", "S64", "W64", "int", "long",
               "short", "char", "unsigned", "signed", "size_t",
               "uint8_t", "uint16_t", "uint32_t", "uint64_t",
               "int64_t", "bool", "size", "raw", "data", "c_str",
               "std", "static_cast", "reinterpret_cast", "const",
               "length", "count"}
-
-_USE_SKIP = {"if", "else", "for", "while", "do", "switch", "case",
-             "default", "return", "break", "continue", "const",
-             "auto", "static", "constexpr", "true", "false",
-             "nullptr", "sizeof", "new", "delete", "this", "void",
-             "goto", "struct", "class", "enum", "namespace", "using",
-             "typedef", "template", "typename", "operator", "public",
-             "private", "protected", "inline", "mutable", "volatile",
-             "unsigned", "signed", "static_assert", "decltype",
-             "noexcept", "alignof", "alignas", "friend", "union",
-             "try", "catch", "throw", "extern", "explicit",
-             "virtual", "override", "final"}
 
 
 def is_stamp_name(name):
@@ -158,28 +141,15 @@ def _raw_receiver(toks, i):
     return None
 
 
-def _norm_field(ids):
-    """Normalize the identifier list of an emitted/consumed expression
-    to a single field name (or None when nothing survives)."""
-    kept = [v for v in ids if v not in _NORM_DROP]
-    return kept[-1] if kept else None
-
-
 class _Builder:
-    def __init__(self, qual, role):
+    def __init__(self, qual):
         self.qual = qual
-        self.role = role  # None | "serialize" | "restore"
         self.blocks = [{"s": [], "e": []}, {"s": [], "e": []}]
         self.cur = 0
         self.terminated = False
-        self.loop_depth = 0
         self.break_stack = []     # join block ids (loops and switch)
         self.continue_stack = []  # loop header / do-while cond ids
-        self.em = []              # serialize emits
-        self.cn = []              # restore consumes
-        self.readers = {}         # reader-lambda name -> stream
         self.subs = []            # (sub_qual, unit_tokens)
-        self.seen_uses = set()    # per-block use dedup
 
     # -- block plumbing ------------------------------------------------
     def _new_block(self):
@@ -193,7 +163,6 @@ class _Builder:
     def _switch_to(self, b):
         self.cur = b
         self.terminated = False
-        self.seen_uses = set()
 
     def _ev(self, ev):
         self.blocks[self.cur]["e"].append(ev)
@@ -204,10 +173,6 @@ class _Builder:
         if self.terminated:
             self._switch_to(self._new_block())
 
-    def _end_scope(self):
-        """A closing brace restarts per-block use dedup."""
-        self.seen_uses = set()
-
     # -- statement-level event extraction ------------------------------
     def _stmt_events(self, stmt):
         """Extract the ordered event stream of one statement into the
@@ -215,16 +180,7 @@ class _Builder:
         if not stmt:
             return
 
-        # Reader-lambda (restore idiom):
-        #   auto next = [&](U64 &v) { ... v = words[i++]; ... };
-        # Register the reader and suppress all other extraction — the
-        # lambda's internal indexing is modelled at its call sites.
-        if self.role == "restore":
-            reader = self._try_reader_lambda(stmt)
-            if reader:
-                return
-
-        # Plain lambdas become sub-CFGs with an empty entry context.
+        # Lambdas become sub-CFGs with an empty entry context.
         stmt = self._split_lambdas(stmt)
 
         n = len(stmt)
@@ -236,16 +192,8 @@ class _Builder:
             if t.kind == "id":
                 # Call site.
                 if (i + 1 < n and stmt[i + 1].value == "("
-                        and v not in model._NOT_FUNC_IDS
-                        and v not in _USE_SKIP):
-                    self._ev(["cl", t.line, v])
+                        and v not in model._NOT_FUNC_IDS):
                     self._call_raw_args(stmt, i)
-                    if self.role == "restore" and v in self.readers:
-                        self._reader_consume(stmt, i)
-                if v not in _USE_SKIP:
-                    if v not in self.seen_uses:
-                        self._ev(["u", t.line, v])
-                        self.seen_uses.add(v)
                 i += 1
                 continue
 
@@ -257,11 +205,6 @@ class _Builder:
             i += 1
 
         self._top_assign(stmt)
-
-        if self.role == "serialize":
-            self._emit_scan(stmt)
-        elif self.role == "restore":
-            self._consume_scan(stmt)
 
     def _split_lambdas(self, stmt):
         """Cut `[caps](params){ body }` bodies out of the statement,
@@ -295,35 +238,6 @@ class _Builder:
             return True
         return stmt[i - 1].value not in (")", "]") and \
             stmt[i - 1].kind != "id"
-
-    def _try_reader_lambda(self, stmt):
-        """Detect `auto NAME = [..](..){ .. STREAM[i++] .. };` and
-        register NAME as a reader over STREAM."""
-        eq = None
-        for i, t in enumerate(stmt):
-            if t.value == "=":
-                eq = i
-                break
-            if t.value in ("(", "["):
-                return None
-        if eq is None or eq == 0 or stmt[eq - 1].kind != "id":
-            return None
-        if eq + 1 >= len(stmt) or stmt[eq + 1].value != "[":
-            return None
-        name = stmt[eq - 1].value
-        stream = None
-        for i in range(eq + 1, len(stmt) - 1):
-            if (stmt[i].kind == "id" and stmt[i + 1].value == "["
-                    and any(x.value == "++"
-                            for x in stmt[i + 1:
-                                          _match(stmt, i + 1, "[",
-                                                 "]") + 1])):
-                stream = stmt[i].value
-                break
-        if stream is None:
-            return None
-        self.readers[name] = stream
-        return name
 
     # -- operand helpers -----------------------------------------------
     def _operand_left(self, stmt, i):
@@ -442,148 +356,6 @@ class _Builder:
                                   argpos, recv])
                         break
 
-    # -- serialize/restore stream extraction ---------------------------
-    def _emit_scan(self, stmt):
-        """`stream.push_back(expr)` → ["em", line, depth, stream,
-        field]."""
-        n = len(stmt)
-        for i in range(n - 3):
-            if (stmt[i].kind == "id"
-                    and stmt[i + 1].value in (".", "->")
-                    and stmt[i + 2].kind == "id"
-                    and stmt[i + 2].value in ("push_back",
-                                              "emplace_back")
-                    and i + 3 < n and stmt[i + 3].value == "("):
-                close = _match(stmt, i + 3, "(", ")")
-                ids = [x.value for x in stmt[i + 4 : close]
-                       if x.kind == "id"]
-                self.em.append([stmt[i].line, self.loop_depth,
-                                stmt[i].value, _norm_field(ids)])
-
-    def _consume_scan(self, stmt):
-        """Indexed reads `stream[...]` (with a num or ++ index) →
-        ["cn", line, depth, stream, name, resolved]."""
-        n = len(stmt)
-        i = 0
-        while i < n - 1:
-            t = stmt[i]
-            if (t.kind == "id" and stmt[i + 1].value == "["
-                    and not (i > 0
-                             and stmt[i - 1].value in (".", "->"))):
-                close = _match(stmt, i + 1, "[", "]")
-                inner = stmt[i + 2 : close]
-                # Only post-incremented cursors and literal indices
-                # count as stream reads — `edram[i] = ...` on an
-                # assignment LHS is container addressing, not a
-                # consume.
-                idx_ok = (any(x.value == "++" for x in inner)
-                          or (len(inner) == 1
-                              and inner[0].kind == "num"))
-                if idx_ok and inner:
-                    name, resolved = self._consume_target(
-                        stmt, i, close)
-                    self.cn.append([t.line, self.loop_depth, t.value,
-                                    name, resolved])
-                i = close + 1
-                continue
-            i += 1
-
-    def _reader_consume(self, stmt, i):
-        """stmt[i] is a registered reader call `next(expr)` — one
-        consume of the reader's stream."""
-        close = _match(stmt, i + 1, "(", ")")
-        arg = stmt[i + 2 : close]
-        stream = self.readers[stmt[i].value]
-        name, resolved = None, False
-        ids = [x for x in arg if x.kind == "id"]
-        if ids:
-            last = ids[-1]
-            pos = stmt.index(last, i)
-            if pos >= 2 and stmt[pos - 1].value in (".", "->"):
-                name, resolved = last.value, True
-            else:
-                name = last.value
-                resolved = False
-                partner = self._rename_partner(stmt, close, name)
-                if partner:
-                    name, resolved = partner, True
-        self.cn.append([stmt[i].line, self.loop_depth, stream, name,
-                        resolved])
-
-    def _consume_target(self, stmt, i, close):
-        """Name the value consumed by `stream[...]` at stmt[i]: an
-        assignment target (member form resolves immediately) or a
-        comparison partner in the same statement."""
-        # Assignment form: walk back for a top-level '=' earlier in
-        # the statement.
-        depth = 0
-        for j in range(i):
-            v = stmt[j].value
-            if v in ("(", "[", "{"):
-                depth += 1
-            elif v in (")", "]", "}"):
-                depth -= 1
-            elif v == "=" and depth == 0 and j > 0:
-                k = j - 1
-                if stmt[k].value == "]":
-                    # `arr[i] = stream[c++]` — name the array.
-                    d = 0
-                    while k >= 0:
-                        if stmt[k].value == "]":
-                            d += 1
-                        elif stmt[k].value == "[":
-                            d -= 1
-                            if d == 0:
-                                break
-                        k -= 1
-                    k -= 1
-                if k < 0 or stmt[k].kind != "id":
-                    return None, False
-                nm = stmt[k].value
-                member_form = k >= 1 and stmt[k - 1].value in (".",
-                                                               "->")
-                return nm, bool(member_form)
-        # Comparison form: `stream[k] ==|!= PARTNER` right after.
-        j = close + 1
-        while j < len(stmt) and stmt[j].value in (")",):
-            j += 1
-        if j < len(stmt) and stmt[j].value in ("==", "!="):
-            k = j + 1
-            while k < len(stmt):
-                if stmt[k].kind == "id" \
-                        and stmt[k].value not in _NORM_DROP:
-                    return stmt[k].value, True
-                if stmt[k].kind == "num" or stmt[k].value in (",",
-                                                              "||",
-                                                              "&&"):
-                    break
-                k += 1
-        return None, False
-
-    def _rename_partner(self, stmt, start, name):
-        """After a bare-local consume, look for `name ==|!= OTHER` (or
-        reversed) later in the same statement; OTHER names the
-        field."""
-        n = len(stmt)
-        for j in range(start, n):
-            if stmt[j].value in ("==", "!="):
-                left = stmt[j - 1] if j > 0 else None
-                if left is not None and left.kind == "id" \
-                        and left.value == name:
-                    k = j + 1
-                    while k < n:
-                        if stmt[k].kind == "id" \
-                                and stmt[k].value not in _NORM_DROP:
-                            return stmt[k].value
-                        if stmt[k].kind == "num":
-                            return None
-                        k += 1
-                if j + 1 < n and stmt[j + 1].kind == "id" \
-                        and stmt[j + 1].value == name \
-                        and j > 0 and stmt[j - 1].kind == "id":
-                    return stmt[j - 1].value
-        return None
-
     # -- statement structure parsing -----------------------------------
     def parse_body(self, toks, lo, hi):
         """Parse the statements of toks[lo:hi] (a brace-less span)."""
@@ -605,7 +377,6 @@ class _Builder:
             end = _match(toks, i, "{", "}")
             self._reachable_stmt()
             self.parse_body(toks, i + 1, end)
-            self._end_scope()
             return end + 1
 
         if t.kind == "id":
@@ -690,13 +461,6 @@ class _Builder:
         close = _match(toks, j, "(", ")")
         return (j + 1, close), close + 1
 
-    def _parse_branch(self, toks, i, hi):
-        """One controlled statement (brace block or single statement)
-        in its own lexical scope."""
-        j = self._parse_one(toks, i, hi)
-        self._end_scope()
-        return j
-
     def _parse_if(self, toks, i, hi):
         (clo, chi), body = self._cond_span(toks, i, hi)
         self._reachable_stmt()
@@ -706,7 +470,7 @@ class _Builder:
         then_b = self._new_block()
         self._edge(head, then_b)
         self._switch_to(then_b)
-        j = self._parse_branch(toks, body, hi)
+        j = self._parse_one(toks, body, hi)
         then_end, then_term = self.cur, self.terminated
 
         else_term, else_end = None, None
@@ -714,7 +478,7 @@ class _Builder:
             else_b = self._new_block()
             self._edge(head, else_b)
             self._switch_to(else_b)
-            j = self._parse_branch(toks, j + 1, hi)
+            j = self._parse_one(toks, j + 1, hi)
             else_end, else_term = self.cur, self.terminated
 
         join = self._new_block()
@@ -740,15 +504,13 @@ class _Builder:
         body_b = self._new_block()
         self._edge(header, body_b)
         self._switch_to(body_b)
-        self.loop_depth += 1
         self.break_stack.append(join)
         self.continue_stack.append(header)
-        j = self._parse_branch(toks, body, hi)
+        j = self._parse_one(toks, body, hi)
         if not self.terminated:
             self._edge(self.cur, header)
         self.continue_stack.pop()
         self.break_stack.pop()
-        self.loop_depth -= 1
         self._switch_to(join)
         return j
 
@@ -790,15 +552,13 @@ class _Builder:
         body_b = self._new_block()
         self._edge(header, body_b)
         self._switch_to(body_b)
-        self.loop_depth += 1
         self.break_stack.append(join)
         self.continue_stack.append(header)
-        j = self._parse_branch(toks, body, hi)
+        j = self._parse_one(toks, body, hi)
         if not self.terminated:
             self._edge(self.cur, header)
         self.continue_stack.pop()
         self.break_stack.pop()
-        self.loop_depth -= 1
         self._switch_to(join)
         return j
 
@@ -809,15 +569,13 @@ class _Builder:
         cond_b = self._new_block()
         join = self._new_block()
         self._switch_to(body_b)
-        self.loop_depth += 1
         self.break_stack.append(join)
         self.continue_stack.append(cond_b)
-        j = self._parse_branch(toks, i + 1, hi)
+        j = self._parse_one(toks, i + 1, hi)
         if not self.terminated:
             self._edge(self.cur, cond_b)
         self.continue_stack.pop()
         self.break_stack.pop()
-        self.loop_depth -= 1
         # `while (cond);`
         if j < hi and toks[j].kind == "id" and toks[j].value == "while":
             (clo, chi), after = self._cond_span(toks, j, hi)
@@ -885,7 +643,6 @@ class _Builder:
                 self._edge(prev_end, blk)  # fallthrough
             self._switch_to(blk)
             self.parse_body(toks, lo, shi)
-            self._end_scope()
             prev_end, prev_term = self.cur, self.terminated
         self.break_stack.pop()
         if prev_end is not None and not prev_term:
@@ -905,15 +662,6 @@ def _unit_body(unit):
     return 0, 0
 
 
-def _role(qual):
-    leaf = qual.rsplit("::", 1)[-1]
-    if leaf == "serialize":
-        return "serialize"
-    if leaf == "restore":
-        return "restore"
-    return None
-
-
 def build_cfg(qual, unit, params):
     """Build serialized CFGs for one function unit.  Returns a list of
     (qual, cfg_dict) — the unit itself first, then any lambda
@@ -923,18 +671,11 @@ def build_cfg(qual, unit, params):
     while pending:
         q, u, ps = pending.pop(0)
         lo, hi = _unit_body(u)
-        b = _Builder(q, _role(q))
+        b = _Builder(q)
         b.parse_body(u, lo, hi)
-        b._end_scope()
         if not b.terminated:
             b._edge(b.cur, 1)
-        cfg = {
-            "params": ps,
-            "blocks": b.blocks,
-            "em": b.em,
-            "cn": b.cn,
-        }
-        out.append((q, cfg))
+        out.append((q, {"params": ps, "blocks": b.blocks}))
         for sub_qual, sub_unit in b.subs:
             pending.append((sub_qual, sub_unit, []))
     return out

@@ -52,7 +52,7 @@ import os
 from . import cfg as cfg_mod
 from . import lexer, model
 
-INDEX_VERSION = 7
+INDEX_VERSION = 8
 
 # Identifiers whose every occurrence is recorded with context: the
 # libc / C++ entropy and wall-clock sources nondet-taint reports.

@@ -31,6 +31,8 @@ _KEYWORD_STMT = {
     "constexpr", "static_assert", "operator",
 }
 
+_ACCESS = {"public", "private", "protected"}
+
 
 def _match_brace(tokens, i):
     """tokens[i] is '{'; return index one past its matching '}'."""
@@ -58,6 +60,12 @@ def _split_statements(tokens):
     i = 0
     while i < len(tokens):
         t = tokens[i]
+        # An access label ends no statement of its own; drop it so the
+        # declaration after it is not read as part of the label.
+        if (not cur and t.value in _ACCESS and i + 1 < len(tokens)
+                and tokens[i + 1].value == ":"):
+            i += 2
+            continue
         if t.value == "{":
             j = _match_brace(tokens, i)
             cur.extend(tokens[i:j])
@@ -106,10 +114,12 @@ def _member_name(stmt):
     """The declared name of a member statement, or None."""
     if not stmt or stmt[0].value in _KEYWORD_STMT:
         # `static` / `using` / access labels and friends are not
-        # serializable data members.
-        if not (stmt and stmt[0].value in ("struct", "class")):
+        # serializable data members, and neither is a nested type
+        # definition (_split_statements ends it at its closing brace).
+        # `struct Foo *p;` still declares one.
+        if not (stmt and stmt[0].value in ("struct", "class")) \
+                or any(t.value == "{" for t in stmt):
             return None
-        # `struct Foo { ... } name;` declares a member after the body.
     if any(t.value == "operator" for t in stmt):
         return None
     if _stmt_is_function(stmt):

@@ -29,7 +29,6 @@ AnalysisContext = namedtuple(
 from . import (  # noqa: E402
     address_kind,
     checkpoint_coverage,
-    checkpoint_symmetry,
     enum_exhaustiveness,
     layering,
     nondet_taint,
@@ -41,7 +40,6 @@ from . import (  # noqa: E402
 ALL = [
     layering,
     checkpoint_coverage,
-    checkpoint_symmetry,
     stats_coverage,
     enum_exhaustiveness,
     raw_cycle,
