@@ -51,8 +51,8 @@ plain `path:line: [rule] message` format is used locally.
 
 Rules and waivers (line-scoped `// simlint: <waiver>` comments):
   layering             layering-ok     module DAG (layers.toml)
-  checkpoint-coverage  transient       visit (or serialize/restore)
-                                       covers every field
+  checkpoint-coverage  transient       visit covers every field not
+                                       fixed at construction
   stats-coverage       stats-ok        counter registration + snapshot
   enum-exhaustiveness  enum-ok         switches over registered enums
   raw-cycle            raw-cycle-ok    no ~0ULL never-sentinel on

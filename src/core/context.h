@@ -15,6 +15,7 @@
 #define PTLSIM_CORE_CONTEXT_H_
 
 #include "decode/bbcache.h"
+#include "lib/archive.h"
 #include "mem/pagetable.h"
 #include "uop/uop.h"
 #include "uop/uopexec.h"
@@ -55,6 +56,15 @@ struct Context
     // Time virtualization: offset subtracted from the virtual TSC so
     // native<->simulation transitions are seamless (Section 4.1).
     U64 tsc_offset = 0;
+
+    /** Checkpoint: every field. */
+    void
+    visit(Archive &ar)
+    {
+        ar(vcpu_id, regs, rip, flags, cr3, kernel_mode, running, lstar,
+           kernel_sp, event_callback, saved_user_rsp, event_mask,
+           event_pending, x87_stack, x87_top, tsc_offset);
+    }
 
     U64
     reg(int r) const

@@ -13,21 +13,24 @@
  *  - tag(): a model tag, checked on load so an image written by
  *    another model (or another layout version) is rejected;
  *  - ar(x, y, ...): 8-byte trivially copyable values (U64, SimCycle,
- *    GuestPhys, ...) through std::bit_cast, and bools as 0/1 words;
+ *    GuestPhys, ...) through std::bit_cast; narrower integral, bool
+ *    and enum values one to a word; arrays of these element-wise;
  *  - size(): a container size fixed by the configuration, recorded on
  *    save and checked on load (bank counts, cache geometry);
  *  - length(): the length of a variable-length std::vector or
  *    std::deque, which the load side resizes to before the caller
- *    visits the elements.
+ *    visits the elements;
+ *  - bytes(): a byte buffer's length, then its bytes eight to a word.
  *
  * Loading malformed input ends in fatal(): a truncated image, trailing
- * words, a wrong tag, a size mismatch, a non-0/1 bool, or a length
- * longer than the words left.
+ * words, a wrong tag, a size mismatch, a word that does not fit its
+ * narrow type, or a length longer than the words left.
  */
 
 #ifndef PTLSIM_LIB_ARCHIVE_H_
 #define PTLSIM_LIB_ARCHIVE_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <type_traits>
@@ -107,7 +110,31 @@ class Archive
         c.resize((size_t)n);
     }
 
-    /** Values in call order: 8-byte trivially copyable, or bool. */
+    /** Byte buffer (std::vector or std::deque of U8): its length, then
+     *  its bytes eight to a word; load resizes `c` to the length. */
+    template <typename C>
+    void
+    bytes(C &c)
+    {
+        U64 n = c.size();
+        word(n);
+        if (in && n / 8 + (n % 8 != 0) > in->size() - pos)
+            fatal("checkpoint: %llu bytes exceed the %zu words left",
+                  (unsigned long long)n, in->size() - pos);
+        c.resize((size_t)n);
+        for (size_t i = 0; i < c.size(); i += 8) {
+            const size_t k = std::min<size_t>(8, c.size() - i);
+            U64 w = 0;
+            for (size_t j = 0; j < k; j++)
+                w |= U64(c[i + j]) << (8 * j);
+            word(w);
+            for (size_t j = 0; j < k; j++)
+                c[i + j] = static_cast<U8>(w >> (8 * j));
+        }
+    }
+
+    /** Values in call order: 8-byte trivially copyable, a narrower
+     *  integral, bool or enum value, or an array of these. */
     template <typename... Ts>
     void
     operator()(Ts &...vs)
@@ -130,27 +157,35 @@ class Archive
         v = (*in)[pos++];
     }
 
-    void
-    value(bool &b)
-    {
-        U64 v = b;
-        word(v);
-        if (v > 1)
-            fatal("checkpoint: bool word %llu at %zu",
-                  (unsigned long long)v, pos - 1);
-        b = v != 0;
-    }
-
     template <typename T>
     void
     value(T &x)
     {
-        static_assert(sizeof(T) == sizeof(U64)
-                          && std::is_trivially_copyable_v<T>,
-                      "archive values are 8-byte trivially copyable");
-        U64 v = std::bit_cast<U64>(x);
-        word(v);
-        x = std::bit_cast<T>(v);
+        if constexpr (std::is_array_v<T>) {
+            for (auto &e : x)
+                value(e);
+        } else if constexpr (std::is_enum_v<T>) {
+            auto u = static_cast<std::underlying_type_t<T>>(x);
+            value(u);
+            x = static_cast<T>(u);
+        } else if constexpr (std::is_integral_v<T> && sizeof(T) < 8) {
+            // Widen through the type's own signedness (a bool to 0/1):
+            // a loaded word fits when it narrows back unchanged.
+            std::conditional_t<std::is_signed_v<T>, S64, U64> w = x;
+            value(w);
+            if (static_cast<decltype(w)>(static_cast<T>(w)) != w)
+                fatal("checkpoint: word %#llx at %zu does not fit a "
+                      "%zu-byte value", (unsigned long long)w, pos - 1,
+                      sizeof(T));
+            x = static_cast<T>(w);
+        } else {
+            static_assert(sizeof(T) == sizeof(U64)
+                              && std::is_trivially_copyable_v<T>,
+                          "archive values are 8-byte trivially copyable");
+            U64 v = std::bit_cast<U64>(x);
+            word(v);
+            x = std::bit_cast<T>(v);
+        }
     }
 
     const std::vector<U64> *in;  ///< load source; null when saving

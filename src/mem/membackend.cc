@@ -42,9 +42,9 @@ class FixedLatencyBackend final : public MemBackend
     const char *name() const override { return "fixed"; }
 
   private:
-    CycleDelta lat;       // simlint: transient (config-derived)
-    Counter &st_reads;    // simlint: transient (stats tree owns values)
-    Counter &st_writes;   // simlint: transient (stats tree owns values)
+    const CycleDelta lat;
+    Counter &st_reads;
+    Counter &st_writes;
 };
 
 // Each visit() opens with its model tag (the backend in the high
@@ -145,13 +145,13 @@ class BankedDramBackend final : public MemBackend
         return line_addr.raw() / ((U64)p.row_bytes * (U64)p.dram_banks);
     }
 
-    MemBackendParams p;        // simlint: transient (config-derived)
+    const MemBackendParams p;
     std::vector<Bank> banks;
-    Counter &st_reads;         // simlint: transient (stats tree)
-    Counter &st_writes;        // simlint: transient (stats tree)
-    Counter &st_row_hits;      // simlint: transient (stats tree)
-    Counter &st_row_conflicts; // simlint: transient (stats tree)
-    Counter &st_busy_waits;    // simlint: transient (stats tree)
+    Counter &st_reads;
+    Counter &st_writes;
+    Counter &st_row_hits;
+    Counter &st_row_conflicts;
+    Counter &st_busy_waits;
 };
 
 void
@@ -371,21 +371,21 @@ class HybridBackend final : public MemBackend
         st_deferred_enq++;
     }
 
-    MemBackendParams p;         // simlint: transient (config-derived)
-    int line_bytes;             // simlint: transient (config-derived)
-    int ways;                   // simlint: transient (config-derived)
-    int sets;                   // simlint: transient (config-derived)
+    const MemBackendParams p;
+    const int line_bytes;
+    const int ways;
+    const int sets;
     std::vector<EdramLine> edram;
     std::vector<PcmBank> banks;
     std::deque<DeferredWrite> deferred;
     U64 tick = 0;
-    Counter &st_edram_hits;     // simlint: transient (stats tree)
-    Counter &st_edram_misses;   // simlint: transient (stats tree)
-    Counter &st_pcm_reads;      // simlint: transient (stats tree)
-    Counter &st_pcm_writes;     // simlint: transient (stats tree)
-    Counter &st_deferred_enq;   // simlint: transient (stats tree)
-    Counter &st_deferred_drains; // simlint: transient (stats tree)
-    Counter &st_deferred_forced; // simlint: transient (stats tree)
+    Counter &st_edram_hits;
+    Counter &st_edram_misses;
+    Counter &st_pcm_reads;
+    Counter &st_pcm_writes;
+    Counter &st_deferred_enq;
+    Counter &st_deferred_drains;
+    Counter &st_deferred_forced;
 };
 
 void

@@ -1,6 +1,7 @@
 #include "mem/physmem.h"
 
 #include <cstring>
+#include <numeric>
 
 #include "lib/logging.h"
 #include "lib/rng.h"
@@ -9,28 +10,17 @@ namespace ptl {
 
 PhysMem::PhysMem(U64 bytes, U64 seed, bool shuffle)
     : frame_count(alignUp(bytes, PAGE_SIZE) >> PAGE_SHIFT),
-      data(frame_count * PAGE_SIZE, 0)
+      data(frame_count * PAGE_SIZE, 0), free_list([&] {
+          std::vector<U64> order(frame_count);
+          std::iota(order.begin(), order.end(), U64(0));
+          // Fisher-Yates with the deterministic RNG: guest-contiguous
+          // allocations land on scattered machine frames, like Xen.
+          Rng rng(seed ^ 0x5EED5EEDULL);
+          for (U64 i = frame_count - 1; shuffle && i > 0; i--)
+              std::swap(order[i], order[rng.below(i + 1)]);
+          return order;
+      }())
 {
-    free_list.resize(frame_count);
-    for (U64 i = 0; i < frame_count; i++)
-        free_list[i] = i;
-    if (shuffle) {
-        // Fisher-Yates with the deterministic RNG: guest-contiguous
-        // allocations land on scattered machine frames, like Xen.
-        Rng rng(seed ^ 0x5EED5EEDULL);
-        for (U64 i = frame_count - 1; i > 0; i--) {
-            U64 j = rng.below(i + 1);
-            std::swap(free_list[i], free_list[j]);
-        }
-    }
-}
-
-void
-PhysMem::restoreRawBytes(const std::vector<U8> &bytes)
-{
-    if (bytes.size() != data.size())
-        fatal("checkpoint memory size mismatch");
-    data = bytes;
 }
 
 Pfn

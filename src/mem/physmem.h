@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "lib/archive.h"
 #include "lib/bitops.h"
 #include "lib/guestaddr.h"
 
@@ -56,16 +57,24 @@ class PhysMem
     void readBytes(GuestPhys paddr, void *out, size_t n) const;
     void writeBytes(GuestPhys paddr, const void *in, size_t n);
 
-    /** Whole-memory access for checkpoint capture/restore. */
+    /** Whole-memory bytes (memory hashing). */
     const std::vector<U8> &rawBytes() const { return data; }
-    void restoreRawBytes(const std::vector<U8> &bytes);
+
+    /** Checkpoint: the frame bytes and the allocator cursor. */
+    void
+    visit(Archive &ar)
+    {
+        ar.size(data.size());
+        ar.bytes(data);
+        ar(next_free);
+    }
 
   private:
     void checkFrame(Pfn mfn) const;
 
-    U64 frame_count;
-    std::vector<U8> data;        ///< frame_count * PAGE_SIZE bytes
-    std::vector<U64> free_list;  ///< allocation order (possibly shuffled)
+    const U64 frame_count;
+    std::vector<U8> data;  ///< frame_count * PAGE_SIZE bytes
+    const std::vector<U64> free_list;  ///< allocation order (seeded)
     size_t next_free = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "lib/archive.h"
 #include "lib/logging.h"
 
 namespace ptl {
@@ -41,11 +42,11 @@ VirtualDisk::read(const Context &ctx, U64 sector, U64 count,
 }
 
 void
-VirtualDisk::restorePending(const std::vector<Pending> &entries)
+VirtualDisk::visit(Archive &ar)
 {
-    pending.assign(entries.begin(), entries.end());
-    for (const Pending &p : pending)
-        armCompletion(p.ready);
+    ar.length(pending);
+    for (Pending &p : pending)
+        ar(p.ready, p.sector, p.count, p.dest_va, p.cr3);
 }
 
 void
@@ -122,22 +123,19 @@ VirtualNet::send(int to_ep, const U8 *data, size_t len)
 }
 
 void
-VirtualNet::restorePending(const std::vector<Packet> &packets,
-                           const std::vector<SimCycle> &last_ready_floor)
+VirtualNet::visit(Archive &ar)
 {
-    ptl_assert(last_ready_floor.size() == last_ready.size());
-    in_flight.assign(packets.begin(), packets.end());
-    last_ready = last_ready_floor;
-    for (const Packet &p : in_flight)
-        armDelivery(p.ready);
-}
-
-void
-VirtualNet::restoreRx(const std::vector<std::vector<U8>> &queues)
-{
-    ptl_assert(queues.size() == rx.size());
-    for (size_t i = 0; i < rx.size(); i++)
-        rx[i].assign(queues[i].begin(), queues[i].end());
+    ar.length(in_flight);
+    for (Packet &p : in_flight) {
+        ar(p.ready, p.to_ep);
+        ar.bytes(p.data);
+    }
+    ar.size(rx.size());
+    for (std::deque<U8> &q : rx)
+        ar.bytes(q);
+    ar.size(last_ready.size());
+    for (SimCycle &floor : last_ready)
+        ar(floor);
 }
 
 size_t

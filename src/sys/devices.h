@@ -10,7 +10,7 @@
  * I/O timing is fully deterministic (Section 4.2); a DeviceTrace can
  * record every interrupt + DMA for the paper's record-and-replay
  * injection scheme. Each device owns its in-flight payload queue
- * (serialized by checkpoints) and arms a queue event per request; the
+ * (checkpointed by its visit) and arms a queue event per request; the
  * event callback drains everything due, so spurious later events for
  * an already-drained head are harmless no-ops.
  */
@@ -58,7 +58,7 @@ constexpr U64 DISK_SECTOR_BYTES = 512;
 class VirtualDisk
 {
   public:
-    /** One in-flight transfer (public: checkpoints serialize these). */
+    /** One in-flight transfer. */
     struct Pending
     {
         SimCycle ready;
@@ -87,29 +87,37 @@ class VirtualDisk
      *  Normally fired by the EventQueue; FIFO completion order. */
     void processDue(SimCycle now);
 
-    /** In-flight transfers, oldest first (checkpoint capture). */
+    /** In-flight transfers, oldest first. */
     const std::deque<Pending> &pendingTransfers() const
     {
         return pending;
     }
 
-    /** Replace the in-flight queue and re-arm completion events
-     *  (checkpoint restore; call after EventQueue::clear()). */
-    void restorePending(const std::vector<Pending> &entries);
+    /** Checkpoint: the in-flight transfers. */
+    void visit(Archive &ar);
+
+    /** Arm a completion event per in-flight transfer (checkpoint
+     *  restore; call after EventQueue::clear()). */
+    void
+    rearm()
+    {
+        for (const Pending &p : pending)
+            armCompletion(p.ready);
+    }
 
     void attachTrace(DeviceTrace *t) { trace = t; }
 
   private:
     void armCompletion(SimCycle ready);
 
-    EventChannels *events;
-    EventQueue *queue;
-    TimeKeeper *time;
-    AddressSpace *aspace;
-    CycleDelta latency_cycles;
-    std::vector<U8> image;
+    EventChannels *const events;
+    EventQueue *const queue;
+    TimeKeeper *const time;
+    AddressSpace *const aspace;
+    const CycleDelta latency_cycles;
+    std::vector<U8> image;  // simlint: transient (disk contents, setImage)
     std::deque<Pending> pending;
-    DeviceTrace *trace = nullptr;
+    DeviceTrace *trace = nullptr;  // simlint: transient (attachTrace)
     Counter &st_reads;
     Counter &st_sectors;
 };
@@ -128,7 +136,7 @@ constexpr size_t NET_MTU = 1500;
 class VirtualNet
 {
   public:
-    /** One in-flight packet (public: checkpoints serialize these). */
+    /** One in-flight packet. */
     struct Packet
     {
         SimCycle ready;
@@ -154,34 +162,35 @@ class VirtualNet
      *  fired by the EventQueue. */
     void processDue(SimCycle now);
 
-    /** In-flight packets, send order (checkpoint capture). */
+    /** In-flight packets, send order. */
     const std::deque<Packet> &inFlight() const { return in_flight; }
-    const std::vector<SimCycle> &lastReady() const { return last_ready; }
 
-    /** Delivered-but-unread bytes per endpoint (checkpoint capture). */
-    const std::vector<std::deque<U8>> &rxQueues() const { return rx; }
+    /** Checkpoint: in-flight packets, delivered-but-unread bytes and
+     *  the per-endpoint FIFO floors. */
+    void visit(Archive &ar);
 
-    /** Restore the delivered-but-unread queues (checkpoint). */
-    void restoreRx(const std::vector<std::vector<U8>> &queues);
-
-    /** Replace the in-flight queue and re-arm delivery events
-     *  (checkpoint restore; call after EventQueue::clear()). */
-    void restorePending(const std::vector<Packet> &packets,
-                        const std::vector<SimCycle> &last_ready_floor);
+    /** Arm a delivery event per in-flight packet (checkpoint restore;
+     *  call after EventQueue::clear()). */
+    void
+    rearm()
+    {
+        for (const Packet &p : in_flight)
+            armDelivery(p.ready);
+    }
 
     void attachTrace(DeviceTrace *t) { trace = t; }
 
   private:
     void armDelivery(SimCycle ready);
 
-    EventChannels *events;
-    EventQueue *queue;
-    TimeKeeper *time;
-    CycleDelta latency_cycles;
+    EventChannels *const events;
+    EventQueue *const queue;
+    TimeKeeper *const time;
+    const CycleDelta latency_cycles;
     std::deque<Packet> in_flight;
     std::vector<std::deque<U8>> rx;
     std::vector<SimCycle> last_ready;  ///< per-endpoint FIFO ordering floor
-    DeviceTrace *trace = nullptr;
+    DeviceTrace *trace = nullptr;  // simlint: transient (attachTrace)
     Counter &st_packets;
     Counter &st_bytes;
 };

@@ -20,8 +20,8 @@
  *    single integer compare against the heap head;
  *  - purely derived state: every schedule site pairs payload-owning
  *    state in a subsystem (timer sends in EventChannels, disk request
- *    queues, net packets) with a queue arm, so a checkpoint serializes
- *    the payloads, clears the queue and lets each subsystem re-arm.
+ *    queues, net packets) with a queue arm, so a checkpoint carries
+ *    the payloads and a restore clears the queue for them to re-arm.
  *
  * Determinism rule: for a fixed sequence of schedule() calls, runDue()
  * invokes callbacks in exactly (due, priority, seq) order, and a

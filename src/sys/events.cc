@@ -1,15 +1,16 @@
 #include "sys/events.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "lib/archive.h"
 #include "lib/logging.h"
 
 namespace ptl {
 
 EventChannels::EventChannels(std::vector<Context *> vcpu_list,
                              EventQueue &eventq, StatsTree &stats)
-    : vcpus(std::move(vcpu_list)), pending_mask(vcpus.size(), 0),
-      queue(&eventq),
+    : vcpus(std::move(vcpu_list)), queue(&eventq),
       st_sent(stats.counter("events/sent")),
       st_scheduled(stats.counter("events/scheduled"))
 {
@@ -17,21 +18,13 @@ EventChannels::EventChannels(std::vector<Context *> vcpu_list,
 }
 
 void
-EventChannels::bind(int port, int vcpu)
-{
-    ptl_assert(port >= 0 && port < MAX_EVENT_PORTS);
-    ptl_assert(vcpu >= 0 && (size_t)vcpu < vcpus.size());
-    port_vcpu[port] = vcpu;
-}
-
-void
 EventChannels::send(int port)
 {
     ptl_assert(port >= 0 && port < MAX_EVENT_PORTS);
     st_sent++;
-    int vcpu = port_vcpu[port];
-    pending_mask[vcpu] |= (U64(1) << port);
-    Context *ctx = vcpus[vcpu];
+    // Every port raises on VCPU 0: nothing binds a port elsewhere.
+    pending_mask |= (U64(1) << port);
+    Context *ctx = vcpus[0];
     ctx->event_pending = true;
     // Wake a VCPU blocked in hlt; delivery happens at the next
     // instruction boundary if events are unmasked.
@@ -57,11 +50,18 @@ EventChannels::sendAt(SimCycle when, int port)
 }
 
 void
-EventChannels::restorePendingSends(
-    const std::vector<TimerEventRecord> &sends)
+EventChannels::visit(Archive &ar)
 {
-    pending_sends.clear();
-    for (const TimerEventRecord &t : sends)
+    ar(pending_mask);
+    ar.length(pending_sends);
+    for (TimerEventRecord &t : pending_sends)
+        ar(t.when, t.port);
+}
+
+void
+EventChannels::rearm()
+{
+    for (const TimerEventRecord &t : std::exchange(pending_sends, {}))
         sendAt(t.when, t.port);
 }
 
@@ -69,10 +69,8 @@ U64
 EventChannels::consumePending(int vcpu)
 {
     ptl_assert(vcpu >= 0 && (size_t)vcpu < vcpus.size());
-    U64 mask = pending_mask[vcpu];
-    pending_mask[vcpu] = 0;
     vcpus[vcpu]->event_pending = false;
-    return mask;
+    return vcpu == 0 ? std::exchange(pending_mask, 0) : 0;
 }
 
 }  // namespace ptl

@@ -36,8 +36,8 @@ struct TimerEventRecord
  * Per-domain event channel state. Cycle-keyed sends are payload this
  * module owns: each is a TimerEventRecord kept in schedule order, with
  * a derived EventQueue arm (priority EVPRI_EVCHAN) that drops its
- * record and raises the port. Checkpoints capture and restore the
- * records; the master loop never polls this module.
+ * record and raises the port. Checkpoints carry the records and the
+ * raised masks (visit); the master loop never polls this module.
  */
 class EventChannels
 {
@@ -45,58 +45,39 @@ class EventChannels
     EventChannels(std::vector<Context *> vcpus, EventQueue &queue,
                   StatsTree &stats);
 
-    /** Raise `port` immediately: sets the pending bit, marks the
-     *  bound VCPU's event_pending, and wakes it if blocked. */
+    /** Raise `port` immediately: sets the pending bit, marks VCPU 0's
+     *  event_pending, and wakes it if blocked. */
     void send(int port);
 
     /** Schedule `port` to be raised at absolute cycle `when`. */
     void sendAt(SimCycle when, int port);
 
-    /** Scheduled, not yet raised sends, in schedule order (checkpoint
-     *  capture). */
-    const std::vector<TimerEventRecord> &
-    pendingSends() const
-    {
-        return pending_sends;
-    }
+    /** Checkpoint: the raised port masks and the scheduled sends. */
+    void visit(Archive &ar);
 
     /**
-     * Replace the scheduled sends with `sends` and re-arm each on the
-     * queue (checkpoint restore; call after EventQueue::clear()).
-     * Only these sends use EVPRI_EVCHAN, so re-arming them in schedule
-     * order keeps the firing order of equal-due sends.
+     * Arm every scheduled send on the queue again (checkpoint restore;
+     * call after EventQueue::clear()). Only these sends use
+     * EVPRI_EVCHAN, so arming them in schedule order keeps the firing
+     * order of equal-due sends.
      */
-    void restorePendingSends(const std::vector<TimerEventRecord> &sends);
+    void rearm();
 
     /**
      * Read-and-clear the pending port bitmask for `vcpu` (the
      * evtchn_pending hypercall the guest kernel's upcall handler
-     * uses). Clears the VCPU's event_pending flag.
+     * uses). Clears the VCPU's event_pending flag. Ports raise on
+     * VCPU 0 only, so any other VCPU reads 0.
      */
     U64 consumePending(int vcpu);
-
-    /** Bind a port to a VCPU (default: all ports to VCPU 0). */
-    void bind(int port, int vcpu);
-
-    /** Raised-but-unconsumed port bitmasks (checkpoint capture). */
-    const std::vector<U64> &pendingMasks() const { return pending_mask; }
-
-    /** Restore the raised-but-unconsumed bitmasks (checkpoint). */
-    void
-    restorePendingMasks(const std::vector<U64> &masks)
-    {
-        ptl_assert(masks.size() == pending_mask.size());
-        pending_mask = masks;
-    }
 
     int vcpuCount() const { return (int)vcpus.size(); }
 
   private:
-    std::vector<Context *> vcpus;
-    std::vector<U64> pending_mask;  ///< per-vcpu bitmask of ports
+    const std::vector<Context *> vcpus;
+    U64 pending_mask = 0;  ///< raised, unconsumed ports (VCPU 0's)
     std::vector<TimerEventRecord> pending_sends;  ///< schedule order
-    int port_vcpu[MAX_EVENT_PORTS] = {};
-    EventQueue *queue;
+    EventQueue *const queue;
     Counter &st_sent;
     Counter &st_scheduled;
 };

@@ -181,6 +181,9 @@ Machine::rearmAfterRestore(SimCycle last_snapshot_cycle)
     last_snapshot = last_snapshot_cycle;
     armSnapshot();
     armReplayer();
+    events->rearm();
+    disk_dev->rearm();
+    net_dev->rearm();
 }
 
 bool

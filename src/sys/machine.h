@@ -123,11 +123,10 @@ class Machine
     SimCycle lastSnapshotCycle() const { return last_snapshot; }
 
     /**
-     * Checkpoint-restore support: drop every scheduled event (they are
-     * being rebuilt from serialized payloads), re-arm the periodic
-     * snapshot from `last_snapshot_cycle`, re-arm an attached
-     * replayer, and discard transient control requests. The caller
-     * then restores timer/device events via the owning subsystems.
+     * Checkpoint restore, after the image is loaded: drop every
+     * scheduled event and control request, then re-arm the snapshot
+     * from `last_snapshot_cycle`, an attached replayer, and each
+     * owner's loaded pending work (event channels, disk, net).
      */
     void rearmAfterRestore(SimCycle last_snapshot_cycle);
 

@@ -20,6 +20,7 @@
 #ifndef PTLSIM_SYS_TIMEKEEPER_H_
 #define PTLSIM_SYS_TIMEKEEPER_H_
 
+#include "lib/archive.h"
 #include "lib/simtime.h"
 
 namespace ptl {
@@ -59,17 +60,13 @@ class TimeKeeper
     void hideGap(CycleDelta d) { hidden += d; }
     CycleDelta hiddenCycles() const { return hidden; }
 
-    /** Checkpoint restore: warp to an absolute point (time may roll
-     *  backwards; callers must re-base all absolute-cycle state). */
-    void
-    restore(SimCycle at, CycleDelta hidden_gap)
-    {
-        now = at;
-        hidden = hidden_gap;
-    }
+    /** Checkpoint: the master counter and the hidden TSC gap. A load
+     *  may roll time backwards; absolute-cycle state elsewhere is
+     *  re-based by the restore that follows it. */
+    void visit(Archive &ar) { ar(now, hidden); }
 
   private:
-    U64 freq;
+    const U64 freq;
     SimCycle now;
     CycleDelta hidden;
 };

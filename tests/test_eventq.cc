@@ -133,11 +133,24 @@ TEST(EventQueue, StatsCountersTrackActivity)
 // ---------------------------------------------------------------------
 
 /**
- * Scheduled sends are listed in schedule order, a fired send drops out
- * of the list, and restorePendingSends replaces the list and re-arms it
- * in that order. Equal-due sends share EVPRI_EVCHAN, so the queue's
- * schedule-order tie-break (SameCyclePriorityTiesBreakByScheduleOrder)
- * fires them in their original order, each dropping its own record.
+ * The scheduled sends in `ch`'s checkpoint image, as flat (when, port)
+ * word pairs in schedule order. The image is the raised-port mask, the
+ * send count, then the sends.
+ */
+std::vector<U64>
+scheduledSends(EventChannels &ch)
+{
+    const std::vector<U64> words = Archive::save(ch);
+    return std::vector<U64>(words.begin() + 2, words.end());
+}
+
+/**
+ * Scheduled sends are kept in schedule order, a fired send drops out
+ * of the list, and loading an image replaces the list, which rearm()
+ * then arms in that order. Equal-due sends share EVPRI_EVCHAN, so the
+ * queue's schedule-order tie-break
+ * (SameCyclePriorityTiesBreakByScheduleOrder) fires them in their
+ * original order, each dropping its own record.
  */
 TEST(EventChannels, PendingSendsAreOwnedAndRestoredInOrder)
 {
@@ -145,35 +158,33 @@ TEST(EventChannels, PendingSendsAreOwnedAndRestoredInOrder)
     EventQueue q(stats);
     Context ctx;
     EventChannels ch({&ctx}, q, stats);
-    using Sends = std::vector<TimerEventRecord>;
+    using Words = std::vector<U64>;
 
     ch.sendAt(SimCycle(20), 5);
     ch.sendAt(SimCycle(10), 3);
     ch.sendAt(SimCycle(20), 1);
-    const Sends captured = ch.pendingSends();
-    EXPECT_EQ(captured, (Sends{{SimCycle(20), 5}, {SimCycle(10), 3},
-                               {SimCycle(20), 1}}));
+    const Words captured = Archive::save(ch);
+    EXPECT_EQ(scheduledSends(ch), (Words{20, 5, 10, 3, 20, 1}));
 
     q.runDue(SimCycle(10));
     EXPECT_EQ(ch.consumePending(0), U64(1) << 3);
-    EXPECT_EQ(ch.pendingSends(),
-              (Sends{{SimCycle(20), 5}, {SimCycle(20), 1}}));
+    EXPECT_EQ(scheduledSends(ch), (Words{20, 5, 20, 1}));
 
     // Roll back to the capture: the fired send is pending again and
     // the queue holds exactly one arm per send.
     q.clear();
-    ch.restorePendingSends(captured);
-    EXPECT_EQ(ch.pendingSends(), captured);
-    EXPECT_EQ(q.pendingCount(), captured.size());
+    Archive::load(ch, captured);
+    ch.rearm();
+    EXPECT_EQ(Archive::save(ch), captured);
+    EXPECT_EQ(q.pendingCount(), 3u);
 
     // The restored sends fire again at their captured cycles.
     q.runDue(SimCycle(10));
     EXPECT_EQ(ch.consumePending(0), U64(1) << 3);
-    EXPECT_EQ(ch.pendingSends(),
-              (Sends{{SimCycle(20), 5}, {SimCycle(20), 1}}));
+    EXPECT_EQ(scheduledSends(ch), (Words{20, 5, 20, 1}));
     q.runDue(SimCycle(20));
     EXPECT_EQ(ch.consumePending(0), (U64(1) << 5) | (U64(1) << 1));
-    EXPECT_TRUE(ch.pendingSends().empty());
+    EXPECT_TRUE(scheduledSends(ch).empty());
     EXPECT_TRUE(q.empty());
 }
 
@@ -307,9 +318,10 @@ TEST(EventMachine, CheckpointRoundTripWithInFlightEvents)
         Machine::RunResult r = m.run(500);
         ASSERT_FALSE(r.shutdown) << "disk request never became pending";
     }
+    const SimCycle at_capture = m.timeKeeper().cycle();
+    const size_t disk_pending = m.disk().pendingTransfers().size();
+    EXPECT_FALSE(scheduledSends(m.eventChannels()).empty());  // next tick
     MachineCheckpoint ckpt = captureCheckpoint(m);
-    EXPECT_FALSE(ckpt.disk_pending.empty());
-    EXPECT_FALSE(ckpt.timer_events.empty());   // next tick is armed
 
     Machine::RunResult r1 = m.run(500'000'000);
     ASSERT_TRUE(r1.shutdown);
@@ -318,9 +330,8 @@ TEST(EventMachine, CheckpointRoundTripWithInFlightEvents)
     Context end1 = m.vcpu(0);
 
     restoreCheckpoint(m, ckpt);
-    EXPECT_EQ(m.timeKeeper().cycle(), ckpt.cycle);
-    EXPECT_EQ(m.disk().pendingTransfers().size(),
-              ckpt.disk_pending.size());
+    EXPECT_EQ(m.timeKeeper().cycle(), at_capture);
+    EXPECT_EQ(m.disk().pendingTransfers().size(), disk_pending);
     Machine::RunResult r2 = m.run(500'000'000);
     ASSERT_TRUE(r2.shutdown);
     EXPECT_EQ(r2.exit_code, r1.exit_code);
@@ -387,6 +398,7 @@ TEST(EventMachine, CheckpointRoundTripMidStallOnOooCore)
     }
     ASSERT_TRUE(mid_stall) << "no quiesced memory-stall quantum found";
 
+    const SimCycle at_capture = m.timeKeeper().cycle();
     MachineCheckpoint ckpt = captureCheckpoint(m);
     Machine::RunResult r1 = m.run(500'000'000);
     ASSERT_TRUE(r1.shutdown);
@@ -395,7 +407,7 @@ TEST(EventMachine, CheckpointRoundTripMidStallOnOooCore)
     Context end1 = m.vcpu(0);
 
     restoreCheckpoint(m, ckpt);
-    EXPECT_EQ(m.timeKeeper().cycle(), ckpt.cycle);
+    EXPECT_EQ(m.timeKeeper().cycle(), at_capture);
     Machine::RunResult r2 = m.run(500'000'000);
     ASSERT_TRUE(r2.shutdown);
     EXPECT_EQ(r2.exit_code, r1.exit_code);
@@ -432,6 +444,7 @@ TEST(EventMachine, CheckpointRoundTripMidStallOnBankedDram)
     }
     ASSERT_TRUE(mid_stall) << "no memory-stall quantum found";
 
+    const SimCycle at_capture = m.timeKeeper().cycle();
     MachineCheckpoint ckpt = captureCheckpoint(m);
     Machine::RunResult r1 = m.run(500'000'000);
     ASSERT_TRUE(r1.shutdown);
@@ -442,7 +455,7 @@ TEST(EventMachine, CheckpointRoundTripMidStallOnBankedDram)
     EXPECT_GT(m.stats().get("core0/membackend/reads"), 0ULL);
 
     restoreCheckpoint(m, ckpt);
-    EXPECT_EQ(m.timeKeeper().cycle(), ckpt.cycle);
+    EXPECT_EQ(m.timeKeeper().cycle(), at_capture);
     Machine::RunResult r2 = m.run(500'000'000);
     ASSERT_TRUE(r2.shutdown);
     EXPECT_EQ(r2.exit_code, r1.exit_code);
@@ -481,8 +494,8 @@ TEST(EventMachine, CheckpointCarriesInFlightNetworkPackets)
     ASSERT_FALSE(m.net().inFlight().empty());
     const SimCycle arrival = m.net().inFlight().front().ready;
 
+    ASSERT_EQ(m.net().inFlight().size(), 1u);
     MachineCheckpoint ckpt = captureCheckpoint(m);
-    ASSERT_EQ(ckpt.net_pending.size(), 1u);
 
     // Let the original deliver, then roll back: the packet must be in
     // flight again and deliver at the same cycle as before.

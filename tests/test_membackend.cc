@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -316,6 +317,60 @@ TEST(CorruptCheckpoint, WrongModelTagIsFatal)
                                 s2, "c0/");
     std::vector<U64> words = Archive::save(*banked);
     EXPECT_DEATH(Archive::load(*fixed, words), "model tag");
+}
+
+/** Narrow values and byte buffers, as the machine's owners use them. */
+struct NarrowState
+{
+    U16 flags = 0;
+    bool on = false;
+    int delta = 0;
+    std::vector<U8> packet;
+    std::deque<U8> stream;
+
+    void
+    visit(Archive &ar)
+    {
+        ar(flags, on, delta);
+        ar.bytes(packet);
+        ar.bytes(stream);
+    }
+};
+
+TEST(Archive, NarrowValuesAndByteBuffersRoundTrip)
+{
+    NarrowState s{0xBEEF, true, -3, {1, 2, 3, 4, 5, 6, 7, 8, 9}, {}};
+    for (U8 b = 0; b < 13; b++)
+        s.stream.push_back(U8(0xF0 + b));
+    const std::vector<U64> words = Archive::save(s);
+    // One word per narrow value; a buffer is its length, then its
+    // bytes eight to a word.
+    EXPECT_EQ(words.size(), 3u + (1 + 2) + (1 + 2));
+    NarrowState t;
+    Archive::load(t, words);
+    EXPECT_EQ(t.flags, 0xBEEF);
+    EXPECT_TRUE(t.on);
+    EXPECT_EQ(t.delta, -3);
+    EXPECT_EQ(t.packet, s.packet);
+    EXPECT_EQ(t.stream, s.stream);
+}
+
+TEST(CorruptCheckpoint, NarrowValueOverflowIsFatal)
+{
+    NarrowState s;
+    const std::vector<U64> words = Archive::save(s);
+    std::vector<U64> bad = words;
+    bad[0] = 0x10000;  // U16
+    EXPECT_DEATH(Archive::load(s, bad), "does not fit a 2-byte value");
+    bad = words;
+    bad[1] = 2;  // bool
+    EXPECT_DEATH(Archive::load(s, bad), "does not fit a 1-byte value");
+    bad = words;
+    bad[2] = U64(1) << 40;  // int
+    EXPECT_DEATH(Archive::load(s, bad), "does not fit a 4-byte value");
+    bad = words;
+    bad[3] = 17;  // packet length past the image
+    EXPECT_DEATH(Archive::load(s, bad), "17 bytes exceed");
 }
 
 TEST(CorruptCheckpoint, GeometryMismatchIsFatal)

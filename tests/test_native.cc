@@ -215,17 +215,144 @@ TEST(Native, CheckpointRestoreReproducesRun)
     // Run a little, checkpoint, finish, record state; restore and
     // finish again: identical end state.
     m->run(500);
+    const SimCycle at_capture = m->timeKeeper().cycle();
     MachineCheckpoint ckpt = captureCheckpoint(*m);
     m->run(10'000'000);
     U64 hash1 = hashGuestMemory(m->physMem());
     Context end1 = m->vcpu(0);
 
     restoreCheckpoint(*m, ckpt);
-    EXPECT_EQ(m->timeKeeper().cycle(), ckpt.cycle);
+    EXPECT_EQ(m->timeKeeper().cycle(), at_capture);
     m->run(10'000'000);
     EXPECT_EQ(hashGuestMemory(m->physMem()), hash1);
     ContextDiff diff = compareContexts(end1, m->vcpu(0));
     EXPECT_TRUE(diff.equal) << diff.description;
+}
+
+/** Spin `n` times on a dec/jnz loop. */
+void
+spin(Assembler &a, U64 n)
+{
+    a.mov(R::rcx, n);
+    Label top = a.label();
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+}
+
+/** Go native, spin, come back to simulation, spin, read the TSC into
+ *  r14, halt. */
+void
+nativeSpinBody(Assembler &a)
+{
+    a.mov(R::rax, (U64)PTLCALL_SWITCH_TO_NATIVE);
+    a.ptlcall();
+    spin(a, 2000);
+    a.mov(R::rax, (U64)PTLCALL_SWITCH_TO_SIM);
+    a.ptlcall();
+    spin(a, 200);
+    a.rdtsc();
+    a.shl(R::rdx, 32);
+    a.or_(R::rax, R::rdx);
+    a.mov(R::r14, R::rax);
+    a.hlt();
+}
+
+/**
+ * The run mode is part of the machine image: a checkpoint taken while
+ * the guest runs natively resumes natively, so the restored run ends
+ * at the same cycle with the same guest-visible TSC. A restore that
+ * dropped the mode would simulate the rest of the native spin, which
+ * takes more cycles.
+ */
+TEST(Native, CheckpointInNativeModeRestoresMode)
+{
+    auto m = bareMachine(nativeSpinBody);
+    for (int i = 0; m->mode() != Machine::Mode::Native; i++) {
+        ASSERT_LT(i, 100'000) << "guest never switched to native mode";
+        m->run(10);
+    }
+    m->run(50);
+    ASSERT_EQ(m->mode(), Machine::Mode::Native);
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    m->run(10'000'000);
+    const SimCycle end1 = m->timeKeeper().cycle();
+    const U64 tsc1 = m->vcpu(0).regs[REG_r14];
+    ASSERT_FALSE(m->vcpu(0).running);  // ran to the hlt
+
+    restoreCheckpoint(*m, ckpt);
+    EXPECT_EQ(m->mode(), Machine::Mode::Native);
+    m->run(10'000'000);
+    EXPECT_FALSE(m->vcpu(0).running);
+    EXPECT_EQ(m->timeKeeper().cycle(), end1);
+    EXPECT_EQ(m->vcpu(0).regs[REG_r14], tsc1);
+}
+
+/** Capture, restore, capture again: the two images are equal. */
+TEST(Native, RecaptureAfterRestoreGivesEqualImage)
+{
+    auto m = bareMachine(computeBody);
+    m->run(500);
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    m->run(10'000'000);
+    restoreCheckpoint(*m, ckpt);
+    EXPECT_EQ(captureCheckpoint(*m), ckpt);
+}
+
+// ---------------------------------------------------------------------
+// Corrupt machine images: restoring one ends in fatal(), never in a
+// silently misread machine.
+// ---------------------------------------------------------------------
+
+/** An unbooted machine of the given shape (capture and restore need
+ *  no cores). */
+std::unique_ptr<Machine>
+shapedMachine(U64 guest_mem_bytes, int vcpu_count)
+{
+    SimConfig cfg = SimConfig::preset("k8");
+    cfg.core = "seq";
+    cfg.guest_mem_bytes = guest_mem_bytes;
+    cfg.vcpu_count = vcpu_count;
+    return std::make_unique<Machine>(cfg);
+}
+
+TEST(CorruptMachineImage, TruncatedImageIsFatal)
+{
+    auto m = shapedMachine(16 << 20, 1);
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    ckpt.pop_back();
+    EXPECT_DEATH(restoreCheckpoint(*m, ckpt), "truncated");
+}
+
+TEST(CorruptMachineImage, TrailingWordsAreFatal)
+{
+    auto m = shapedMachine(16 << 20, 1);
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    ckpt.push_back(0);
+    EXPECT_DEATH(restoreCheckpoint(*m, ckpt), "1 trailing words");
+}
+
+TEST(CorruptMachineImage, WrongModelTagIsFatal)
+{
+    auto m = shapedMachine(16 << 20, 1);
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    ckpt[0] ^= 1;
+    EXPECT_DEATH(restoreCheckpoint(*m, ckpt), "model tag");
+}
+
+TEST(CorruptMachineImage, GuestMemorySizeMismatchIsFatal)
+{
+    auto small = shapedMachine(16 << 20, 1);
+    auto large = shapedMachine(32 << 20, 1);
+    MachineCheckpoint ckpt = captureCheckpoint(*small);
+    EXPECT_DEATH(restoreCheckpoint(*large, ckpt), "recorded size");
+}
+
+TEST(CorruptMachineImage, VcpuCountMismatchIsFatal)
+{
+    auto one = shapedMachine(16 << 20, 1);
+    auto two = shapedMachine(16 << 20, 2);
+    MachineCheckpoint ckpt = captureCheckpoint(*two);
+    EXPECT_DEATH(restoreCheckpoint(*one, ckpt), "2-VCPU machine");
 }
 
 TEST(Native, DeviceTraceRecordsDiskDma)

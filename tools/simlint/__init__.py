@@ -5,9 +5,9 @@ invariant (the type system and always-on assertions own the rest):
 
   layering             quoted #includes follow the layers.toml DAG;
   checkpoint-coverage  every data member of a class with a
-                       visit(Archive &) body or a serialize/restore
-                       pair is touched by it (or carries a
-                       `// simlint: transient` waiver);
+                       visit(Archive &) body is touched by it, unless
+                       it is a reference or top-level const (or
+                       carries a `// simlint: transient` waiver);
   stats-coverage       every Counter member is bound to the stats
                        tree;
   enum-exhaustiveness  switches over registered enums cover them or

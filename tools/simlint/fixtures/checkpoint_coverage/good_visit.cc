@@ -1,22 +1,31 @@
 // Golden POSITIVE fixture for checkpoint-coverage, visit idiom: the
-// visit() body names every member except the waived config-derived
-// one. The nested type definition declares no member, so visit() need
-// not name it. simlint must report nothing.
+// visit() body names every member except the ones no load could
+// change — the reference `clock` and the top-level const `row_bytes`
+// and `source` — and the waived `trace`, which is re-attached rather
+// than checkpointed. The nested type definition declares no member,
+// so visit() need not name it. simlint must report nothing.
 
 using U64 = unsigned long long;
 
 class Archive;
+class Clock;
+class Trace;
 
 class BankState
 {
   public:
+    explicit BankState(Clock &c) : clock(c) {}
+
     void visit(Archive &ar);
 
   private:
     U64 busy_until = 0;
     U64 open_row = 0;
     bool row_valid = false;
-    int row_bytes = 2048; // simlint: transient (config-derived)
+    Clock &clock;
+    const int row_bytes = 2048;
+    const Clock *const source = nullptr;
+    Trace *trace = nullptr; // simlint: transient (re-attached)
 
     struct Geometry
     {

@@ -5,8 +5,8 @@ JSON-serializable bundle of exactly the structural facts the rules
 consume:
 
   includes     quoted #include edges (line, header path)
-  classes      class/struct defs with member (name, line, type) lists
-               and declared method names
+  classes      class/struct defs with member (name, line, type, kind)
+               lists and declared method names
   enums        named enum defs with their enumerator lists
   bodies       "Class::method" -> identifier set (ctor initializer
                lists included)
@@ -52,7 +52,7 @@ import os
 from . import cfg as cfg_mod
 from . import lexer, model
 
-INDEX_VERSION = 8
+INDEX_VERSION = 9
 
 # Identifiers whose every occurrence is recorded with context: the
 # libc / C++ entropy and wall-clock sources nondet-taint reports.
@@ -552,7 +552,7 @@ def build(path, rel, sha=None, text=None):
         "includes": _includes(toks),
         "classes": [
             {"name": c.name, "line": c.line,
-             "members": [(m.name, m.line, m.type)
+             "members": [(m.name, m.line, m.type, m.kind)
                          for m in c.members],
              "methods": c.methods}
             for c in model.classes(lf)],

@@ -10,7 +10,7 @@ Extracts the two structures the rules need:
 
 Both walk the token stream with a brace/paren depth cursor; there is
 no type checking and no template instantiation. That is enough for
-the checkpoint-coverage rule because PTLsim serialization code
+the checkpoint-coverage rule because PTLsim checkpoint code
 mentions members by name.
 """
 
@@ -21,7 +21,10 @@ ClassDef = namedtuple("ClassDef", ["name", "line", "members", "methods"])
 # `Counter &st_hits;` and `Counter *c = nullptr;`, "std" for
 # `std::deque<Counter> q;`) — enough for rules that key on a concrete
 # class name without doing real type resolution.
-Member = namedtuple("Member", ["name", "line", "type"])
+# kind: "ref" for a reference member, "const" for a top-level const
+# one (`const P p;`, `Q *const q;`, not `const Q *q;`), "" otherwise —
+# the members no assignment can ever change.
+Member = namedtuple("Member", ["name", "line", "type", "kind"])
 
 _TYPE_QUALIFIERS = {"const", "mutable", "volatile", "unsigned", "signed"}
 
@@ -110,8 +113,29 @@ def _stmt_is_function(stmt):
     return False
 
 
+def _member_kind(decl):
+    """"ref", "const" or "" for a member declaration's tokens up to
+    (not including) its name."""
+    angle, top = 0, []
+    for t in decl:
+        v = t.value
+        if v == "<":
+            angle += 1
+        elif v in (">", ">>"):
+            angle = max(0, angle - len(v))
+        elif angle == 0:
+            top.append(v)
+    if "&" in top or "&&" in top:
+        return "ref"
+    # Past the last top-level '*', a `const` qualifies the member
+    # itself; before it, only what the member points at.
+    stars = [i for i, v in enumerate(top) if v == "*"]
+    own = top[stars[-1] + 1:] if stars else top
+    return "const" if "const" in own else ""
+
+
 def _member_name(stmt):
-    """The declared name of a member statement, or None."""
+    """The declared member of a member statement, or None."""
     if not stmt or stmt[0].value in _KEYWORD_STMT:
         # `static` / `using` / access labels and friends are not
         # serializable data members, and neither is a nested type
@@ -126,17 +150,17 @@ def _member_name(stmt):
         return None
     # Name = last identifier before the first of ';' '=' '{' '['.
     # Type = first identifier that is not a cv/sign qualifier.
-    name, mtype = None, None
-    for t in stmt:
+    name, at, mtype = None, 0, None
+    for i, t in enumerate(stmt):
         if t.value in (";", "=", "{", "["):
             break
         if t.kind == "id":
             if mtype is None and t.value not in _TYPE_QUALIFIERS:
                 mtype = t.value
-            name = t
+            name, at = t, i
     if name is None or name.value in _KEYWORD_STMT:
         return None
-    return Member(name.value, name.line, mtype)
+    return Member(name.value, name.line, mtype, _member_kind(stmt[:at]))
 
 
 def _method_names(stmt):

@@ -1,36 +1,23 @@
-"""checkpoint-coverage: checkpointed classes must cover every field.
+"""checkpoint-coverage: a checkpointed class visits every member.
 
-A class is checkpointed when it declares a `visit` method (one
-symmetric body that saves and loads through lib/archive.h) or BOTH a
-`serialize` and a `restore` method. Every non-static data member must
-be mentioned (by name) in the visit body, or in the serialize body AND
-the restore body. A member that is deliberately derived/rebuilt
-instead of checkpointed carries a `// simlint: transient` waiver on
-its declaration line.
+A class is checkpointed when it has a `visit(Archive &)` body: one
+symmetric walk that saves and loads it through lib/archive.h. Every
+non-static data member must be mentioned by name in that body, unless
+the type system already fixes it at construction: a reference member
+(`Counter &st_hits`) or a top-level const one (`EventQueue *const
+queue`, `const MemBackendParams p`) can never be loaded, so it is
+skipped. An assignable member left out on purpose (re-attached or
+rebuilt rather than checkpointed) carries a `// simlint: transient`
+waiver on its declaration line.
 
-This is the rule that would have caught the classic checkpoint bug:
-a new field added to MachineCheckpoint, written by capture, silently
-ignored by restore — state that replays differently with no error.
-The order in which a visit body walks its fields needs no check: the
-same walk saves and loads.
-
-v2: runs off the semantic index (classes + cross-file method bodies
-are precomputed in pass 1), so the per-file token walks are gone.
+This is the rule that catches the classic checkpoint bug: state added
+to an owner but never captured, which then replays differently with
+no error. The order in which a visit body walks its members needs no
+check: the same walk saves and loads.
 """
 
 NAME = "checkpoint-coverage"
 WAIVER = "transient"
-
-
-def _walks(cls):
-    """The checkpoint method names a class must cover its members
-    in, or () when it has none."""
-    methods = cls["methods"]
-    if "visit" in methods:
-        return ("visit",)
-    if "serialize" in methods and "restore" in methods:
-        return ("serialize", "restore")
-    return ()
 
 
 def run(ctx):
@@ -46,24 +33,19 @@ def run(ctx):
     findings = []
     for fi in ctx.files:
         for cls in fi.classes:
-            walks = _walks(cls)
-            ids = [bodies.get(cls["name"] + "::" + m) for m in walks]
-            if not walks or None in ids:
-                # Declared but no body anywhere in the analysis set
-                # (e.g. an interface); nothing to check.
+            body = bodies.get(cls["name"] + "::visit")
+            if body is None:
+                # No visit body anywhere in the analysis set (not
+                # checkpointed, or a pure interface); nothing to check.
                 continue
-            for name, line, _mtype in cls["members"]:
-                if fi.waived(line, WAIVER):
+            for name, line, _mtype, kind in cls["members"]:
+                if kind or name in body or fi.waived(line, WAIVER):
                     continue
-                missing = [m for m, body in zip(walks, ids)
-                           if name not in body]
-                if missing:
-                    findings.append(Finding(
-                        NAME, fi.path, line,
-                        "field '%s::%s' is not touched by %s (%s "
-                        "must cover every member, or mark it "
-                        "`// simlint: transient` and rebuild it on "
-                        "load)"
-                        % (cls["name"], name, " or ".join(missing),
-                           "/".join(walks))))
+                findings.append(Finding(
+                    NAME, fi.path, line,
+                    "field '%s::%s' is not touched by visit (visit must "
+                    "cover every member: declare one that is fixed at "
+                    "construction `const`, or mark it `// simlint: "
+                    "transient` and rebuild it on load)"
+                    % (cls["name"], name)))
     return findings

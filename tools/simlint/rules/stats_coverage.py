@@ -21,8 +21,8 @@ Two clauses:
   (b) snapshot/reset pairing — a class that owns raw numeric
       accumulators and declares BOTH a snapshot-style method
       (takeSnapshot/snapshot) and reset() must touch every
-      Counter/U64-family member in both bodies, exactly as
-      checkpoint-coverage pairs serialize/restore.
+      Counter/U64-family member in both bodies, as
+      checkpoint-coverage requires of a visit body.
 
 Waiver: `// simlint: stats-ok` on the member's declaration line
 (e.g. a Counter handle deliberately owned elsewhere).
@@ -56,7 +56,7 @@ def run(ctx):
             bound = binds_by_class.get(cname, set())
 
             # (a) every Counter-typed member must be bound somewhere.
-            for name, line, mtype in cls["members"]:
+            for name, line, mtype, _kind in cls["members"]:
                 if mtype != "Counter":
                     continue
                 if fi.waived(line, WAIVER):
@@ -80,7 +80,7 @@ def run(ctx):
             reset_ids = bodies.get(cname + "::reset")
             if snap_ids is None or reset_ids is None:
                 continue  # declared, defined outside the analysis set
-            for name, line, mtype in cls["members"]:
+            for name, line, mtype, _kind in cls["members"]:
                 if mtype not in _NUMERIC_TYPES:
                     continue
                 if fi.waived(line, WAIVER):
