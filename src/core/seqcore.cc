@@ -1,7 +1,7 @@
 #include "core/seqcore.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 #include "lib/logging.h"
 #include "uop/uopexec.h"
@@ -46,20 +46,25 @@ FunctionalEngine::reposition()
     uop_idx = 0;
 }
 
+bool
+FunctionalEngine::reacquireBlock(GuestFault &ff)
+{
+    if (cur_bb && uop_idx < cur_bb->uops.size()
+        && bb_generation == bbcache->generation())
+        return false;
+    ContextCodeSource code(*aspace, *ctx);
+    cur_bb = bbcache->get(code, &ff);
+    uop_idx = 0;
+    bb_generation = bbcache->generation();
+    return true;
+}
+
 const Uop *
 FunctionalEngine::peekUop()
 {
-    if (!cur_bb || uop_idx >= cur_bb->uops.size()
-        || bb_generation != bbcache->generation()) {
-        GuestFault ff = GuestFault::None;
-        ContextCodeSource code(*aspace, *ctx);
-        cur_bb = bbcache->get(code, &ff);
-        uop_idx = 0;
-        bb_generation = bbcache->generation();
-        if (!cur_bb)
-            return nullptr;
-    }
-    return &cur_bb->uops[uop_idx];
+    GuestFault ff = GuestFault::None;
+    reacquireBlock(ff);
+    return cur_bb ? &cur_bb->uops[uop_idx] : nullptr;
 }
 
 U64
@@ -67,7 +72,7 @@ FunctionalEngine::readReg(int reg) const
 {
     if (reg == REG_zero || reg == REG_none)
         return 0;
-    if (pending_valid[reg])
+    if (bit(pending_valid, (unsigned)reg))
         return pending_value[reg];
     return ctx->regs[reg];
 }
@@ -77,9 +82,22 @@ FunctionalEngine::readFlags(int reg) const
 {
     if (reg == REG_none)
         return 0;
-    if (pending_hasflags[reg])
+    if (bit(pending_hasflags, (unsigned)reg))
         return pending_flags[reg];
     return regflags[reg];
+}
+
+void
+FunctionalEngine::commitPending()
+{
+    for (U64 m = pending_valid; m; m &= m - 1) {
+        int r = std::countr_zero(m);
+        ctx->setReg(r, pending_value[r]);
+    }
+    for (U64 m = pending_hasflags; m; m &= m - 1) {
+        int r = std::countr_zero(m);
+        regflags[r] = pending_flags[r];
+    }
 }
 
 FunctionalEngine::StepResult
@@ -102,13 +120,8 @@ FunctionalEngine::stepInsn(SimCycle now)
     }
 
     // (Re)acquire the decode position.
-    if (!cur_bb || uop_idx >= cur_bb->uops.size()
-        || bb_generation != bbcache->generation()) {
-        GuestFault ff = GuestFault::None;
-        ContextCodeSource code(*aspace, *ctx);
-        cur_bb = bbcache->get(code, &ff);
-        uop_idx = 0;
-        bb_generation = bbcache->generation();
+    GuestFault ff = GuestFault::None;
+    if (reacquireBlock(ff)) {
         if (!cur_bb) {
             st_faults++;
             deliverFault(*ctx, *aspace, ff, ctx->rip, ctx->rip);
@@ -128,15 +141,9 @@ FunctionalEngine::stepInsn(SimCycle now)
     // The flag-group pseudo-registers always reflect current flags.
     regflags[REG_zaps] = regflags[REG_cf] = regflags[REG_of] = ctx->flags;
 
-    std::memset(pending_valid, 0, sizeof(pending_valid));
-    std::memset(pending_hasflags, 0, sizeof(pending_hasflags));
+    pending_valid = pending_hasflags = 0;
     int mem_uops_this_insn = 0;
-    // One x86 instruction never expands past a block's uop budget, so
-    // inline arrays avoid a heap allocation per simulated instruction.
-    PendingWrite stores[MAX_BB_UOPS];
     int n_stores = 0;
-    struct FlagUpdate { U16 flags; U8 setmask; };
-    FlagUpdate flag_updates[MAX_BB_UOPS];
     int n_flag_updates = 0;
     GuestVirt insn_rip = ctx->rip;
     GuestVirt next_rip;
@@ -186,7 +193,7 @@ FunctionalEngine::stepInsn(SimCycle now)
                 }
                 if (u.op == UopOp::Lds)
                     value = signExtend(value, u.size);
-                pending_valid[u.rd] = true;
+                pending_valid |= U64(1) << u.rd;
                 pending_value[u.rd] = value;
                 if (u.eom)
                     break;
@@ -222,8 +229,7 @@ FunctionalEngine::stepInsn(SimCycle now)
                 }
                 ptl_assert(n_stores < (int)MAX_BB_UOPS);
                 stores[n_stores++] =
-                    {va, readReg(u.rc) & byteMask(u.size), u.size,
-                     u.locked};
+                    {va, readReg(u.rc) & byteMask(u.size), u.size};
                 if (u.eom)
                     break;
             }
@@ -232,31 +238,24 @@ FunctionalEngine::stepInsn(SimCycle now)
 
         if (u.isAssist()) {
             // Assists are the final uop: commit earlier effects first.
-            for (int r = 0; r < NUM_UOP_REGS; r++) {
-                if (pending_valid[r])
-                    ctx->setReg(r, pending_value[r]);
-                if (pending_hasflags[r])
-                    regflags[r] = pending_flags[r];
-            }
+            commitPending();
             for (int s = 0; s < n_stores; s++)
                 guestWrite(*aspace, *ctx, stores[s].va, stores[s].size,
                            stores[s].value);
+            n_stores = 0;
+            pending_valid = pending_hasflags = 0;
             st_assists++;
             AssistResult ar = executeAssist(u.assist(), *ctx, *aspace,
                                             *sys, GuestVirt(u.ripseq));
             if (ar.fault != GuestFault::None) {
                 fault = ar.fault;
                 fault_addr = insn_rip;
-                n_stores = 0;
-                std::memset(pending_valid, 0, sizeof(pending_valid));
                 break;
             }
             next_rip = ar.next_rip;
             redirect = true;
             if (ar.blocked)
                 res.blocked_now = true;
-            n_stores = 0;
-            std::memset(pending_valid, 0, sizeof(pending_valid));
             ptl_assert(u.eom);
             break;
         }
@@ -308,14 +307,14 @@ FunctionalEngine::stepInsn(SimCycle now)
         }
 
         if (u.writesRd()) {
-            pending_valid[u.rd] = true;
+            pending_valid |= U64(1) << u.rd;
             pending_value[u.rd] = out.value;
         }
         if (u.setflags) {
             ptl_assert(n_flag_updates < (int)MAX_BB_UOPS);
             flag_updates[n_flag_updates++] = {out.flags, u.setflags};
             if (u.rd != REG_none && u.rd != REG_zero) {
-                pending_hasflags[u.rd] = true;
+                pending_hasflags |= U64(1) << u.rd;
                 pending_flags[u.rd] = out.flags;
             }
         }
@@ -332,12 +331,7 @@ FunctionalEngine::stepInsn(SimCycle now)
     }
 
     // ---- atomic commit of this x86 instruction ----
-    for (int r = 0; r < NUM_UOP_REGS; r++) {
-        if (pending_valid[r])
-            ctx->setReg(r, pending_value[r]);
-        if (pending_hasflags[r])
-            regflags[r] = pending_flags[r];
-    }
+    commitPending();
     for (int f = 0; f < n_flag_updates; f++)
         ctx->applyFlags(flag_updates[f].flags, flag_updates[f].setmask);
 

@@ -81,11 +81,24 @@ class FunctionalEngine
         GuestVirt va;
         U64 value;
         U8 size;
-        bool locked;
     };
+    struct FlagUpdate
+    {
+        U16 flags;
+        U8 setmask;
+    };
+
+    /**
+     * Look up the block at ctx->rip if the cached position ran off its
+     * block or the bbcache changed since. Returns true when it looked
+     * one up; cur_bb is then null if the fetch faulted (with `ff` set).
+     */
+    bool reacquireBlock(GuestFault &ff);
 
     U64 readReg(int reg) const;
     U16 readFlags(int reg) const;
+    /** Commit the pending register values and attached flags. */
+    void commitPending();
 
     Context *ctx;
     AddressSpace *aspace;
@@ -101,10 +114,19 @@ class FunctionalEngine
     // tracked separately: only setflags-producing uops attach flags to
     // their destination (so value-only writers like mov/setcc never
     // clobber a producer's flags that a later consumer still names).
-    bool pending_valid[NUM_UOP_REGS] = {};
-    bool pending_hasflags[NUM_UOP_REGS] = {};
+    // Bit r of a mask marks register r's pending slot as live, so an
+    // instruction's cost follows the registers it writes.
+    static_assert(NUM_UOP_REGS <= 64, "pending masks are one U64");
+    U64 pending_valid = 0;
+    U64 pending_hasflags = 0;
     U64 pending_value[NUM_UOP_REGS] = {};
     U16 pending_flags[NUM_UOP_REGS] = {};
+    // This instruction's stores (applied at commit) and flag updates.
+    // Members, not locals: one x86 instruction never expands past a
+    // block's uop budget, and a local PendingWrite array (GuestVirt has
+    // a default member initialiser) would be zeroed per instruction.
+    PendingWrite stores[MAX_BB_UOPS] = {};
+    FlagUpdate flag_updates[MAX_BB_UOPS] = {};
 
     // Cached decode position.
     const BasicBlock *cur_bb = nullptr;

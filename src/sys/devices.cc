@@ -45,8 +45,17 @@ void
 VirtualDisk::visit(Archive &ar)
 {
     ar.length(pending);
-    for (Pending &p : pending)
+    for (Pending &p : pending) {
         ar(p.ready, p.sector, p.count, p.dest_va, p.cr3);
+        // processDue copies these sectors out of the image; the bound
+        // is written so that no sector or count word can wrap it.
+        if (p.count > sectorCount() || p.sector > sectorCount() - p.count)
+            fatal("checkpoint: disk transfer of %llu sectors at sector "
+                  "%llu exceeds the %llu-sector image",
+                  (unsigned long long)p.count,
+                  (unsigned long long)p.sector,
+                  (unsigned long long)sectorCount());
+    }
 }
 
 void
@@ -128,6 +137,9 @@ VirtualNet::visit(Archive &ar)
     ar.length(in_flight);
     for (Packet &p : in_flight) {
         ar(p.ready, p.to_ep);
+        if (p.to_ep < 0 || p.to_ep >= endpointCount())
+            fatal("checkpoint: in-flight packet to endpoint %d on a "
+                  "%d-endpoint network", p.to_ep, endpointCount());
         ar.bytes(p.data);
     }
     ar.size(rx.size());

@@ -533,6 +533,89 @@ TEST(Exec, PageFaultReportsAddress)
     EXPECT_EQ(g.reg(R::rsi) & lowMask(48), 0x12345067ULL);
 }
 
+/**
+ * Step `g` up to the instruction at `fault_rip`, then step it once:
+ * its store faults after earlier uops of the same instruction produced
+ * a value (and, for add, flags). With no fault handler the VCPU halts
+ * where it stands, so every register, the flags and rip must read as
+ * they did before the instruction.
+ */
+void
+expectFaultCommitsNothing(GuestRunner &g, U64 fault_rip)
+{
+    while (g.ctx.rip.raw() != fault_rip)
+        ASSERT_EQ(g.engine.stepInsn().insns, 1);
+    const Context before = g.ctx;
+    FunctionalEngine::StepResult r = g.engine.stepInsn();
+    EXPECT_EQ(r.fault_delivered, GuestFault::PageFaultWrite);
+    EXPECT_EQ(r.insns, 0);
+    EXPECT_FALSE(g.ctx.running);
+    for (int reg = 0; reg < NUM_UOP_REGS; reg++)
+        EXPECT_EQ(g.ctx.regs[reg], before.regs[reg]) << "register " << reg;
+    EXPECT_EQ(g.ctx.flags, before.flags);
+    EXPECT_EQ(g.ctx.rip, before.rip);
+}
+
+/** add [read-only], rax: load, add (value and flags), faulting store. */
+TEST(Exec, FaultingStoreLeavesRegistersAndFlags)
+{
+    constexpr U64 RO_PAGE = DATA_BASE - PAGE_SIZE;
+    GuestRunner g;
+    g.map(RO_PAGE, PAGE_SIZE, Pte::US | Pte::NX);  // zero-filled
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, RO_PAGE);
+    a.mov(R::rax, ~0ULL);            // 0 + ~0 would set SF and PF
+    U64 fault_rip = a.here();
+    a.add(Mem::at(R::rbx), R::rax);
+    a.hlt();
+    g.load(a);
+    expectFaultCommitsNothing(g, fault_rip);
+}
+
+/** call onto an unmapped stack: the return-address temporary is
+ *  produced, then the push of it faults. */
+TEST(Exec, FaultingCallLeavesRegisters)
+{
+    GuestRunner g;
+    Assembler a(CODE_BASE);
+    Label target = a.newLabel();
+    a.movImm64(R::rsp, 0x12345008ULL);  // unmapped
+    U64 fault_rip = a.here();
+    a.call(target);
+    a.bind(target);
+    a.hlt();
+    g.load(a);
+    expectFaultCommitsNothing(g, fault_rip);
+}
+
+/** Later uops read what earlier uops of the same instruction wrote:
+ *  add [mem] loads into a temporary, adds into it (setting flags) and
+ *  stores it; pop loads into a temporary, bumps rsp and moves it. */
+TEST(Exec, UopsReadTemporariesOfTheirOwnInstruction)
+{
+    GuestRunner g;
+    Assembler a(CODE_BASE);
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rax, ~0ULL);
+    a.mov(Mem::at(R::rbx), R::rax);  // [rbx] = ~0
+    a.mov(R::rax, 1);
+    a.add(Mem::at(R::rbx), R::rax);  // [rbx] = 0, CF and ZF set
+    a.setcc(COND_b, R::rcx);         // CF from the temporary's flags
+    a.mov(R::rdx, 0x5A5A);
+    a.push(R::rdx);
+    a.pop(R::rsi);
+    a.hlt();
+    g.load(a);
+    U64 rsp = g.ctx.regs[REG_rsp];
+    g.execute();
+    EXPECT_EQ(g.readGuest(DATA_BASE, 8), 0ULL);
+    EXPECT_EQ(g.reg(R::rcx), 1ULL);
+    EXPECT_NE(g.ctx.flags & FLAG_ZF, 0);
+    EXPECT_NE(g.ctx.flags & FLAG_CF, 0);
+    EXPECT_EQ(g.reg(R::rsi), 0x5A5AULL);
+    EXPECT_EQ(g.ctx.regs[REG_rsp], rsp);
+}
+
 TEST(Exec, EventDeliveryAndIretq)
 {
     GuestRunner g;

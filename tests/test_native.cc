@@ -355,6 +355,56 @@ TEST(CorruptMachineImage, VcpuCountMismatchIsFatal)
     EXPECT_DEATH(restoreCheckpoint(*one, ckpt), "2-VCPU machine");
 }
 
+/** The index of the first word in which two images differ (the
+ *  shorter one's size if one is a prefix of the other). */
+size_t
+firstDifference(const MachineCheckpoint &a, const MachineCheckpoint &b)
+{
+    size_t n = std::min(a.size(), b.size());
+    size_t i = 0;
+    while (i < n && a[i] == b[i])
+        i++;
+    return i;
+}
+
+TEST(CorruptMachineImage, PacketToMissingEndpointIsFatal)
+{
+    auto to1 = shapedMachine(16 << 20, 1);
+    auto to2 = shapedMachine(16 << 20, 1);
+    const U8 payload[16] = {1, 2, 3};
+    to1->net().send(1, payload, sizeof(payload));
+    to2->net().send(2, payload, sizeof(payload));
+    MachineCheckpoint ckpt = captureCheckpoint(*to1);
+    // The packet's endpoint word precedes the per-endpoint floors.
+    size_t to_ep = firstDifference(ckpt, captureCheckpoint(*to2));
+    ASSERT_LT(to_ep, ckpt.size());
+    ASSERT_EQ(ckpt[to_ep], 1u);
+    ckpt[to_ep] = (U64)to1->net().endpointCount();
+    EXPECT_DEATH(restoreCheckpoint(*to1, ckpt), "endpoint");
+}
+
+TEST(CorruptMachineImage, DiskTransferPastImageIsFatal)
+{
+    auto at3 = shapedMachine(16 << 20, 1);
+    auto at4 = shapedMachine(16 << 20, 1);
+    for (Machine *m : {at3.get(), at4.get()})
+        m->disk().setImage(std::vector<U8>(16 * DISK_SECTOR_BYTES));
+    ASSERT_TRUE(at3->disk().read(at3->vcpu(0), 3, 2, GuestVirt(0x1000)));
+    ASSERT_TRUE(at4->disk().read(at4->vcpu(0), 4, 2, GuestVirt(0x1000)));
+    MachineCheckpoint ckpt = captureCheckpoint(*at3);
+    size_t sector = firstDifference(ckpt, captureCheckpoint(*at4));
+    ASSERT_LT(sector, ckpt.size());
+    ASSERT_EQ(ckpt[sector], 3u);
+    // Sector + count wraps to 1: only an overflow-free bound sees it.
+    ckpt[sector] = ~0ULL;
+    EXPECT_DEATH(restoreCheckpoint(*at3, ckpt), "exceeds the 16-sector");
+    // The last in-range start still restores; one past it does not.
+    ckpt[sector] = 14;
+    restoreCheckpoint(*at3, ckpt);
+    ckpt[sector] = 15;
+    EXPECT_DEATH(restoreCheckpoint(*at3, ckpt), "exceeds the 16-sector");
+}
+
 TEST(Native, DeviceTraceRecordsDiskDma)
 {
     SimConfig cfg = SimConfig::preset("k8");

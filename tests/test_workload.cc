@@ -149,6 +149,29 @@ TEST(Table1Trials, NativeTrialProfilesK8Structures)
     EXPECT_GT(m.cycles, m.insns / 3);    // modeled cycles are sane
 }
 
+/**
+ * The native trial's simulated counters, exactly. They depend only on
+ * the guest, the file set and the functional engine's semantics and
+ * profiling calls, never on the host, so any change to them is a
+ * change in what the reference column measures.
+ */
+TEST(Table1Trials, NativeTrialCountersArePinned)
+{
+    auto native = makeNativeTrial(tinySet());
+    RsyncBench::Result r = native->run();
+    ASSERT_TRUE(r.shutdown);
+    ASSERT_EQ(r.mismatches, 0ULL);
+    Table1Metrics m = native->metrics();
+    EXPECT_EQ(m.insns, 2'976'819ULL);
+    EXPECT_EQ(m.uops, 3'591'344ULL);       // K8 macro-ops
+    EXPECT_EQ(m.cycles, 3'788'514ULL);     // modeled cycles
+    EXPECT_EQ(m.l1d_accesses, 638'382ULL);
+    EXPECT_EQ(m.l1d_misses, 15'466ULL);
+    EXPECT_EQ(m.branches, 455'800ULL);
+    EXPECT_EQ(m.mispredicts, 2'338ULL);
+    EXPECT_EQ(m.dtlb_misses, 422ULL);
+}
+
 TEST(Table1Trials, SimAndNativeTrialsAgreeArchitecturally)
 {
     // The same guest work executes in both trials: instruction counts
