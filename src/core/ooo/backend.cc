@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "core/ooo/ooocore.h"
@@ -79,9 +80,10 @@ OooCore::stageIssue(SimCycle now)
         int order[MAX_IQ_SLOTS];
         int n = 0;
         SimCycle next = CYCLE_NEVER;
-        for (int i = 0; i < (int)iq.slots.size(); i++) {
-            const IqEntry &slot = iq.slots[i];
-            if (!slot.valid || slot.ready_mask != IQ_ALL_READY)
+        for (U64 m = iq.live; m; m &= m - 1) {
+            int i = std::countr_zero(m);
+            const IqEntry &slot = iq.slots[(size_t)i];
+            if (slot.ready_mask != IQ_ALL_READY)
                 continue;
             if (slot.wake_cycle > now) {
                 if (slot.wake_cycle < next)
@@ -98,9 +100,9 @@ OooCore::stageIssue(SimCycle now)
         int issued = 0, left = 0;
         bool survivor = false;
         for (int k = 0; k < n; k++) {
-            const IqEntry &slot = iq.slots[order[k]];
-            if (!slot.valid)
+            if (!((iq.live >> order[k]) & 1))
                 continue;  // squashed by a mispredict earlier this walk
+            const IqEntry &slot = iq.slots[order[k]];
             UopClass cls = slot.cls;
             if (issued == cfg.issue_width_per_cluster
                 || (cls == UopClass::IntMul && mul_used)
@@ -129,8 +131,9 @@ OooCore::stageIssue(SimCycle now)
         // A mispredict squashed slots of this queue, perhaps ones
         // counted above: recompute the bound from what is left.
         next = CYCLE_NEVER;
-        for (const IqEntry &slot : iq.slots) {
-            if (!slot.valid || slot.ready_mask != IQ_ALL_READY)
+        for (U64 m = iq.live; m; m &= m - 1) {
+            const IqEntry &slot = iq.slots[(size_t)std::countr_zero(m)];
+            if (slot.ready_mask != IQ_ALL_READY)
                 continue;
             SimCycle at = std::max(slot.wake_cycle, now + cycles(1));
             if (at < next)
@@ -157,10 +160,8 @@ OooCore::issueOne(SimCycle now, IssueQueue &iq, int slot_idx)
             slot.wake_cycle = replay;
             return false;
         }
-        slot.valid = false;
+        iq.live &= ~(U64(1) << slot_idx);
         iq.used--;
-        if (&iq != &queues[fp_queue_index])
-            t.int_iq_inflight--;
         return true;
     }
 
@@ -175,7 +176,6 @@ OooCore::issueOne(SimCycle now, IssueQueue &iq, int slot_idx)
                                 value_of(e.src[2]), flags_of(e.src[3]),
                                 flags_of(e.src[0]), flags_of(e.src[1]),
                                 flags_of(e.src[2]));
-    e.result = out.value;
     e.outflags = out.flags;
     if (out.fault != GuestFault::None) {
         e.fault = out.fault;
@@ -192,13 +192,13 @@ OooCore::issueOne(SimCycle now, IssueQueue &iq, int slot_idx)
         broadcastReady(e.phys);
     }
     e.state = RobState::Done;
-    slot.valid = false;
+    iq.live &= ~(U64(1) << slot_idx);
     iq.used--;
-    if (&iq != &queues[fp_queue_index])
-        t.int_iq_inflight--;
 
-    if (u.isBranch())
+    if (u.isBranch()) {
+        e.actual_next = out.value;  // executeUop yields the true next RIP
         resolveBranch(now, t, slot.rob, e);
+    }
     return true;
 }
 
@@ -210,7 +210,6 @@ void
 OooCore::resolveBranch(SimCycle now, Thread &t, int rob_idx, RobEntry &e)
 {
     const Uop &u = e.uop;
-    e.actual_next = e.result;  // executeUop yields the true next RIP
     st_branches++;
 
     if (u.op == UopOp::BrCC) {
@@ -235,16 +234,14 @@ OooCore::resolveBranch(SimCycle now, Thread &t, int rob_idx, RobEntry &e)
         st_indirect_mispredicts++;
 
     squashYounger(t, rob_idx, now);
-    if (e.checkpoint >= 0) {
-        RatCheckpoint &c = t.checkpoints[e.checkpoint];
-        std::memcpy(t.spec_rat, c.map, sizeof(t.spec_rat));
-        predictor->rasRestore(c.ras_top);
-        e.checkpoint = -1;
-    } else {
+    // Rename checkpoints every BrCC and Jmp at its own ROB slot; a Bru
+    // goes where fetch sent it, so it never gets here.
+    if (u.op == UopOp::Bru)
         panic("mispredicted branch without checkpoint (%s at %llx)",
               uopInfo(u.op).name, (unsigned long long)u.rip);
-    }
-    e.predicted_next = e.actual_next;  // now resolved correctly
+    const RatCheckpoint &c = t.checkpoints[rob_idx];
+    std::memcpy(t.spec_rat, c.map, sizeof(t.spec_rat));
+    predictor->rasRestore(c.ras_top);
     redirectFetch(t, GuestVirt(e.actual_next), now,
                   cycles((U64)cfg.mispredict_penalty));
 }
@@ -445,17 +442,7 @@ OooCore::commitUopState(SimCycle now, Thread &t, RobEntry &e)
         GuestAccess a = guestWrite(*aspace, ctx, s.va, u.size, s.data);
         ptl_assert(a.ok());  // faults were resolved at issue
         hierarchy->dataAccess(s.paddr, true, now, true);
-        // Self-modifying code detection on the touched frame(s).
-        Pfn first = s.paddr.pfn();
-        if (sys->isCodeMfn(first))
-            pending_smc.push_back(first);
-        if (s.va.vpn() != (s.va + u.size - 1).vpn()) {
-            GuestAccess b = guestTranslate(*aspace, ctx,
-                                           s.va + u.size - 1,
-                                           MemAccess::Write);
-            if (b.ok() && sys->isCodeMfn(b.paddr.pfn()))
-                pending_smc.push_back(b.paddr.pfn());
-        }
+        noteCodeWrites(ctx, s, u.size);  // self-modifying code detection
     }
     if (u.schedWritesRd()) {
         ctx.setReg(u.rd, prf[e.phys].value);
@@ -477,17 +464,26 @@ OooCore::commitUopState(SimCycle now, Thread &t, RobEntry &e)
     }
     if (e.lsq >= 0) {
         // Commit is in program order, so this is the ring's head.
-        bool ld = u.isLoad();
-        LsqEntry &l = ld ? t.ldq[e.lsq] : t.stq[e.lsq];
-        if (l.lock_acquired)
-            interlocks->release(l.paddr, ownerId(t));
-        l.valid = false;
-        (ld ? t.ldq_head : t.stq_head) =
-            ringNext(e.lsq, (int)(ld ? t.ldq.size() : t.stq.size()));
-        (ld ? t.ldq_used : t.stq_used)--;
+        Ring<LsqEntry> &q = u.isLoad() ? t.ldq : t.stq;
+        if (q[e.lsq].lock_acquired)
+            interlocks->release(q[e.lsq].paddr, ownerId(t));
+        q.popFront();
         e.lsq = -1;
     }
     st_commit_uops++;
+}
+
+void
+OooCore::noteCodeWrites(const Context &ctx, const LsqEntry &s, int size)
+{
+    if (sys->isCodeMfn(s.paddr.pfn()))
+        pending_smc.push_back(s.paddr.pfn());
+    if (s.va.vpn() != (s.va + size - 1).vpn()) {
+        GuestAccess b = guestTranslate(*aspace, ctx, s.va + size - 1,
+                                       MemAccess::Write);
+        if (b.ok() && sys->isCodeMfn(b.paddr.pfn()))
+            pending_smc.push_back(b.paddr.pfn());
+    }
 }
 
 bool
@@ -500,8 +496,7 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
     t.commit_wake = CYCLE_NEVER;
 
     // Event (virtual interrupt) delivery at instruction boundaries.
-    bool at_boundary =
-        (t.rob_used == 0) || t.rob[t.rob_head].uop.som;
+    bool at_boundary = t.rob.empty() || t.rob.front().uop.som;
     if (at_boundary && ctx.running && ctx.event_pending && !ctx.event_mask
         && ctx.event_callback != 0) {
         deliverEvent(ctx, *aspace);
@@ -512,21 +507,21 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
         t.last_commit_cycle = now;
         return true;
     }
-    if (t.rob_used == 0)
+    if (t.rob.empty())
         return false;
 
     // Locate the head instruction group [head .. EOM].
     int group[64];
     int count = 0;
-    int idx = t.rob_head;
+    int idx = t.rob.frontSlot();
     bool complete = false;
-    for (int n = 0; n < t.rob_used && count < 64; n++) {
+    for (int n = 0; n < t.rob.size() && count < 64; n++) {
         group[count++] = idx;
         if (t.rob[idx].uop.eom) {
             complete = true;
             break;
         }
-        idx = robNext(t, idx);
+        idx = t.rob.next(idx);
     }
     if (!complete)
         return false;  // instruction not fully renamed yet
@@ -578,7 +573,7 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
         }
     }
 
-    GuestVirt insn_rip = GuestVirt(t.rob[t.rob_head].uop.rip);
+    GuestVirt insn_rip = GuestVirt(t.rob.front().uop.rip);
 
     if (hoist_violation) {
         // Speculative load issued before a conflicting older store:
@@ -624,18 +619,8 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
         // which code frames this group touches before that happens.
         for (int n = 0; n < count; n++) {
             const RobEntry &e = t.rob[group[n]];
-            if (!e.uop.isStore() || e.lsq < 0)
-                continue;
-            const LsqEntry &s = t.stq[e.lsq];
-            if (sys->isCodeMfn(s.paddr.pfn()))
-                pending_smc.push_back(s.paddr.pfn());
-            if (s.va.vpn() != (s.va + e.uop.size - 1).vpn()) {
-                GuestAccess b = guestTranslate(*aspace, *t.ctx,
-                                               s.va + e.uop.size - 1,
-                                               MemAccess::Write);
-                if (b.ok() && sys->isCodeMfn(b.paddr.pfn()))
-                    pending_smc.push_back(b.paddr.pfn());
-            }
+            if (e.uop.isStore() && e.lsq >= 0)
+                noteCodeWrites(ctx, t.stq[e.lsq], e.uop.size);
         }
         lockstepStepReference(t, now, insn_rip, t.rob[group[0]].uop);
         for (int n = 0; n < count; n++) {
@@ -653,8 +638,7 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
         if (has_assist) {
             // Pop committed leading uops now so the post-assist flush
             // cannot force-free their (architecturally live) registers.
-            t.rob_head = robNext(t, t.rob_head);
-            t.rob_used--;
+            t.rob.popFront();
         }
     }
 
@@ -699,10 +683,8 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
                      (unsigned long long)ctx.rip.raw(),
                      uopInfo(last.uop.op).name);
     }
-    for (int n = 0; n < count; n++) {
-        t.rob_head = robNext(t, t.rob_head);
-        t.rob_used--;
-    }
+    for (int n = 0; n < count; n++)
+        t.rob.popFront();
     st_commit_insns++;
     budget -= count;
     t.last_commit_cycle = now;

@@ -4,6 +4,7 @@
  * timing and branch prediction) and rename/dispatch.
  */
 
+#include <bit>
 #include <cstring>
 
 #include "core/ooo/ooocore.h"
@@ -22,7 +23,7 @@ OooCore::stageFetch(SimCycle now)
     Thread &t = threads[tid];
 
     for (int n = 0; n < cfg.fetch_width; n++) {
-        if (t.fetch_queue.size() >= cfg.fetch_queue_size) {
+        if (t.fetch_queue.full()) {
             st_fetch_stall++;
             return;
         }
@@ -48,7 +49,7 @@ OooCore::stageFetch(SimCycle now)
                 fu.uop.ripseq = t.fetch_rip.raw();
                 fu.fetch_fault = ff;
                 fu.ready_at = now + cycles((U64)cfg.frontend_stages);
-                t.fetch_queue.push_back(fu);
+                t.fetch_queue[t.fetch_queue.pushBack()] = fu;
                 t.fetch_faulted = true;
                 cycle_activity = true;
                 return;
@@ -123,7 +124,7 @@ OooCore::stageFetch(SimCycle now)
             // the checkpoint must be taken here, not at rename).
             fu.ras_top = predictor->rasTop();
             t.fetch_idx++;
-            t.fetch_queue.push_back(fu);
+            t.fetch_queue[t.fetch_queue.pushBack()] = fu;
             cycle_activity = true;
             continue;
         }
@@ -132,14 +133,14 @@ OooCore::stageFetch(SimCycle now)
             // Serializing: stop fetching until the assist commits and
             // redirects the front end.
             t.fetch_idx++;
-            t.fetch_queue.push_back(fu);
+            t.fetch_queue[t.fetch_queue.pushBack()] = fu;
             t.fetch_faulted = true;
             cycle_activity = true;
             return;
         }
 
         t.fetch_idx++;
-        t.fetch_queue.push_back(fu);
+        t.fetch_queue[t.fetch_queue.pushBack()] = fu;
         cycle_activity = true;
     }
 }
@@ -150,7 +151,7 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
     Thread::FetchedUop &fu = t.fetch_queue.front();
     const Uop &u = fu.uop;
 
-    if (t.rob_used >= (int)t.rob.size())
+    if (t.rob.full())
         return false;
     // schedWritesRd/schedCls/schedFlagGroups read the metadata cached
     // at decode (Uop::precomputeSched) instead of re-deriving it from
@@ -188,28 +189,30 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
         if (qidx != fp_queue_index && threads.size() > 1) {
             int total = cfg.int_iq_count * cfg.int_iq_size;
             int cap = std::max(2, total / (int)threads.size());
-            if (t.int_iq_inflight >= cap)
+            int held = 0;
+            for (int q = 0; q < cfg.int_iq_count; q++) {
+                const IssueQueue &iq = queues[q];
+                for (U64 m = iq.live; m; m &= m - 1)
+                    held += iq.slots[(size_t)std::countr_zero(m)].thread
+                            == tid;
+            }
+            if (held >= cap)
                 return false;
         }
     }
-    if (u.isLoad() && t.ldq_used >= (int)t.ldq.size())
+    if (u.isLoad() && t.ldq.full())
         return false;
-    if (u.isStore() && t.stq_used >= (int)t.stq.size())
+    if (u.isStore() && t.stq.full())
         return false;
 
     // Allocate the ROB slot (its index doubles as the checkpoint id,
     // so a free slot always has a free checkpoint).
-    int idx = t.rob_tail;
-    bool wants_checkpoint = (u.op == UopOp::BrCC || u.op == UopOp::Jmp);
-
-    t.rob_tail = robNext(t, idx);
-    t.rob_used++;
+    int idx = t.rob.pushBack();
     U64 seq = t.next_seq++;
     RobEntry &e = t.rob[idx];
     e = RobEntry{};
     e.uop = u;
     e.seq = seq;
-    e.thread = tid;
     e.pred = fu.pred;
     e.predicted_next = fu.predicted_next;
     e.fault = fu.fetch_fault;
@@ -263,27 +266,20 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
 
     // ---- LSQ allocation (at the ring's tail) ----
     if (u.isLoad() || u.isStore()) {
-        bool ld = u.isLoad();
-        std::vector<LsqEntry> &lsq = ld ? t.ldq : t.stq;
-        int &tail = ld ? t.ldq_tail : t.stq_tail;
-        int slot = tail;
-        tail = ringNext(slot, (int)lsq.size());
+        Ring<LsqEntry> &lsq = u.isLoad() ? t.ldq : t.stq;
+        int slot = lsq.pushBack();
         lsq[slot] = LsqEntry{};
-        lsq[slot].valid = true;
         lsq[slot].rob = idx;
         lsq[slot].seq = seq;
         lsq[slot].locked = u.locked;
         e.lsq = slot;
-        (ld ? t.ldq_used : t.stq_used)++;
     }
 
-    // ---- checkpoint for recoverable branches ----
-    if (wants_checkpoint) {
+    // ---- checkpoint for recoverable branches (at the ROB slot) ----
+    if (u.op == UopOp::BrCC || u.op == UopOp::Jmp) {
         RatCheckpoint &c = t.checkpoints[idx];
         std::memcpy(c.map, t.spec_rat, sizeof(c.map));
         c.ras_top = fu.ras_top;       // fetch-time snapshot
-        c.history = fu.pred.history;
-        e.checkpoint = idx;
     }
 
     // ---- initial scheduling state ----
@@ -297,55 +293,47 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
         e.state = RobState::InQueue;
         IssueQueue &iq = queues[qidx];
         e.cluster = iq.cluster;
-        for (IqEntry &slot : iq.slots) {
-            if (!slot.valid) {
-                slot.valid = true;
-                slot.thread = (S16)tid;
-                slot.rob = (S16)idx;
-                slot.seq = seq;
-                slot.cls = u.schedCls();
-                // Seed the wakeup state: sources that already executed
-                // set their ready bits here (folding their
-                // bypass-adjusted ready times into wake_cycle); the
-                // rest are completed by broadcastReady when their
-                // producers finish. Rename runs after issue, so a
-                // producer completing this very cycle is visible in
-                // the PRF by now — no broadcast can be missed.
-                slot.wake_cycle = SimCycle(0);
-                int slot_idx = (int)(&slot - iq.slots.data());
-                U8 mask = 0;
-                for (int s = 0; s < 4; s++) {
-                    int p = e.src[s];
-                    slot.src[s] = (S16)p;
-                    if (p < 0) {
-                        mask |= (U8)(1 << s);
-                        continue;
-                    }
-                    const PhysReg &r = prf[p];
-                    if (r.ready) {
-                        mask |= (U8)(1 << s);
-                        SimCycle eff =
-                            effectiveReadyCycle(r, iq.cluster);
-                        if (eff > slot.wake_cycle)
-                            slot.wake_cycle = eff;
-                    } else {
-                        waitMask(p, qidx) |= U64(1) << slot_idx;
-                    }
-                }
-                slot.ready_mask = mask;
-                // A fully-ready insert can issue next cycle at the
-                // earliest (select already ran this cycle).
-                if (mask == IQ_ALL_READY) {
-                    SimCycle at =
-                        std::max(slot.wake_cycle, now + cycles(1));
-                    if (at < iq.next_wake)
-                        iq.next_wake = at;
-                }
-                iq.used++;
-                if (qidx != fp_queue_index)
-                    t.int_iq_inflight++;
-                break;
+        // Take the lowest free slot (used < size was checked above).
+        int slot_idx = std::countr_zero(~iq.live);
+        IqEntry &slot = iq.slots[(size_t)slot_idx];
+        iq.live |= U64(1) << slot_idx;
+        iq.used++;
+        slot.thread = (S16)tid;
+        slot.rob = (S16)idx;
+        slot.seq = seq;
+        slot.cls = u.schedCls();
+        // Seed the wakeup state: sources that already executed set
+        // their ready bits here (folding their bypass-adjusted ready
+        // times into wake_cycle); the rest are completed by
+        // broadcastReady when their producers finish. Rename runs
+        // after issue, so a producer completing this very cycle is
+        // visible in the PRF by now — no broadcast can be missed.
+        slot.wake_cycle = SimCycle(0);
+        U8 mask = 0;
+        for (int s = 0; s < 4; s++) {
+            int p = e.src[s];
+            slot.src[s] = (S16)p;
+            if (p < 0) {
+                mask |= (U8)(1 << s);
+                continue;
             }
+            const PhysReg &r = prf[p];
+            if (r.ready) {
+                mask |= (U8)(1 << s);
+                SimCycle eff = effectiveReadyCycle(r, iq.cluster);
+                if (eff > slot.wake_cycle)
+                    slot.wake_cycle = eff;
+            } else {
+                waitMask(p, qidx) |= U64(1) << slot_idx;
+            }
+        }
+        slot.ready_mask = mask;
+        // A fully-ready insert can issue next cycle at the earliest
+        // (select already ran this cycle).
+        if (mask == IQ_ALL_READY) {
+            SimCycle at = std::max(slot.wake_cycle, now + cycles(1));
+            if (at < iq.next_wake)
+                iq.next_wake = at;
         }
     }
     return true;
@@ -366,7 +354,7 @@ OooCore::stageRename(SimCycle now)
                 st_rename_stall++;
                 break;
             }
-            t.fetch_queue.pop_front();
+            t.fetch_queue.popFront();
             budget--;
             cycle_activity = true;
         }

@@ -70,21 +70,27 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
     U64 rb = (u.rb_imm || e.src[1] < 0) ? 0 : prf[e.src[1]].value;
     GuestVirt va = GuestVirt(uopMemAddr(u, ra, rb));
 
-    TranslateResult tr = hierarchy->translateData(
-        ctx.cr3, va, false, !ctx.kernel_mode, now);
-    l.va = va;
-    l.size = u.size;
-    if (tr.fault != GuestFault::None) {
-        e.fault = tr.fault;
-        e.fault_addr = va;
+    // A translation fault completes the load: commit delivers the
+    // fault, and dependents wake so the pipeline drains up to it.
+    auto fault_done = [&](GuestFault fault, GuestVirt at) {
+        e.fault = fault;
+        e.fault_addr = at;
         e.state = RobState::Done;
-        l.addr_known = true;
         if (e.phys >= 0) {
             prf[e.phys].ready = true;
             prf[e.phys].ready_cycle = now + cycles(1);
             broadcastReady(e.phys);
         }
         return LSQ_DONE;
+    };
+
+    TranslateResult tr = hierarchy->translateData(
+        ctx.cr3, va, false, !ctx.kernel_mode, now);
+    l.va = va;
+    l.size = u.size;
+    if (tr.fault != GuestFault::None) {
+        l.addr_known = true;
+        return fault_done(tr.fault, va);
     }
     CycleDelta latency = tr.latency;
     GuestPhys paddr = tr.paddr;
@@ -109,8 +115,7 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
         // older locked access in this thread has issued and acquired.
         // The older loads are the ring's entries from the head up to
         // this one.
-        int ldq_size = (int)t.ldq.size();
-        for (int i = t.ldq_head; i != e.lsq; i = ringNext(i, ldq_size)) {
+        for (int i = t.ldq.frontSlot(); i != e.lsq; i = t.ldq.next(i)) {
             const LsqEntry &older = t.ldq[i];
             if (older.locked && !older.lock_acquired) {
                 st_load_replays++;
@@ -132,11 +137,8 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
     // still unknown) makes the load wait, so the walk goes on past a
     // forwarding hit and stops only at the first reason to wait.
     const LsqEntry *fwd = nullptr;
-    int stq_size = (int)t.stq.size();
-    int si = t.stq_tail;
-    for (int n = 0; n < t.stq_used; n++) {
-        si = ringPrev(si, stq_size);
-        const LsqEntry &s = t.stq[si];
+    for (int age = t.stq.size() - 1; age >= 0; age--) {
+        const LsqEntry &s = t.stq[t.stq.slotAt(age)];
         if (s.seq > l.seq)
             continue;  // younger than the load
         if (!s.addr_known) {
@@ -177,17 +179,8 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
         if (va.vpn() != last_byte.vpn()) {
             TranslateResult tr2 = hierarchy->translateData(
                 ctx.cr3, last_byte, false, !ctx.kernel_mode, now);
-            if (tr2.fault != GuestFault::None) {
-                e.fault = tr2.fault;
-                e.fault_addr = last_byte;
-                e.state = RobState::Done;
-                if (e.phys >= 0) {
-                    prf[e.phys].ready = true;
-                    prf[e.phys].ready_cycle = now + cycles(1);
-                    broadcastReady(e.phys);
-                }
-                return LSQ_DONE;
-            }
+            if (tr2.fault != GuestFault::None)
+                return fault_done(tr2.fault, last_byte);
             latency += tr2.latency;
             // Read the two fragments from their physical frames: the
             // second fragment starts at the next page's origin.
@@ -204,7 +197,6 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
 
     if (u.op == UopOp::Lds)
         value = signExtend(value, u.size);
-    e.result = value;
     e.state = RobState::Done;
     if (e.phys >= 0) {
         PhysReg &reg = prf[e.phys];
@@ -267,11 +259,8 @@ OooCore::issueStore(SimCycle now, Thread &t, RobEntry &e)
     // squashed and re-executed. They sit at the LDQ ring's tail end, so
     // the walk goes back from the tail to the first older load.
     if (cfg.load_hoisting) {
-        int ldq_size = (int)t.ldq.size();
-        int li = t.ldq_tail;
-        for (int n = 0; n < t.ldq_used; n++) {
-            li = ringPrev(li, ldq_size);
-            const LsqEntry &l = t.ldq[li];
+        for (int age = t.ldq.size() - 1; age >= 0; age--) {
+            const LsqEntry &l = t.ldq[t.ldq.slotAt(age)];
             if (l.seq < s.seq)
                 break;
             if (!l.addr_known)

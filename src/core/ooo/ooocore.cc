@@ -99,10 +99,10 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
     for (size_t i = 0; i < params.contexts.size(); i++) {
         Thread &t = threads[i];
         t.ctx = params.contexts[i];
-        t.rob.resize((size_t)cfg.rob_size);
-        t.ldq.resize((size_t)cfg.ldq_size);
-        t.stq.resize((size_t)cfg.stq_size);
-        t.fetch_queue.buf.resize((size_t)cfg.fetch_queue_size);
+        t.rob.resize(cfg.rob_size);
+        t.ldq.resize(cfg.ldq_size);
+        t.stq.resize(cfg.stq_size);
+        t.fetch_queue.resize(cfg.fetch_queue_size);
         t.checkpoints.resize((size_t)cfg.rob_size);
         // Initialize the register maps: one phys per arch slot,
         // preloaded from the context.
@@ -218,10 +218,8 @@ OooCore::broadcastReady(int phys)
             continue;
         IssueQueue &iq = queues[q];
         SimCycle eff = effectiveReadyCycle(reg, iq.cluster);
-        for (U64 m = waiting; m; m &= m - 1) {
+        for (U64 m = waiting & iq.live; m; m &= m - 1) {
             IqEntry &slot = iq.slots[(size_t)std::countr_zero(m)];
-            if (!slot.valid)
-                continue;
             U8 mask = slot.ready_mask;
             for (int s = 0; s < 4; s++) {
                 if ((int)slot.src[s] == phys)
@@ -264,8 +262,8 @@ OooCore::squashYounger(Thread &t, int rob_idx, SimCycle /*now*/)
 {
     // Walk from the tail back to (but excluding) rob_idx, undoing
     // allocations in reverse order.
-    while (t.rob_used > 0) {
-        int last = ringPrev(t.rob_tail, (int)t.rob.size());
+    while (!t.rob.empty()) {
+        int last = t.rob.backSlot();
         if (last == rob_idx)
             break;
         RobEntry &e = t.rob[last];
@@ -276,36 +274,31 @@ OooCore::squashYounger(Thread &t, int rob_idx, SimCycle /*now*/)
         if (e.state == RobState::InQueue) {
             IssueQueue &iq = queues[e.cluster];
             int tid = (int)(&t - threads.data());
-            for (IqEntry &slot : iq.slots) {
-                if (slot.valid && (int)slot.thread == tid
-                    && (int)slot.rob == last) {
-                    slot.valid = false;
+            for (U64 m = iq.live; m; m &= m - 1) {
+                int si = std::countr_zero(m);
+                const IqEntry &slot = iq.slots[(size_t)si];
+                if ((int)slot.thread == tid && (int)slot.rob == last) {
+                    iq.live &= ~(U64(1) << si);
                     iq.used--;
-                    if (e.cluster != queues[fp_queue_index].cluster)
-                        t.int_iq_inflight--;
                     break;
                 }
             }
         }
         // Release the LSQ slot (and any interlock a squashed load
         // held). The squashed uop is the youngest of its queue, so
-        // its slot is the one just behind the tail.
+        // its slot is the ring's back.
         if (e.lsq >= 0) {
-            bool ld = e.uop.isLoad();
-            LsqEntry &l = ld ? t.ldq[e.lsq] : t.stq[e.lsq];
-            if (l.lock_acquired)
-                interlocks->release(l.paddr, ownerId(t));
-            l.valid = false;
-            (ld ? t.ldq_tail : t.stq_tail) = e.lsq;
-            (ld ? t.ldq_used : t.stq_used)--;
+            Ring<LsqEntry> &q = e.uop.isLoad() ? t.ldq : t.stq;
+            if (q[e.lsq].lock_acquired)
+                interlocks->release(q[e.lsq].paddr, ownerId(t));
+            q.popBack();
         }
         // Return the speculative physical register.
         if (e.phys >= 0) {
             prf[e.phys].refcount = 0;
             freePhys(e.phys);
         }
-        t.rob_tail = last;
-        t.rob_used--;
+        t.rob.popBack();
     }
 }
 
@@ -314,33 +307,26 @@ OooCore::flushThread(Thread &t)
 {
     st_flushes++;
     int tid = (int)(&t - threads.data());
-    // Drop everything in flight.
-    while (t.rob_used > 0) {
-        int last = ringPrev(t.rob_tail, (int)t.rob.size());
-        RobEntry &e = t.rob[last];
+    // Drop everything in flight, youngest first.
+    for (; !t.rob.empty(); t.rob.popBack()) {
+        const RobEntry &e = t.rob[t.rob.backSlot()];
         if (e.phys >= 0) {
             prf[e.phys].refcount = 0;
             freePhys(e.phys);
         }
-        t.rob_tail = last;
-        t.rob_used--;
     }
-    t.rob_head = t.rob_tail = 0;
+    t.rob.clear();
     for (IssueQueue &iq : queues) {
-        for (IqEntry &slot : iq.slots) {
-            if (slot.valid && slot.thread == tid) {
-                slot.valid = false;
+        for (U64 m = iq.live; m; m &= m - 1) {
+            int si = std::countr_zero(m);
+            if (iq.slots[(size_t)si].thread == tid) {
+                iq.live &= ~(U64(1) << si);
                 iq.used--;
             }
         }
     }
-    t.int_iq_inflight = 0;
-    for (LsqEntry &e : t.ldq)
-        e.valid = false;
-    for (LsqEntry &e : t.stq)
-        e.valid = false;
-    t.ldq_head = t.ldq_tail = t.ldq_used = 0;
-    t.stq_head = t.stq_tail = t.stq_used = 0;
+    t.ldq.clear();
+    t.stq.clear();
     t.fetch_queue.clear();
     std::memcpy(t.spec_rat, t.arch_rat, sizeof(t.spec_rat));
     interlocks->releaseAll(ownerId(t));
@@ -439,7 +425,7 @@ OooCore::pickFetchThread(SimCycle now)
             if (!t.ctx->running || t.fetch_stall_until > now
                 || t.fetch_faulted)
                 continue;
-            int inflight = t.rob_used + t.fetch_queue.size();
+            int inflight = t.rob.size() + t.fetch_queue.size();
             if (inflight < best_count) {
                 best_count = inflight;
                 best = i;
@@ -510,7 +496,7 @@ OooCore::cycle(SimCycle now)
             t.last_commit_cycle = now;
             continue;
         }
-        if (t.rob_used > 0
+        if (!t.rob.empty()
             && now - t.last_commit_cycle
                    > cycles((U64)cfg.smt_deadlock_timeout)) {
             st_deadlock_rescues++;
@@ -570,13 +556,12 @@ OooCore::sleepCore(SimCycle now)
         if (!t.ctx->running)
             continue;
         fold(t.commit_wake);
-        if (!t.fetch_faulted
-            && t.fetch_queue.size() < cfg.fetch_queue_size)
+        if (!t.fetch_faulted && !t.fetch_queue.full())
             fold(std::max(t.fetch_stall_until, now + cycles(1)));
         if (!t.fetch_queue.empty()
             && t.fetch_queue.front().ready_at > now)
             fold(t.fetch_queue.front().ready_at);
-        if (t.rob_used > 0)
+        if (!t.rob.empty())
             fold(t.last_commit_cycle
                  + cycles((U64)cfg.smt_deadlock_timeout + 1));
     }
@@ -605,12 +590,12 @@ OooCore::debugState() const
             "fetch_rip=%llx stalled_until=%llu faulted=%d\n",
             i, (unsigned long long)t.ctx->rip.raw(),
             (int)t.ctx->running,
-            t.rob_used, t.fetch_queue.size(),
+            t.rob.size(), t.fetch_queue.size(),
             (unsigned long long)t.fetch_rip.raw(),
             (unsigned long long)t.fetch_stall_until.raw(),
             (int)t.fetch_faulted);
-        int idx = t.rob_head;
-        for (int n = 0; n < std::min(t.rob_used, 8); n++) {
+        for (int n = 0; n < std::min(t.rob.size(), 8); n++) {
+            int idx = t.rob.slotAt(n);
             const RobEntry &e = t.rob[idx];
             out += strprintf(
                 "  rob[%d] %s rip=%llx state=%d fault=%s "
@@ -623,7 +608,6 @@ OooCore::debugState() const
                     ? (unsigned long long)prf[e.phys].ready_cycle.raw()
                     : 0ULL,
                 e.src[0], e.src[1], e.src[2], e.src[3]);
-            idx = (idx + 1) % (int)t.rob.size();
         }
     }
     for (size_t q = 0; q < queues.size(); q++)

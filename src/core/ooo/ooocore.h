@@ -45,6 +45,7 @@
 
 #include "branch/predictor.h"
 #include "core/coreapi.h"
+#include "core/ooo/ring.h"
 #include "core/seqcore.h"
 #include "mem/hierarchy.h"
 
@@ -129,43 +130,39 @@ class OooCore : public CoreModel
     {
         S16 map[RAT_SIZE];
         int ras_top;
-        U64 history;
     };
 
     enum class RobState : U8 { Waiting, InQueue, Issued, Done };
 
     // Fields are ordered by alignment (U64s, then pred, then ints,
-    // then bytes) so the entry packs into 160 bytes; the ROB is the
+    // then bytes) so the entry packs into 144 bytes; the ROB is the
     // hottest array in the simulator and every byte of padding here
-    // costs cache footprint in rename/issue/commit.
+    // costs cache footprint in rename/issue/commit. A BrCC or Jmp
+    // keeps its RAT checkpoint in checkpoints[] at its own slot.
     struct RobEntry
     {
         Uop uop;
         U64 seq = 0;            ///< global program-order sequence
         GuestVirt fault_addr;
         U64 predicted_next = 0;
-        U64 actual_next = 0;
-        U64 result = 0;
+        U64 actual_next = 0;    ///< a branch's resolved next RIP
         BranchPrediction pred;  ///< branch resolution state
-        int thread = 0;
         int phys = -1;          ///< destination physical register
         int src[4] = {-1, -1, -1, -1};  ///< ra, rb, rc, rf phys
         int cluster = 0;
         int lsq = -1;           ///< LDQ/STQ slot (by kind)
-        int checkpoint = -1;
         RobState state = RobState::Waiting;
         GuestFault fault = GuestFault::None;
-        bool mispredicted = false;
         bool hoist_violation = false;  ///< memory replay bookkeeping
         U16 outflags = 0;
     };
+    static_assert(sizeof(RobEntry) <= 144, "RobEntry grew past 144 bytes");
 
-    /** One LDQ/STQ slot. Each queue is a ring in program order, like
+    /** One LDQ/STQ slot. Each queue is a Ring in program order, like
      *  the ROB: rename allocates at the tail, commit frees the head,
      *  a squash rewinds the tail. */
     struct LsqEntry
     {
-        bool valid = false;
         int rob = -1;
         GuestVirt va;
         GuestPhys paddr;
@@ -200,7 +197,6 @@ class OooCore : public CoreModel
         S16 thread = 0;
         U8 ready_mask = 0;     ///< bit s set = src[s] value broadcast seen
         UopClass cls = UopClass::IntAlu;  ///< mirrors uop.schedCls()
-        bool valid = false;
     };
     static constexpr U8 IQ_ALL_READY = 0xF;
     /** Slots per issue queue: a queue's slots must fit in one U64
@@ -210,8 +206,9 @@ class OooCore : public CoreModel
     struct IssueQueue
     {
         std::vector<IqEntry> slots;
+        U64 live = 0;   ///< bit i set = slots[i] holds a queued uop
         int cluster = 0;
-        int used = 0;
+        int used = 0;   ///< popcount(live), kept off the rename path
         /**
          * Lower bound on the earliest cycle any entry here can issue;
          * select skips the whole queue while next_wake > now. Lowered
@@ -245,50 +242,19 @@ class OooCore : public CoreModel
             int ras_top = 0;    ///< RAS state right after this uop fetched
             GuestFault fetch_fault = GuestFault::None;
         };
-        /** Fixed ring of cfg.fetch_queue_size entries. Fetch checks
-         *  for room before every push, so it never overflows. */
-        struct FetchQueue
-        {
-            std::vector<FetchedUop> buf;
-            int head = 0, count = 0;
-
-            int size() const { return count; }
-            bool empty() const { return count == 0; }
-            FetchedUop &front() { return buf[(size_t)head]; }
-            const FetchedUop &front() const { return buf[(size_t)head]; }
-            void
-            push_back(const FetchedUop &fu)
-            {
-                int slot = head + count;
-                if (slot >= (int)buf.size())
-                    slot -= (int)buf.size();
-                buf[(size_t)slot] = fu;
-                count++;
-            }
-            void
-            pop_front()
-            {
-                head = ringNext(head, (int)buf.size());
-                count--;
-            }
-            void clear() { head = count = 0; }
-        } fetch_queue;
+        /** cfg.fetch_queue_size entries. Fetch checks for room
+         *  before every push, so it never overflows. */
+        Ring<FetchedUop> fetch_queue;
         // Rename state.
         S16 spec_rat[RAT_SIZE];
         S16 arch_rat[RAT_SIZE];
-        // ROB (circular).
-        std::vector<RobEntry> rob;
-        int rob_head = 0, rob_tail = 0, rob_used = 0;
-        // LSQ (circular, program order).
-        std::vector<LsqEntry> ldq;
-        std::vector<LsqEntry> stq;
-        int ldq_head = 0, ldq_tail = 0, ldq_used = 0;
-        int stq_head = 0, stq_tail = 0, stq_used = 0;
-        // Checkpoints (parallel to ROB capacity).
+        Ring<RobEntry> rob;
+        Ring<LsqEntry> ldq;
+        Ring<LsqEntry> stq;
+        // Checkpoints, indexed by ROB slot.
         std::vector<RatCheckpoint> checkpoints;
         U64 next_seq = 0;
         SimCycle last_commit_cycle;
-        int int_iq_inflight = 0;  ///< integer IQ slots held (SMT cap)
         /**
          * Why the last commitThread attempt this cycle could not make
          * progress, as a wake-up stamp: the blocking writeback's
@@ -342,9 +308,10 @@ class OooCore : public CoreModel
     /**
      * Wakeup subscriptions: bit `slot` of waitMask(phys, q) is set at
      * dispatch when that slot of queue q has a source still waiting
-     * on `phys`. Bits can go stale (squash/flush invalidates the slot,
-     * or the slot is reused), so the broadcast re-checks each slot's
-     * valid flag, source tags and ready bits. A squashed producer
+     * on `phys`. Bits can go stale (squash/flush frees the slot, or
+     * the slot is reused), so the broadcast visits only slots in the
+     * queue's live mask and re-checks their source tags and ready
+     * bits. A squashed producer
      * never broadcasts; its masks are cleared when the register is
      * reallocated.
      */
@@ -360,19 +327,6 @@ class OooCore : public CoreModel
      *  no pipeline activity, snapshot per-thread running state, and
      *  arm idle_until. */
     void sleepCore(SimCycle now);
-    /** Ring cursor steps (ROB, LDQ/STQ, fetch queue), division-free. */
-    static int ringNext(int idx, int size)
-    {
-        return idx + 1 == size ? 0 : idx + 1;
-    }
-    static int ringPrev(int idx, int size)
-    {
-        return idx == 0 ? size - 1 : idx - 1;
-    }
-    int robNext(const Thread &t, int idx) const
-    {
-        return ringNext(idx, (int)t.rob.size());
-    }
     void flushThread(Thread &t);
     void squashYounger(Thread &t, int rob_idx, SimCycle now);
     void redirectFetch(Thread &t, GuestVirt rip, SimCycle now,
@@ -390,6 +344,10 @@ class OooCore : public CoreModel
     void resolveBranch(SimCycle now, Thread &t, int rob_idx, RobEntry &e);
     bool commitThread(SimCycle now, Thread &t, int &budget);
     void commitUopState(SimCycle now, Thread &t, RobEntry &e);
+    /** Queue in pending_smc the code frames the committed store `s`
+     *  (`size` bytes) writes: its first page and any page it spills
+     *  into. */
+    void noteCodeWrites(const Context &ctx, const LsqEntry &s, int size);
     void runChecker(Thread &t, const RobEntry &eom_entry);
     void lockstepStepReference(Thread &t, SimCycle now, GuestVirt insn_rip,
                                const Uop &first_uop);

@@ -3,14 +3,15 @@
  * Implementation of the pipeline invariant checker (see verify.h).
  *
  * The checker deliberately re-derives every occupancy counter and
- * ordering property from first principles (cursor arithmetic, sequence
- * numbers, reachability from the register maps) instead of trusting
- * the core's own bookkeeping — the entire point is to catch the core's
- * bookkeeping lying.
+ * ordering property from first principles (live-mask populations,
+ * sequence numbers, reachability from the register maps) instead of
+ * trusting the core's own bookkeeping — the entire point is to catch
+ * the core's bookkeeping lying.
  */
 
 #include "verify/verify.h"
 
+#include <bit>
 #include <cstdarg>
 #include <cstdlib>
 #include <vector>
@@ -26,8 +27,6 @@ VerifyStats::VerifyStats(StatsTree &stats, const std::string &prefix)
     : checks(stats.counter(prefix + "verify/checks")),
       violations(stats.counter(prefix + "verify/violations")),
       rob_order(stats.counter(prefix + "verify/rob/order")),
-      rob_count(stats.counter(prefix + "verify/rob/count")),
-      checkpoint(stats.counter(prefix + "verify/rob/checkpoint")),
       lsq_state(stats.counter(prefix + "verify/lsq/state")),
       lsq_age(stats.counter(prefix + "verify/lsq/age")),
       prf_leak(stats.counter(prefix + "verify/prf/leak")),
@@ -166,7 +165,6 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
     // ------------------------------------------------------------------
     for (size_t ti = 0; ti < core.threads.size(); ti++) {
         const OooCore::Thread &t = core.threads[ti];
-        int rsize = (int)t.rob.size();
 
         // ---- RAT maps root the register reachability graph ----
         for (int r = 0; r < OooCore::RAT_SIZE; r++) {
@@ -190,34 +188,12 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
             }
         }
 
-        // ---- ROB cursor / occupancy conservation ----
-        if (t.rob_used < 0 || t.rob_used > rsize) {
-            VERIFY_VIOLATION(vstats.rob_count,
-                             "[cycle %llu] verify: thread %zu rob_used "
-                             "%d outside [0, %d]", cyc, ti, t.rob_used,
-                             rsize);
-        } else {
-            int span = (t.rob_tail - t.rob_head + rsize) % rsize;
-            bool ok = (span == t.rob_used)
-                      || (span == 0
-                          && (t.rob_used == 0 || t.rob_used == rsize));
-            if (!ok)
-                VERIFY_VIOLATION(vstats.rob_count,
-                                 "[cycle %llu] verify: thread %zu ROB "
-                                 "cursors head=%d tail=%d span %d "
-                                 "disagree with rob_used %d",
-                                 cyc, ti, t.rob_head, t.rob_tail, span,
-                                 t.rob_used);
-        }
-
-        // ---- walk the live window: age order, checkpoints, dests ----
-        int used = std::min(std::max(t.rob_used, 0), rsize);
+        // ---- walk the live window: age order, dests ----
         U64 prev_seq = 0;
-        bool have_prev = false;
-        int idx = t.rob_head;
-        for (int n = 0; n < used; n++, idx = (idx + 1) % rsize) {
+        for (int n = 0; n < t.rob.size(); n++) {
+            int idx = t.rob.slotAt(n);
             const OooCore::RobEntry &e = t.rob[idx];
-            if (have_prev && e.seq <= prev_seq)
+            if (n > 0 && e.seq <= prev_seq)
                 VERIFY_VIOLATION(vstats.rob_order,
                                  "[cycle %llu] verify: thread %zu ROB "
                                  "age order broken at slot %d (seq %llu "
@@ -225,15 +201,6 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                                  (unsigned long long)e.seq,
                                  (unsigned long long)prev_seq);
             prev_seq = e.seq;
-            have_prev = true;
-
-            // Checkpoints are indexed by ROB slot, so a live entry can
-            // only hold its own slot's.
-            if (e.checkpoint >= 0 && e.checkpoint != idx)
-                VERIFY_VIOLATION(vstats.checkpoint,
-                                 "[cycle %llu] verify: thread %zu ROB "
-                                 "slot %d holds checkpoint %d, not its "
-                                 "own", cyc, ti, idx, e.checkpoint);
 
             if (e.phys >= 0) {
                 if ((size_t)e.phys >= nprf) {
@@ -259,83 +226,39 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
         }
 
         // ---- LSQ rings vs. the ROB ----
-        // Each queue is a program-order ring: the valid entries must be
-        // exactly the `used` slots that end at the tail, with rising
-        // sequence numbers, and each must mirror its ROB entry.
-        struct LsqRing
-        {
-            const char *name;
-            const std::vector<OooCore::LsqEntry> &q;
-            int head, tail, used;
-            bool is_ldq;
-        };
-        for (const LsqRing &r :
-             {LsqRing{"LDQ", t.ldq, t.ldq_head, t.ldq_tail, t.ldq_used,
-                      true},
-              LsqRing{"STQ", t.stq, t.stq_head, t.stq_tail, t.stq_used,
-                      false}}) {
-            int qsize = (int)r.q.size();
-            if (r.used < 0 || r.used > qsize || r.tail < 0
-                || r.tail >= qsize) {
-                VERIFY_VIOLATION(vstats.lsq_state,
-                                 "[cycle %llu] verify: thread %zu %s "
-                                 "tail %d / used %d outside a %d-entry "
-                                 "ring", cyc, ti, r.name, r.tail, r.used,
-                                 qsize);
-                continue;
-            }
-            int first = (r.tail - r.used + qsize) % qsize;
-            if (r.head != first)
-                VERIFY_VIOLATION(vstats.lsq_state,
-                                 "[cycle %llu] verify: thread %zu %s "
-                                 "cursors head=%d tail=%d disagree with "
-                                 "used %d", cyc, ti, r.name, r.head,
-                                 r.tail, r.used);
+        // Each queue is a program-order ring: its live entries have
+        // rising sequence numbers, and each mirrors its ROB entry.
+        for (const Ring<OooCore::LsqEntry> *q : {&t.ldq, &t.stq}) {
+            bool is_ldq = (q == &t.ldq);
+            const char *name = is_ldq ? "LDQ" : "STQ";
             U64 prev_lsq_seq = 0;
-            for (int li = 0; li < qsize; li++) {
-                const OooCore::LsqEntry &l = r.q[li];
-                int age = (li - first + qsize) % qsize;  // 0 = oldest
-                bool live = age < r.used;
-                if (l.valid != live)
-                    VERIFY_VIOLATION(vstats.lsq_state,
-                                     "[cycle %llu] verify: thread %zu %s "
-                                     "slot %d is %s but the ring's "
-                                     "cursors say %s", cyc, ti, r.name, li,
-                                     l.valid ? "valid" : "free",
-                                     live ? "live" : "free");
-            }
-            for (int age = 0; age < r.used; age++) {
-                int li = (first + age) % qsize;
-                const OooCore::LsqEntry &l = r.q[li];
-                if (!l.valid)
-                    continue;  // reported above
+            for (int age = 0; age < q->size(); age++) {
+                int li = q->slotAt(age);
+                const OooCore::LsqEntry &l = (*q)[li];
                 if (age > 0 && l.seq <= prev_lsq_seq)
                     VERIFY_VIOLATION(vstats.lsq_age,
                                      "[cycle %llu] verify: thread %zu %s "
                                      "ring order broken at slot %d (seq "
-                                     "%llu after %llu)", cyc, ti, r.name,
+                                     "%llu after %llu)", cyc, ti, name,
                                      li, (unsigned long long)l.seq,
                                      (unsigned long long)prev_lsq_seq);
                 prev_lsq_seq = l.seq;
                 // Back-reference into the live ROB window.
-                int pos = (l.rob - t.rob_head + rsize) % rsize;
-                if (l.rob < 0 || l.rob >= rsize || pos >= used) {
+                if (!t.rob.live(l.rob)) {
                     VERIFY_VIOLATION(vstats.lsq_state,
                                      "[cycle %llu] verify: thread %zu "
                                      "%s slot %d references dead ROB "
-                                     "slot %d", cyc, ti, r.name, li,
-                                     l.rob);
+                                     "slot %d", cyc, ti, name, li, l.rob);
                     continue;
                 }
                 const OooCore::RobEntry &e = t.rob[l.rob];
-                bool kind_ok =
-                    r.is_ldq ? e.uop.isLoad() : e.uop.isStore();
+                bool kind_ok = is_ldq ? e.uop.isLoad() : e.uop.isStore();
                 if (!kind_ok || e.lsq != li)
                     VERIFY_VIOLATION(vstats.lsq_state,
                                      "[cycle %llu] verify: thread %zu "
                                      "%s slot %d and ROB slot %d "
                                      "back-references disagree "
-                                     "(rob.lsq=%d)", cyc, ti, r.name, li,
+                                     "(rob.lsq=%d)", cyc, ti, name, li,
                                      l.rob, e.lsq);
                 // Age consistency: the queue entry carries the same
                 // program-order sequence number its ROB entry was
@@ -345,7 +268,7 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                                      "[cycle %llu] verify: thread %zu "
                                      "%s slot %d seq %llu disagrees "
                                      "with ROB slot %d seq %llu",
-                                     cyc, ti, r.name, li,
+                                     cyc, ti, name, li,
                                      (unsigned long long)l.seq, l.rob,
                                      (unsigned long long)e.seq);
             }
@@ -359,17 +282,18 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
     // used to prove InQueue entries sit in exactly one slot.
     std::vector<std::vector<int>> queued(core.threads.size());
     for (size_t ti = 0; ti < core.threads.size(); ti++)
-        queued[ti].assign(core.threads[ti].rob.size(), 0);
-    std::vector<int> int_inflight(core.threads.size(), 0);
+        queued[ti].assign((size_t)core.threads[ti].rob.capacity(), 0);
 
     for (size_t qi = 0; qi < core.queues.size(); qi++) {
         const OooCore::IssueQueue &iq = core.queues[qi];
-        int valid = 0;
-        for (size_t si = 0; si < iq.slots.size(); si++) {
+        if (std::popcount(iq.live) != iq.used)
+            VERIFY_VIOLATION(vstats.iq_state,
+                             "[cycle %llu] verify: iq[%zu] has %d live "
+                             "slots but the occupancy counter says %d",
+                             cyc, qi, std::popcount(iq.live), iq.used);
+        for (U64 m = iq.live; m; m &= m - 1) {
+            size_t si = (size_t)std::countr_zero(m);
             const OooCore::IqEntry &slot = iq.slots[si];
-            if (!slot.valid)
-                continue;
-            valid++;
             if (slot.thread < 0
                 || (size_t)slot.thread >= core.threads.size()) {
                 VERIFY_VIOLATION(vstats.iq_state,
@@ -379,10 +303,7 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                 continue;
             }
             const OooCore::Thread &t = core.threads[slot.thread];
-            int rsize = (int)t.rob.size();
-            int used = std::min(std::max(t.rob_used, 0), rsize);
-            int pos = (slot.rob - t.rob_head + rsize) % rsize;
-            if (slot.rob < 0 || slot.rob >= rsize || pos >= used) {
+            if (!t.rob.live(slot.rob)) {
                 VERIFY_VIOLATION(vstats.iq_state,
                                  "[cycle %llu] verify: iq[%zu] slot %zu "
                                  "references dead ROB slot %d", cyc, qi,
@@ -390,8 +311,6 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                 continue;
             }
             queued[slot.thread][slot.rob]++;
-            if ((int)qi != core.fp_queue_index)
-                int_inflight[slot.thread]++;
             const OooCore::RobEntry &e = t.rob[slot.rob];
             if (e.seq != slot.seq)
                 VERIFY_VIOLATION(vstats.iq_state,
@@ -477,18 +396,11 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                                  "phys %d is already marked ready",
                                  cyc, qi, si, slot.rob, e.phys);
         }
-        if (valid != iq.used)
-            VERIFY_VIOLATION(vstats.iq_state,
-                             "[cycle %llu] verify: iq[%zu] has %d valid "
-                             "slots but the occupancy counter says %d",
-                             cyc, qi, valid, iq.used);
     }
     for (size_t ti = 0; ti < core.threads.size(); ti++) {
         const OooCore::Thread &t = core.threads[ti];
-        int rsize = (int)t.rob.size();
-        int used = std::min(std::max(t.rob_used, 0), rsize);
-        int idx = t.rob_head;
-        for (int n = 0; n < used; n++, idx = (idx + 1) % rsize) {
+        for (int n = 0; n < t.rob.size(); n++) {
+            int idx = t.rob.slotAt(n);
             const OooCore::RobEntry &e = t.rob[idx];
             int q = queued[ti][idx];
             if (e.state == OooCore::RobState::InQueue && q != 1)
@@ -502,13 +414,6 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                                  "slot %d is Done but still sits in %d "
                                  "issue-queue slots", cyc, ti, idx, q);
         }
-        if (core.threads.size() > 1
-            && int_inflight[ti] != t.int_iq_inflight)
-            VERIFY_VIOLATION(vstats.iq_state,
-                             "[cycle %llu] verify: thread %zu occupies "
-                             "%d integer queue slots but "
-                             "int_iq_inflight says %d", cyc, ti,
-                             int_inflight[ti], t.int_iq_inflight);
     }
 
     // ------------------------------------------------------------------
@@ -523,9 +428,11 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                 continue;
             bool found = false;
             for (const auto *q : {&t.ldq, &t.stq}) {
-                for (const OooCore::LsqEntry &l : *q)
-                    found |= (l.valid && l.lock_acquired
+                for (int age = 0; age < q->size(); age++) {
+                    const OooCore::LsqEntry &l = (*q)[q->slotAt(age)];
+                    found |= (l.lock_acquired
                               && (l.paddr.raw() >> 3) == (paddr >> 3));
+                }
             }
             if (!found)
                 VERIFY_VIOLATION(vstats.interlock,
@@ -615,9 +522,9 @@ bool
 VerifyTestHook::corruptRobCount(OooCore &core, int thread)
 {
     OooCore::Thread &t = core.threads[thread];
-    if (t.rob_used >= (int)t.rob.size())
+    if (t.rob.empty() || t.rob.full())
         return false;
-    t.rob_used++;  // conservation: cursors no longer explain the count
+    t.rob.pushBack();  // a live slot rename never filled
     return true;
 }
 
@@ -625,11 +532,9 @@ bool
 VerifyTestHook::corruptRobOrder(OooCore &core, int thread)
 {
     OooCore::Thread &t = core.threads[thread];
-    if (t.rob_used < 2)
+    if (t.rob.size() < 2)
         return false;
-    int a = t.rob_head;
-    int b = (a + 1) % (int)t.rob.size();
-    std::swap(t.rob[a].seq, t.rob[b].seq);
+    std::swap(t.rob[t.rob.slotAt(0)].seq, t.rob[t.rob.slotAt(1)].seq);
     return true;
 }
 
@@ -637,34 +542,23 @@ bool
 VerifyTestHook::corruptLsqAge(OooCore &core, int thread)
 {
     OooCore::Thread &t = core.threads[thread];
-    OooCore::LsqEntry *first = nullptr;
-    for (OooCore::LsqEntry &l : t.ldq) {
-        if (!l.valid)
-            continue;
-        if (first) {
-            std::swap(first->seq, l.seq);
-            return true;
-        }
-        first = &l;
-    }
-    // Fewer than two in-flight loads: skew one entry's seq instead
-    // (breaks the LSQ-vs-ROB agreement the same family checks).
-    if (first) {
-        first->seq += 1000;
-        return true;
-    }
-    return false;
+    if (t.ldq.empty())
+        return false;
+    OooCore::LsqEntry &first = t.ldq[t.ldq.slotAt(0)];
+    if (t.ldq.size() >= 2)
+        std::swap(first.seq, t.ldq[t.ldq.slotAt(1)].seq);
+    else
+        first.seq += 1000;  // breaks the LSQ-vs-ROB agreement instead
+    return true;
 }
 
 bool
 VerifyTestHook::corruptLsqRing(OooCore &core, int thread)
 {
     OooCore::Thread &t = core.threads[thread];
-    int size = (int)t.stq.size();
-    if (t.stq_used == 0 || t.stq_used == size)
+    if (t.stq.empty() || t.stq.full())
         return false;
-    // Advance the tail past a free slot without allocating it.
-    t.stq_tail = (t.stq_tail + 1) % size;
+    t.stq.pushBack();  // a live slot rename never filled
     return true;
 }
 
@@ -688,14 +582,14 @@ bool
 VerifyTestHook::corruptIqReady(OooCore &core)
 {
     for (OooCore::IssueQueue &iq : core.queues) {
-        for (OooCore::IqEntry &slot : iq.slots) {
-            if (!slot.valid)
-                continue;
-            OooCore::Thread &t = core.threads[slot.thread];
-            // Pretend the uop executed without leaving the queue.
-            t.rob[slot.rob].state = OooCore::RobState::Done;
-            return true;
-        }
+        if (!iq.live)
+            continue;
+        const OooCore::IqEntry &slot =
+            iq.slots[(size_t)std::countr_zero(iq.live)];
+        // Pretend the uop executed without leaving the queue.
+        core.threads[slot.thread].rob[slot.rob].state =
+            OooCore::RobState::Done;
+        return true;
     }
     return false;
 }
@@ -705,10 +599,9 @@ VerifyTestHook::dropWaiterSubscription(OooCore &core)
 {
     for (size_t q = 0; q < core.queues.size(); q++) {
         OooCore::IssueQueue &iq = core.queues[q];
-        for (size_t si = 0; si < iq.slots.size(); si++) {
-            const OooCore::IqEntry &slot = iq.slots[si];
-            if (!slot.valid)
-                continue;
+        for (U64 m = iq.live; m; m &= m - 1) {
+            int si = std::countr_zero(m);
+            const OooCore::IqEntry &slot = iq.slots[(size_t)si];
             for (int s = 0; s < 4; s++) {
                 if (slot.src[s] < 0 || ((slot.ready_mask >> s) & 1))
                     continue;

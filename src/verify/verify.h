@@ -10,17 +10,19 @@
  * microarchitectural bookkeeping that every future optimisation PR is
  * regression-tested against:
  *
- *  - ROB age ordering (sequence numbers strictly increase from head to
- *    tail) and entry-count conservation against the head/tail cursors;
- *  - LSQ load/store consistency against the ROB: back-references,
- *    occupancy counters, and age ordering between queue slots;
+ *  - ROB age ordering: sequence numbers strictly increase from head to
+ *    tail. The ROB, LDQ and STQ are Rings (core/ooo/ring.h) that store
+ *    only a head and a count, so there are no cursors to reconcile;
+ *  - LSQ load/store consistency against the ROB: every live entry
+ *    names a live ROB entry of its kind that names it back with the
+ *    same sequence number, and ages rise from head to tail;
  *  - physical register file leak and double-free detection (free-list
  *    duplicates, freed-but-mapped registers, allocated-but-unreachable
  *    registers, architectural refcount conservation);
  *  - issue-queue/scoreboard consistency: every queued uop references a
  *    live, un-issued ROB entry whose destination register is not yet
- *    marked ready, occupancy counters match, and per-thread SMT
- *    occupancy caps are accounted correctly;
+ *    marked ready, its wakeup state agrees with the PRF, and each
+ *    queue's occupancy counter equals the population of its live mask;
  *  - MESI/MOESI directory legality across coherence peers (at most one
  *    M/E holder, M/E exclude sharers, at most one owner);
  *  - memory-backend timing bookkeeping (deferred-write queue depth
@@ -60,9 +62,7 @@ struct VerifyStats
     Counter &checks;          ///< checker passes executed
     Counter &violations;      ///< total violations (all families)
     Counter &rob_order;       ///< ROB age-ordering breaks
-    Counter &rob_count;       ///< ROB occupancy / cursor mismatches
-    Counter &checkpoint;      ///< RAT-checkpoint bookkeeping breaks
-    Counter &lsq_state;       ///< LSQ back-reference / occupancy breaks
+    Counter &lsq_state;       ///< LSQ-to-ROB back-reference breaks
     Counter &lsq_age;         ///< LSQ age-ordering breaks vs. the ROB
     Counter &prf_leak;        ///< allocated-but-unreachable registers
     Counter &prf_double_free; ///< free-list duplicates / freed-but-live
@@ -136,10 +136,11 @@ std::unique_ptr<CoreAuditor> makeVerifyAuditor(const SimConfig &cfg,
  */
 struct VerifyTestHook
 {
+    /** Push a ROB slot without filling it. */
     static bool corruptRobCount(OooCore &core, int thread);
     static bool corruptRobOrder(OooCore &core, int thread);
     static bool corruptLsqAge(OooCore &core, int thread);
-    /** Move the STQ ring's tail past a free slot. */
+    /** Push an STQ slot without filling it. */
     static bool corruptLsqRing(OooCore &core, int thread);
     static bool corruptPrfLeak(OooCore &core);
     static bool corruptPrfDoubleFree(OooCore &core);

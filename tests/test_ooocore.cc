@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ooo/ring.h"
 #include "guest_harness.h"
 
 namespace ptl {
@@ -840,6 +841,94 @@ TEST(OooTiming, SmtThreadsTieOnSeqInOneQueue)
     U64 cycles = runOnCores(r, a);
     EXPECT_EQ(r.readGuest(DATA_BASE, 8), 100ULL * 1 + 105 * 2);
     expectTiming(timingOf(r, cycles), {2188, 693, 0, 1650});
+}
+
+// ---------------------------------------------------------------------
+// Ring: the storage of the ROB, LDQ, STQ and fetch queue
+// ---------------------------------------------------------------------
+
+TEST(Ring, WrapsPastCapacity)
+{
+    Ring<int> r;
+    r.resize(4);
+    EXPECT_TRUE(r.empty());
+    for (int v = 0; v < 4; v++)
+        r[r.pushBack()] = v;
+    EXPECT_TRUE(r.full());
+    r.popFront();
+    r.popFront();
+    // The next two pushes take slots 0 and 1 again, behind slots 2, 3.
+    EXPECT_EQ(r.pushBack(), 0);
+    EXPECT_EQ(r.pushBack(), 1);
+    EXPECT_TRUE(r.full());
+    EXPECT_EQ(r.frontSlot(), 2);
+    EXPECT_EQ(r.backSlot(), 1);
+    EXPECT_EQ(r.front(), 2);
+    for (int age = 0; age < 4; age++)
+        EXPECT_EQ(r.slotAt(age), (2 + age) % 4);
+}
+
+TEST(Ring, PopBackRewindsToTheLastPushedSlot)
+{
+    Ring<int> r;
+    r.resize(4);
+    r.pushBack();
+    r.pushBack();
+    r.popFront();
+    r.pushBack();
+    int last = r.pushBack();  // slot 3
+    r.popBack();
+    EXPECT_EQ(r.size(), 2);
+    EXPECT_FALSE(r.live(last));
+    EXPECT_EQ(r.pushBack(), last);  // the squashed slot is reused
+    last = r.pushBack();            // wraps to slot 0
+    EXPECT_EQ(last, 0);
+    r.popBack();
+    EXPECT_EQ(r.backSlot(), 3);
+    EXPECT_EQ(r.pushBack(), 0);
+}
+
+TEST(Ring, AgeNextPrevAcrossTheWrap)
+{
+    Ring<int> r;
+    r.resize(5);
+    for (int i = 0; i < 3; i++) {
+        r.pushBack();
+        r.popFront();
+    }
+    for (int i = 0; i < 4; i++)
+        r.pushBack();  // slots 3, 4, 0, 1
+    EXPECT_EQ(r.next(4), 0);
+    EXPECT_EQ(r.prev(0), 4);
+    EXPECT_EQ(r.next(1), 2);
+    EXPECT_EQ(r.prev(3), 2);
+    EXPECT_EQ(r.age(3), 0);
+    EXPECT_EQ(r.age(4), 1);
+    EXPECT_EQ(r.age(0), 2);
+    EXPECT_EQ(r.age(1), 3);
+    EXPECT_EQ(r.age(2), 4);  // the one free slot
+    EXPECT_TRUE(r.live(1));
+    EXPECT_FALSE(r.live(2));
+    EXPECT_FALSE(r.live(-1));
+    EXPECT_FALSE(r.live(5));
+    // Walking next() from the front visits the live slots in age order.
+    int slot = r.frontSlot();
+    for (int age = 0; age < r.size(); age++, slot = r.next(slot))
+        EXPECT_EQ(r.age(slot), age);
+}
+
+TEST(Ring, ClearRestartsAllocationAtSlotZero)
+{
+    Ring<int> r;
+    r.resize(4);
+    for (int i = 0; i < 3; i++)
+        r.pushBack();
+    r.popFront();
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.frontSlot(), 0);
+    EXPECT_EQ(r.pushBack(), 0);
+    EXPECT_EQ(r.pushBack(), 1);
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ TEST(VerifyTest, DetectsRobCountCorruption)
     InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
-    EXPECT_GT(chk.counters().rob_count.value(), 0u);
+    EXPECT_GT(chk.counters().rob_order.value(), 0u);
 }
 
 TEST(VerifyTest, DetectsRobAgeOrderCorruption)
@@ -152,7 +152,9 @@ TEST(VerifyTest, DetectsLsqRingCorruption)
     InvariantChecker chk(rig.runner.stats(), "verify/",
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
-    EXPECT_GT(chk.counters().lsq_state.value(), 0u);
+    EXPECT_GT(chk.counters().lsq_state.value()
+                  + chk.counters().lsq_age.value(),
+              0u);
 }
 
 TEST(VerifyTest, DetectsPhysicalRegisterLeak)
