@@ -16,7 +16,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
 
 #include "bench_util.h"
@@ -49,32 +48,6 @@ runThrashingBbcache(BareMachine &m)
         m.bbCache().invalidateAll();
         for (int i = 0; i < m.coreCount(); i++)
             m.core(i).flushPipeline();
-    }
-    return c;
-}
-
-/** Run to completion honouring CoreModel::sleepUntil — the driver
- *  jumps straight to each core's next-interesting cycle instead of
- *  evaluating quiesced stall cycles one by one (the machine busy
- *  loop's skip-ahead contract). With cfg.skip_ahead off, sleepUntil
- *  always returns `now` and this degenerates to a plain run. */
-U64
-runWithSleep(BareMachine &m)
-{
-    U64 c = 0;
-    while (true) {
-        for (int i = 0; i < m.coreCount(); i++)
-            m.core(i).cycle(SimCycle(c));
-        c++;
-        if (m.allIdle())
-            break;
-        if (c > MAX_CYCLES)
-            break;
-        SimCycle next = CYCLE_NEVER;
-        for (int i = 0; i < m.coreCount(); i++)
-            next = std::min(next, m.core(i).sleepUntil(SimCycle(c)));
-        if (next != CYCLE_NEVER && next.raw() > c)
-            c = next.raw();
     }
     return c;
 }
@@ -172,7 +145,8 @@ missChainKernel(Assembler &a)
  *  sim_cycles — while the wall-clock column shows the speedup from
  *  not evaluating quiesced stall cycles. evaluated_cycles reports how
  *  many cycles actually ran through the pipeline stages; the rest were
- *  jumped via sleepUntil. */
+ *  skipped on the core's quiesced fast path, which BareMachine::run
+ *  jumps in one step. */
 void
 skipAheadAblation(benchmark::State &state, bool skip)
 {
@@ -186,9 +160,10 @@ skipAheadAblation(benchmark::State &state, bool skip)
         auto m = std::make_unique<BareMachine>(cfg);
         start(*m, missChainKernel);
         state.ResumeTiming();
-        cycles = runWithSleep(*m);
+        cycles = m->run(MAX_CYCLES);
         state.PauseTiming();
-        evaluated = m->stats().get("core0/cycles");
+        evaluated = m->stats().get("core0/cycles")
+                    - m->stats().get("core0/ooocore/skipped_cycles");
         m.reset();
         state.ResumeTiming();
     }

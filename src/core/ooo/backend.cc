@@ -723,7 +723,8 @@ OooCore::stageCommit(SimCycle now)
             cycle_activity = true;
         }
     }
-    next_commit_thread++;
+    if (++next_commit_thread >= n)
+        next_commit_thread -= n;
 }
 
 }  // namespace ptl

@@ -359,7 +359,8 @@ OooCore::stageRename(SimCycle now)
             cycle_activity = true;
         }
     }
-    next_rename_thread++;
+    if (++next_rename_thread >= n)
+        next_rename_thread -= n;
 }
 
 }  // namespace ptl

@@ -104,10 +104,8 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
     // thread) holds the address, which serializes back-to-back RMWs
     // and prevents a stale read under a lock about to be released.
     int owner = ownerId(t);
-    if (interlocks->heldByOther(paddr, owner)) {
-        st_load_replays++;
-        return now + cycles(2);
-    }
+    if (interlocks->heldByOther(paddr, owner))
+        return replay(ReplayCause::Interlock, now + cycles(2));
     if (u.locked && !l.lock_acquired) {
         // Program-order acquisition: a younger locked load grabbing
         // the lock ahead of an older one would deadlock against
@@ -117,15 +115,11 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
         // this one.
         for (int i = t.ldq.frontSlot(); i != e.lsq; i = t.ldq.next(i)) {
             const LsqEntry &older = t.ldq[i];
-            if (older.locked && !older.lock_acquired) {
-                st_load_replays++;
-                return now + cycles(2);
-            }
+            if (older.locked && !older.lock_acquired)
+                return replay(ReplayCause::LockOrder, now + cycles(2));
         }
-        if (interlocks->held(paddr)) {
-            st_load_replays++;
-            return now + cycles(2);
-        }
+        if (interlocks->held(paddr))
+            return replay(ReplayCause::LockOrder, now + cycles(2));
         bool got = interlocks->acquire(paddr, owner);
         ptl_assert(got);
         l.lock_acquired = true;
@@ -154,8 +148,9 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
         }
         // An unknown address (conservative: wait for it) or a partial
         // overlap (wait until the store commits).
-        st_load_replays++;
-        return now + cycles(2);
+        return replay(s.addr_known ? ReplayCause::PartialOverlap
+                                   : ReplayCause::UnknownStoreAddr,
+                      now + cycles(2));
     }
 
     U64 value = 0;
@@ -166,10 +161,10 @@ OooCore::issueLoad(SimCycle now, Thread &t, RobEntry &e)
     } else {
         // Data cache access (physical address).
         MemResult m = hierarchy->dataAccess(paddr, false, now);
-        if (m.mshr_full || m.bank_conflict) {
-            st_load_replays++;
-            return now + cycles(m.bank_conflict ? 1 : 2);
-        }
+        if (m.bank_conflict)
+            return replay(ReplayCause::BankConflict, now + cycles(1));
+        if (m.mshr_full)
+            return replay(ReplayCause::MshrFull, now + cycles(2));
         latency += m.latency;
         // Unaligned accesses crossing a line (or page) cost extra and
         // may touch a second translation.
@@ -243,10 +238,8 @@ OooCore::issueStore(SimCycle now, Thread &t, RobEntry &e)
     s.paddr = tr.paddr;
 
     int owner = ownerId(t);
-    if (interlocks->heldByOther(tr.paddr, owner)) {
-        st_load_replays++;
-        return now + cycles(2);
-    }
+    if (interlocks->heldByOther(tr.paddr, owner))
+        return replay(ReplayCause::Interlock, now + cycles(2));
     // A locked store runs under the lock its instruction's ld.acq
     // already holds; nothing to acquire here.
 

@@ -78,7 +78,10 @@ class BareMachine : public SystemInterface
     bool allIdle() const;
 
     /** Tick every core, round robin, until all are idle or `max_cycles`
-     *  pass. Time carries over between calls; returns cycles ticked. */
+     *  pass; a stretch on which every core is quiesced
+     *  (CoreModel::quiescedUntil) passes in one step, as in
+     *  Machine::run. Time carries over between calls; returns cycles
+     *  ticked. */
     U64 run(U64 max_cycles);
 
     // ---- SystemInterface ----

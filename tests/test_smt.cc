@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
+#include "core/ooo/ooocore.h"
 #include "guest_harness.h"
+#include "verify/verify.h"
 
 namespace ptl {
 namespace {
@@ -123,6 +127,43 @@ TEST(Smt, SpinlockCriticalSection)
     runOnCores(r, a, 60'000'000);
     EXPECT_EQ(r.readGuest(DATA_BASE + 64, 8), (U64)(2 * ITERS));
     EXPECT_EQ(r.readGuest(DATA_BASE, 8), 0ULL);  // unlocked
+}
+
+/**
+ * The rename and commit rotors advance every cycle, so a free-running
+ * int would overflow after 2^31 cycles and pick threads[-1]. Started at
+ * INT_MAX - 1 (which is 0 modulo 2, the default start), they must pick
+ * the same threads as from 0: the same commit stream, cycle for cycle.
+ */
+TEST(Smt, RotorsNearIntMaxCommitTheSameStream)
+{
+    std::unique_ptr<BareMachine> runs[2];
+    U64 cycles[2];
+    for (int i = 0; i < 2; i++) {
+        runs[i] = std::make_unique<BareMachine>(smtConfig(2));
+        BareMachine &r = *runs[i];
+        Assembler a(CODE_BASE);
+        serialMissChain(a);
+        mapTestLayout(r);
+        r.load(a);
+        r.finalizeCores();
+        if (i == 1)
+            VerifyTestHook::setSmtRotors(
+                dynamic_cast<OooCore &>(r.core(0)), INT_MAX - 1);
+        cycles[i] = runToHalt(r);
+    }
+    EXPECT_EQ(cycles[0], cycles[1]);
+    StatsTree &s0 = runs[0]->stats();
+    StatsTree &s1 = runs[1]->stats();
+    ASSERT_EQ(s0.paths(), s1.paths());
+    for (const std::string &p : s0.paths())
+        EXPECT_EQ(s0.get(p), s1.get(p)) << p;
+    for (int t = 0; t < 2; t++) {
+        for (int reg = 0; reg < 16; reg++)
+            EXPECT_EQ(runs[0]->vcpu(t).regs[reg], runs[1]->vcpu(t).regs[reg])
+                << "thread " << t << " reg " << reg;
+    }
+    EXPECT_GT(s1.get("core0/ooocore/skipped_cycles"), 0ULL);
 }
 
 // ---------------------------------------------------------------------

@@ -115,6 +115,9 @@ TEST(VerifyTest, DetectsRobCountCorruption)
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().rob_order.value(), 0u);
+    // The unfilled slot is caught on its own, not only through the
+    // ROB count: its state is neither InQueue nor Done.
+    EXPECT_GT(chk.counters().iq_state.value(), 0u);
 }
 
 TEST(VerifyTest, DetectsRobAgeOrderCorruption)
