@@ -16,6 +16,7 @@
 #ifndef PTLSIM_SYS_CORESET_H_
 #define PTLSIM_SYS_CORESET_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -42,6 +43,34 @@ CoreSet assembleCores(const SimConfig &cfg,
                       AddressSpace &aspace, BasicBlockCache &bbcache,
                       SystemInterface &sys, InterlockController &interlocks,
                       StatsTree &stats);
+
+/**
+ * One step of a loop that drives `cores` at cycle `now`, ending no
+ * later than `limit` (> now). When every core's quiescedUntil() lies
+ * past `now`, the step is the whole stretch up to the earliest answer
+ * (or `limit`), applied with one skipQuiesced() per core; otherwise it
+ * is one cycle() per core. `account(span)` runs first, while the
+ * contexts still show the state the step starts from. Returns the
+ * cycle after the step.
+ */
+template <typename Account>
+SimCycle
+stepCores(CoreSet &cores, SimCycle now, SimCycle limit, Account &&account)
+{
+    SimCycle until = limit;
+    for (auto &core : cores.cores)
+        until = std::min(until, core->quiescedUntil(now));
+    if (until > now) {
+        account(until - now);
+        for (auto &core : cores.cores)
+            core->skipQuiesced(now, until);
+        return until;
+    }
+    account(cycles(1));
+    for (auto &core : cores.cores)
+        core->cycle(now);
+    return now + cycles(1);
+}
 
 }  // namespace ptl
 
