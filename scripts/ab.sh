@@ -2,13 +2,16 @@
 # Interleaved A/B speed comparison of two checkouts with perfbench, the
 # procedure perfbench/README.md ("Noise") describes.
 #
-# Usage: scripts/ab.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS] [SECONDS] [SEED_BASE]
+# Usage: scripts/ab.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS] [SECONDS]
+#                      [SEED_BASE] [METRIC]
 #
 # Builds perfbench in each checkout (its own .bench_build), then runs
 # PAIRS pairs (default 10) of `perfbench/run.py --trace 0` at SECONDS
 # (default 35). Pair i uses seed SEED_BASE + i (default 500) on both
-# sides, and the side that runs first alternates. Prints each pair's
-# run_s, then the pairs the change won (lower run_s), the median
+# sides, and the side that runs first alternates. METRIC (default
+# run_s) names an end-to-end metric of the change's BENCHMARK.json,
+# which gives its unit and its better direction. Prints each pair's
+# METRIC, then the pairs the change won (better METRIC), the median
 # change/parent pair ratio, each side's median and the parent's
 # interquartile range. A gain holds when the change wins at least nine
 # pairs in ten and the medians differ by more than the parent IQR; the
@@ -17,7 +20,7 @@
 set -eu
 
 if [ $# -lt 3 ]; then
-    sed -n '5,16p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '5,19p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -26,6 +29,19 @@ workload="$3"
 pairs="${4:-10}"
 seconds="${5:-35}"
 seed_base="${6:-500}"
+metric="${7:-run_s}"
+bench_json="$change/BENCHMARK.json"
+
+# Reject a metric with no declared direction before the runs, not after.
+python3 - "$bench_json" "$metric" <<'EOF'
+import json
+import sys
+
+names = [m["name"] for m in json.load(open(sys.argv[1]))["end_to_end"]]
+if sys.argv[2] not in names:
+    sys.exit("ab.sh: %s is not an end-to-end metric (%s)"
+             % (sys.argv[2], ", ".join(names)))
+EOF
 
 results="$(mktemp)"
 trap 'rm -f "$results"' EXIT
@@ -51,12 +67,16 @@ for i in $(seq 1 "$pairs"); do
     done
 done
 
-python3 - "$results" "$workload" "$seconds" <<'EOF'
+python3 - "$results" "$workload" "$seconds" "$bench_json" "$metric" \
+    <<'EOF'
 import json
 import statistics
 import sys
 
-path, workload, seconds = sys.argv[1], sys.argv[2], sys.argv[3]
+path, workload, seconds, bench_json, metric = sys.argv[1:6]
+spec = next(m for m in json.load(open(bench_json))["end_to_end"]
+            if m["name"] == metric)
+unit, lower = spec["unit"], spec["better"] == "lower"
 runs, digests = {}, {}
 for row in open(path):
     pair, side, digest, payload = row.split(" ", 3)
@@ -67,31 +87,33 @@ for row in open(path):
     if not result["correct"]:
         sys.exit("ab.sh: pair %s %s run failed its correctness gate"
                  % (pair, side))
-    runs.setdefault(int(pair), {})[side] = result["metrics"]["run_s"]["value"]
+    runs.setdefault(int(pair), {})[side] = result["metrics"][metric]["value"]
     digests.setdefault(int(pair), set()).add(digest)
 
-ratios, parent_s, change_s = [], [], []
+ratios, parent_v, change_v = [], [], []
 for pair in sorted(runs):
     if len(digests[pair]) != 1:
         sys.exit("ab.sh: pair %d: the two sides simulate differently "
                  "(model.digest %s)" % (pair, " vs ".join(digests[pair])))
     p, c = runs[pair]["parent"], runs[pair]["change"]
-    parent_s.append(p)
-    change_s.append(c)
+    parent_v.append(p)
+    change_v.append(c)
     ratios.append(c / p)
-    print("pair %2d  parent %.3f s  change %.3f s  ratio %.3f"
-          % (pair, p, c, c / p))
+    print("pair %2d  parent %.4g %s  change %.4g %s  ratio %.3f"
+          % (pair, p, unit, c, unit, c / p))
 
-won = sum(r < 1 for r in ratios)
-q1, _, q3 = statistics.quantiles(parent_s, n=4, method="inclusive")
-p_med, c_med = statistics.median(parent_s), statistics.median(change_s)
-holds = won * 10 >= 9 * len(ratios) and p_med - c_med > q3 - q1
-print("%s run_s, --seconds %s, %d pairs" % (workload, seconds, len(ratios)))
+won = sum((r < 1) if lower else (r > 1) for r in ratios)
+q1, _, q3 = statistics.quantiles(parent_v, n=4, method="inclusive")
+p_med, c_med = statistics.median(parent_v), statistics.median(change_v)
+gap = p_med - c_med if lower else c_med - p_med
+holds = won * 10 >= 9 * len(ratios) and gap > q3 - q1
+print("%s %s (%s is better), --seconds %s, %d pairs"
+      % (workload, metric, spec["better"], seconds, len(ratios)))
 print("pairs won by the change: %d/%d" % (won, len(ratios)))
 print("median pair ratio (change/parent): %.3f (range %.3f-%.3f)"
       % (statistics.median(ratios), min(ratios), max(ratios)))
-print("parent median %.3f s (IQR %.3f-%.3f), change median %.3f s"
-      % (p_med, q1, q3, c_med))
+print("parent median %.4g %s (IQR %.4g-%.4g), change median %.4g %s"
+      % (p_med, unit, q1, q3, c_med, unit))
 print("gain holds (>= 9 in 10 won, median gap > parent IQR): %s"
       % ("yes" if holds else "no"))
 EOF

@@ -20,7 +20,8 @@
  *  - length(): the length of a variable-length std::vector or
  *    std::deque, which the load side resizes to before the caller
  *    visits the elements;
- *  - bytes(): a byte buffer's length, then its bytes eight to a word.
+ *  - bytes(): a byte buffer's length, then its bytes eight to a word;
+ *    a fixed-length std::span<U8> carries only the bytes.
  *
  * Loading malformed input ends in fatal(): a truncated image, trailing
  * words, a wrong tag, a size mismatch, a word that does not fit its
@@ -33,6 +34,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -122,16 +124,15 @@ class Archive
             fatal("checkpoint: %llu bytes exceed the %zu words left",
                   (unsigned long long)n, in->size() - pos);
         c.resize((size_t)n);
-        for (size_t i = 0; i < c.size(); i += 8) {
-            const size_t k = std::min<size_t>(8, c.size() - i);
-            U64 w = 0;
-            for (size_t j = 0; j < k; j++)
-                w |= U64(c[i + j]) << (8 * j);
-            word(w);
-            for (size_t j = 0; j < k; j++)
-                c[i + j] = static_cast<U8>(w >> (8 * j));
-        }
+        packed(c);
     }
+
+    /** Fixed-length byte span: its bytes eight to a word, no length. */
+    void bytes(std::span<U8> s) { packed(s); }
+
+    /** True on the load side. For owners whose image is not a plain
+     *  walk of their members (a sparse memory image, say). */
+    bool loading() const { return in != nullptr; }
 
     /** Values in call order: 8-byte trivially copyable, a narrower
      *  integral, bool or enum value, or an array of these. */
@@ -155,6 +156,26 @@ class Archive
         if (pos >= in->size())
             fatal("checkpoint: truncated after %zu words", pos);
         v = (*in)[pos++];
+    }
+
+    /** The bytes of `c` eight to a word; only load writes them. */
+    template <typename C>
+    void
+    packed(C &c)
+    {
+        for (size_t i = 0; i < c.size(); i += 8) {
+            const size_t k = std::min<size_t>(8, c.size() - i);
+            U64 w = 0;
+            if (!in) {
+                for (size_t j = 0; j < k; j++)
+                    w |= U64(c[i + j]) << (8 * j);
+            }
+            word(w);
+            if (in) {
+                for (size_t j = 0; j < k; j++)
+                    c[i + j] = static_cast<U8>(w >> (8 * j));
+            }
+        }
     }
 
     template <typename T>

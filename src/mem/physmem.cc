@@ -10,7 +10,7 @@ namespace ptl {
 
 PhysMem::PhysMem(U64 bytes, U64 seed, bool shuffle)
     : frame_count(alignUp(bytes, PAGE_SIZE) >> PAGE_SHIFT),
-      data(frame_count * PAGE_SIZE, 0), free_list([&] {
+      data(zeroedStorage(frame_count)), free_list([&] {
           std::vector<U64> order(frame_count);
           std::iota(order.begin(), order.end(), U64(0));
           // Fisher-Yates with the deterministic RNG: guest-contiguous
@@ -21,6 +21,16 @@ PhysMem::PhysMem(U64 bytes, U64 seed, bool shuffle)
           return order;
       }())
 {
+}
+
+PhysMem::Storage
+PhysMem::zeroedStorage(U64 frames)
+{
+    Storage s(static_cast<U8 *>(std::calloc(frames, PAGE_SIZE)));
+    if (!s)
+        fatal("cannot allocate %llu frames of guest physical memory",
+              (unsigned long long)frames);
+    return s;
 }
 
 Pfn
@@ -45,14 +55,47 @@ U8 *
 PhysMem::frameData(Pfn mfn)
 {
     checkFrame(mfn);
-    return data.data() + mfn.raw() * PAGE_SIZE;
+    return data.get() + mfn.raw() * PAGE_SIZE;
 }
 
 const U8 *
 PhysMem::frameData(Pfn mfn) const
 {
     checkFrame(mfn);
-    return data.data() + mfn.raw() * PAGE_SIZE;
+    return data.get() + mfn.raw() * PAGE_SIZE;
+}
+
+void
+PhysMem::visit(Archive &ar)
+{
+    ar.size(frame_count);
+    ar(next_free);
+    std::vector<U64> written;  // MFNs of the frames holding a non-zero byte
+    if (!ar.loading()) {
+        static const U8 zero_frame[PAGE_SIZE] = {};
+        for (U64 mfn = 0; mfn < frame_count; mfn++) {
+            if (std::memcmp(data.get() + mfn * PAGE_SIZE, zero_frame,
+                            PAGE_SIZE) != 0)
+                written.push_back(mfn);
+        }
+    } else {
+        data = zeroedStorage(frame_count);
+    }
+    ar.length(written);
+    for (size_t i = 0; i < written.size(); i++) {
+        ar(written[i]);
+        if (written[i] >= frame_count)
+            fatal("checkpoint: frame record %zu names MFN %llu, past the "
+                  "%llu frames", i, (unsigned long long)written[i],
+                  (unsigned long long)frame_count);
+        if (i > 0 && written[i] <= written[i - 1])
+            fatal("checkpoint: frame record %zu names MFN %llu, not above "
+                  "the previous MFN %llu", i,
+                  (unsigned long long)written[i],
+                  (unsigned long long)written[i - 1]);
+        ar.bytes(std::span<U8>(data.get() + written[i] * PAGE_SIZE,
+                               PAGE_SIZE));
+    }
 }
 
 U64

@@ -19,6 +19,8 @@
 #define PTLSIM_MEM_PHYSMEM_H_
 
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "lib/archive.h"
@@ -57,23 +59,32 @@ class PhysMem
     void readBytes(GuestPhys paddr, void *out, size_t n) const;
     void writeBytes(GuestPhys paddr, const void *in, size_t n);
 
-    /** Whole-memory bytes (memory hashing). */
-    const std::vector<U8> &rawBytes() const { return data; }
-
-    /** Checkpoint: the frame bytes and the allocator cursor. */
-    void
-    visit(Archive &ar)
-    {
-        ar.size(data.size());
-        ar.bytes(data);
-        ar(next_free);
-    }
+    /**
+     * Checkpoint: the frame count (checked on load), the allocator
+     * cursor, then one record per frame that holds a non-zero byte,
+     * in rising MFN order: its MFN, then its bytes eight to a word.
+     * Every frame is scanned, not only the allocated ones, because a
+     * guest can store into any MFN (a PTE or HC_new_baseptr may name
+     * a frame allocFrame never handed out). Load starts from fresh
+     * zeroed storage, so frames written after the capture read zero.
+     */
+    void visit(Archive &ar);
 
   private:
+    struct FreeDeleter
+    {
+        void operator()(U8 *p) const { std::free(p); }
+    };
+    using Storage = std::unique_ptr<U8[], FreeDeleter>;
+
+    /** calloc'd frames: the host maps a page only when it is written,
+     *  so frames the guest never touches cost no memory. */
+    static Storage zeroedStorage(U64 frames);
+
     void checkFrame(Pfn mfn) const;
 
     const U64 frame_count;
-    std::vector<U8> data;  ///< frame_count * PAGE_SIZE bytes
+    Storage data;  ///< frame_count * PAGE_SIZE bytes
     const std::vector<U64> free_list;  ///< allocation order (seeded)
     size_t next_free = 0;
 };

@@ -62,9 +62,12 @@ U64
 hashGuestMemory(const PhysMem &mem)
 {
     U64 h = 0xcbf29ce484222325ULL;
-    for (U8 byte : mem.rawBytes()) {
-        h ^= byte;
-        h *= 0x100000001b3ULL;
+    for (U64 mfn = 0; mfn < mem.frameCount(); mfn++) {
+        const U8 *frame = mem.frameData(Pfn(mfn));
+        for (size_t i = 0; i < PAGE_SIZE; i++) {
+            h ^= frame[i];
+            h *= 0x100000001b3ULL;
+        }
     }
     return h;
 }

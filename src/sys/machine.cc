@@ -234,8 +234,8 @@ Machine::runNativeSlice(SimCycle limit)
     bool stop = false;
     for (U64 i = 0; i < max_insns && !stop; i++) {
         bool stepped = false;
-        for (size_t k = 0; k < n; k++) {
-            size_t v = (native_rr + k) % n;
+        for (size_t k = 0, v = native_rr; k < n;
+             k++, v = v + 1 == n ? 0 : v + 1) {
             Context &ctx = *contexts[v];
             if (native_parked[v] || !ctx.running)
                 continue;
@@ -265,7 +265,7 @@ Machine::runNativeSlice(SimCycle limit)
         if (!stepped)
             break;
     }
-    native_rr = n ? (native_rr + 1) % n : 0;
+    native_rr = native_rr + 1 >= n ? 0 : native_rr + 1;
 
     U64 lead_insns = 0;
     for (U64 c : native_insns)

@@ -405,6 +405,106 @@ TEST(CorruptMachineImage, DiskTransferPastImageIsFatal)
     EXPECT_DEATH(restoreCheckpoint(*at3, ckpt), "exceeds the 16-sector");
 }
 
+/** An unbooted machine whose only written frames are MFNs 5 and 9,
+ *  each starting with kFramePattern. */
+constexpr U64 kFramePattern = 0x1122334455667788ULL;
+
+std::unique_ptr<Machine>
+twoFrameMachine()
+{
+    auto m = shapedMachine(16 << 20, 1);
+    for (U64 mfn : {5, 9})
+        m->physMem().write(GuestPhys(mfn * PAGE_SIZE), kFramePattern, 8);
+    return m;
+}
+
+/** The index of the MFN word of `mfn`'s frame record in `ckpt`. */
+size_t
+frameRecord(const MachineCheckpoint &ckpt, U64 mfn)
+{
+    for (size_t i = 0; i + 1 < ckpt.size(); i++) {
+        if (ckpt[i] == mfn && ckpt[i + 1] == kFramePattern)
+            return i;
+    }
+    ADD_FAILURE() << "no frame record for MFN " << mfn;
+    return 0;
+}
+
+TEST(CorruptMachineImage, FrameRecordPastLastFrameIsFatal)
+{
+    auto m = twoFrameMachine();
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    ckpt[frameRecord(ckpt, 9)] = m->physMem().frameCount();
+    EXPECT_DEATH(restoreCheckpoint(*m, ckpt), "past the 4096 frames");
+}
+
+TEST(CorruptMachineImage, RepeatedFrameRecordIsFatal)
+{
+    auto m = twoFrameMachine();
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    ckpt[frameRecord(ckpt, 9)] = 5;
+    EXPECT_DEATH(restoreCheckpoint(*m, ckpt), "not above the previous");
+}
+
+TEST(CorruptMachineImage, FallingFrameRecordIsFatal)
+{
+    auto m = twoFrameMachine();
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    ckpt[frameRecord(ckpt, 9)] = 4;
+    EXPECT_DEATH(restoreCheckpoint(*m, ckpt), "not above the previous");
+}
+
+TEST(CorruptMachineImage, FrameCountPastImageIsFatal)
+{
+    auto m = twoFrameMachine();
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    // The record count word precedes the first record.
+    const size_t count = frameRecord(ckpt, 5) - 1;
+    ASSERT_EQ(ckpt[count], 2u);
+    ckpt[count] = ckpt.size() - count;
+    EXPECT_DEATH(restoreCheckpoint(*m, ckpt), "exceeds the");
+}
+
+// ---------------------------------------------------------------------
+// Sparse memory images: a checkpoint carries the frames that hold a
+// non-zero byte, whichever frames those are.
+// ---------------------------------------------------------------------
+
+/** A frame allocFrame has not handed out is still guest memory: a
+ *  PTE or a new page-table base may name it, and its bytes are kept. */
+TEST(SparseMemoryImage, UnallocatedFrameSurvivesRestore)
+{
+    auto m = shapedMachine(16 << 20, 1);
+    // A twin of the same shape names the frame m hands out next.
+    const Pfn next = shapedMachine(16 << 20, 1)->physMem().allocFrame();
+    const GuestPhys at = GuestPhys(next.raw() * PAGE_SIZE + 123);
+    m->physMem().write(at, 0xA5, 1);
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    m->physMem().write(at, 0x5A, 1);
+    restoreCheckpoint(*m, ckpt);
+    EXPECT_EQ(m->physMem().read(at, 1), 0xA5u);
+    EXPECT_EQ(m->physMem().allocFrame(), next);
+}
+
+/** Restoring onto a machine that ran on past the capture brings its
+ *  memory back, including frames first written after the capture. */
+TEST(SparseMemoryImage, RestoreAfterRunningOnGivesCapturedMemory)
+{
+    auto m = bareMachine(computeBody);
+    m->run(500);
+    MachineCheckpoint ckpt = captureCheckpoint(*m);
+    const U64 captured = hashGuestMemory(m->physMem());
+    m->run(10'000'000);
+    const Pfn fresh = m->physMem().allocFrame();
+    m->physMem().write(GuestPhys(fresh.raw() * PAGE_SIZE), ~0ULL, 8);
+    ASSERT_NE(hashGuestMemory(m->physMem()), captured);
+
+    restoreCheckpoint(*m, ckpt);
+    EXPECT_EQ(hashGuestMemory(m->physMem()), captured);
+    EXPECT_EQ(m->physMem().read(GuestPhys(fresh.raw() * PAGE_SIZE), 8),
+              0u);
+}
+
 TEST(Native, DeviceTraceRecordsDiskDma)
 {
     SimConfig cfg = SimConfig::preset("k8");

@@ -12,11 +12,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <memory>
 #include <string>
 
 #include "core/ooo/ooocore.h"
 #include "guest_harness.h"
+#include "sys/checkpoint.h"
 #include "verify/verify.h"
 #include "workload/k8preset.h"
 
@@ -143,6 +145,29 @@ TEST(RsyncBenchTest, DeltaActuallyCompresses)
     // network traffic must still be well below 1.5x the corpus (vs
     // ~2x+ for a naive full transfer with checksums).
     EXPECT_LT(net_bytes, data_bytes);
+}
+
+/**
+ * The boot image of the 96 MB rsync domain carries one record (an MFN
+ * word and 512 data words) per frame the kernel and programs wrote, and
+ * a few words of register and device state: far less than the 12M words
+ * of its guest memory.
+ */
+TEST(RsyncBenchTest, BootImageCarriesOnlyWrittenFrames)
+{
+    RsyncBench bench(workloadConfig("seq"), tinySet());
+    Machine &m = bench.machine();
+    ASSERT_EQ(m.physMem().frameCount(), (96ULL << 20) / PAGE_SIZE);
+    static const U8 zero_frame[PAGE_SIZE] = {};
+    U64 written = 0;
+    for (U64 mfn = 0; mfn < m.physMem().frameCount(); mfn++) {
+        written += std::memcmp(m.physMem().frameData(Pfn(mfn)), zero_frame,
+                               PAGE_SIZE) != 0;
+    }
+    ASSERT_GT(written, 0u);
+    const MachineCheckpoint ckpt = captureCheckpoint(m);
+    EXPECT_LE(ckpt.size(), written * (1 + PAGE_SIZE / 8) + 1024);
+    EXPECT_LT(ckpt.size(), (96ULL << 20) / 8 / 10);
 }
 
 TEST(Table1Trials, NativeTrialProfilesK8Structures)
