@@ -69,25 +69,29 @@ guestRead(AddressSpace &aspace, const Context &ctx, GuestVirt va,
           unsigned bytes, U64 &value_out)
 {
     value_out = 0;
-    U8 buf[8];
-    unsigned done = 0;
-    GuestAccess first;
-    while (done < bytes) {
-        GuestAccess a =
-            guestTranslate(aspace, ctx, va + done, MemAccess::Read);
-        if (!a.ok()) {
-            a.paddr = GuestPhys(0);
-            return a;
-        }
-        if (done == 0)
-            first = a;
-        unsigned chunk = (unsigned)std::min<U64>(
-            bytes - done, PAGE_SIZE - (va + done).pageOffset());
-        aspace.physMem().readBytes(a.paddr, buf + done, chunk);
-        done += chunk;
+    GuestAccess first = guestTranslate(aspace, ctx, va, MemAccess::Read);
+    if (!first.ok()) {
+        first.paddr = GuestPhys(0);
+        return first;
     }
-    for (unsigned i = 0; i < bytes; i++)
-        value_out |= (U64)buf[i] << (i * 8);
+    PhysMem &mem = aspace.physMem();
+    unsigned first_chunk = (unsigned)std::min<U64>(
+        bytes, PAGE_SIZE - va.pageOffset());
+    if (first_chunk == bytes) {
+        value_out = mem.read(first.paddr, bytes);
+        return first;
+    }
+    // Page-crossing: read the low bytes before the second page's walk,
+    // which sets A bits that may lie in them.
+    U64 low = mem.read(first.paddr, first_chunk);
+    GuestAccess second =
+        guestTranslate(aspace, ctx, va + first_chunk, MemAccess::Read);
+    if (!second.ok()) {
+        second.paddr = GuestPhys(0);
+        return second;
+    }
+    value_out = low | mem.read(second.paddr, bytes - first_chunk)
+                          << (first_chunk * 8);
     return first;
 }
 
@@ -102,9 +106,7 @@ guestWrite(AddressSpace &aspace, const Context &ctx, GuestVirt va,
         guestTranslate(aspace, ctx, va, MemAccess::Write);
     if (!first.ok())
         return first;
-    U8 buf[8];
-    for (unsigned i = 0; i < bytes; i++)
-        buf[i] = (U8)(value >> (i * 8));
+    PhysMem &mem = aspace.physMem();
     unsigned first_chunk = (unsigned)std::min<U64>(
         bytes, PAGE_SIZE - va.pageOffset());
     if (first_chunk < bytes) {
@@ -112,14 +114,13 @@ guestWrite(AddressSpace &aspace, const Context &ctx, GuestVirt va,
             guestTranslate(aspace, ctx, va + bytes - 1, MemAccess::Write);
         if (!second.ok())
             return second;
-        aspace.physMem().writeBytes(first.paddr, buf, first_chunk);
-        aspace.physMem().writeBytes(second.paddr.pageBase(),
-                                    buf + first_chunk,
-                                    bytes - first_chunk);
+        mem.write(first.paddr, value, first_chunk);
+        mem.write(second.paddr.pageBase(), value >> (first_chunk * 8),
+                  bytes - first_chunk);
         aspace.notifyGuestStore(first.paddr.pfn());
         aspace.notifyGuestStore(second.paddr.pfn());
     } else {
-        aspace.physMem().writeBytes(first.paddr, buf, bytes);
+        mem.write(first.paddr, value, bytes);
         aspace.notifyGuestStore(first.paddr.pfn());
     }
     return first;

@@ -113,11 +113,13 @@ struct GuestAccess
 GuestAccess guestTranslate(AddressSpace &aspace, const Context &ctx,
                            GuestVirt va, MemAccess kind);
 
-/** Read guest-virtual memory functionally (may cross pages). */
+/** Read 1..8 bytes of guest-virtual memory functionally (may cross
+ *  pages). */
 GuestAccess guestRead(AddressSpace &aspace, const Context &ctx,
                       GuestVirt va, unsigned bytes, U64 &value_out);
 
-/** Write guest-virtual memory functionally (may cross pages). */
+/** Write 1..8 bytes of guest-virtual memory functionally (may cross
+ *  pages). */
 GuestAccess guestWrite(AddressSpace &aspace, const Context &ctx,
                        GuestVirt va, unsigned bytes, U64 value);
 

@@ -282,8 +282,7 @@ MemoryHierarchy::fetchAccess(GuestPhys paddr, SimCycle now)
 }
 
 CycleDelta
-MemoryHierarchy::walkTiming(Pfn /*cr3*/, GuestVirt va,
-                            const PageWalk &walk,
+MemoryHierarchy::walkTiming(Pfn /*cr3*/, GuestVirt va, PageWalk &walk,
                             bool is_write, SimCycle now)
 {
     // The walk engine injects one dependent load per level; the PDE

@@ -139,7 +139,7 @@ class MemoryHierarchy
     TranslateResult translateCommon(Pfn cr3, GuestVirt va, MemAccess kind,
                                     bool user_mode, SimCycle now, Tlb &tlb,
                                     Counter &hits, Counter &misses);
-    CycleDelta walkTiming(Pfn cr3, GuestVirt va, const PageWalk &walk,
+    CycleDelta walkTiming(Pfn cr3, GuestVirt va, PageWalk &walk,
                           bool is_write, SimCycle now);
 
     SimConfig cfg;

@@ -114,6 +114,7 @@ AddressSpace::walk(Pfn cr3, GuestVirt va) const
         out.pte_addr[level] = pte_addr;
         out.levels = level + 1;
         U64 pte = mem->read(pte_addr, 8);
+        out.pte[level] = pte;
         if (!(pte & Pte::P))
             return out;  // not present at this level
         if (level == 3) {
@@ -140,17 +141,21 @@ AddressSpace::registerWalkFrames(const PageWalk &walk)
 }
 
 bool
-AddressSpace::setAccessedDirty(const PageWalk &walk, bool is_write)
+AddressSpace::setAccessedDirty(PageWalk &walk, bool is_write)
 {
     ptl_assert(walk.present);
     bool changed = false;
     for (int level = 0; level < 4; level++) {
-        U64 pte = mem->read(walk.pte_addr[level], 8);
+        U64 pte = walk.pte[level];
         U64 want = pte | Pte::A;
         if (level == 3 && is_write)
             want |= Pte::D;
         if (want != pte) {
             mem->write(walk.pte_addr[level], want, 8);
+            for (int l = 0; l < 4; l++) {
+                if (walk.pte_addr[l] == walk.pte_addr[level])
+                    walk.pte[l] = want;
+            }
             changed = true;
         }
     }

@@ -49,6 +49,8 @@ struct PageWalk
     bool dirty = false;      ///< leaf D bit already set
     Pfn mfn;                 ///< leaf machine frame
     GuestPhys pte_addr[4];   ///< machine-physical address of each level's PTE
+    U64 pte[4] = {};         ///< PTE value at each touched level, as last
+                             ///< read or written (setAccessedDirty)
     int levels = 0;          ///< number of levels actually touched
 
     /** Machine-physical address for `va` under this translation: the
@@ -117,8 +119,14 @@ class AddressSpace
      * systems expect the hardware/microcode to perform transparently.
      * Returns true if any PTE actually changed (i.e. microcode had to
      * do a locked RMW on the page table).
+     *
+     * Works from the PTE values `walk` carries rather than re-reading
+     * them, so call it straight after walk() with nothing writing the
+     * page tables in between. Each PTE it writes is stored back into
+     * every level of `walk` with the same PTE address, so a table that
+     * maps itself and a walk passed in again both stay exact.
      */
-    bool setAccessedDirty(const PageWalk &walk, bool is_write);
+    bool setAccessedDirty(PageWalk &walk, bool is_write);
 
     PhysMem &physMem() { return *mem; }
 

@@ -9,7 +9,7 @@
 namespace ptl {
 
 PhysMem::PhysMem(U64 bytes, U64 seed, bool shuffle)
-    : frame_count(alignUp(bytes, PAGE_SIZE) >> PAGE_SHIFT),
+    : frame_count(framesFor(bytes)),
       data(zeroedStorage(frame_count)), free_list([&] {
           std::vector<U64> order(frame_count);
           std::iota(order.begin(), order.end(), U64(0));
@@ -21,6 +21,16 @@ PhysMem::PhysMem(U64 bytes, U64 seed, bool shuffle)
           return order;
       }())
 {
+}
+
+U64
+PhysMem::framesFor(U64 bytes)
+{
+    U64 frames = alignUp(bytes, PAGE_SIZE) >> PAGE_SHIFT;
+    if (frames == 0)
+        fatal("guest memory of %llu bytes holds no %llu-byte frame",
+              (unsigned long long)bytes, (unsigned long long)PAGE_SIZE);
+    return frames;
 }
 
 PhysMem::Storage
@@ -103,7 +113,11 @@ PhysMem::read(GuestPhys paddr, unsigned bytes) const
 {
     ptl_assert(bytes >= 1 && bytes <= 8);
     U64 v = 0;
-    readBytes(paddr, &v, bytes);
+    U64 off = paddr.pageOffset();
+    if (off + bytes <= PAGE_SIZE)
+        std::memcpy(&v, frameData(paddr.pfn()) + off, bytes);
+    else
+        readBytes(paddr, &v, bytes);
     return v;
 }
 
@@ -111,7 +125,11 @@ void
 PhysMem::write(GuestPhys paddr, U64 value, unsigned bytes)
 {
     ptl_assert(bytes >= 1 && bytes <= 8);
-    writeBytes(paddr, &value, bytes);
+    U64 off = paddr.pageOffset();
+    if (off + bytes <= PAGE_SIZE)
+        std::memcpy(frameData(paddr.pfn()) + off, &value, bytes);
+    else
+        writeBytes(paddr, &value, bytes);
 }
 
 void

@@ -52,7 +52,9 @@ class PhysMem
     /**
      * Byte-addressed machine-physical accessors. Accesses may cross
      * frame boundaries (the simulator's unaligned-access support relies
-     * on this). `bytes` must be 1..8 for the value forms.
+     * on this). `bytes` must be 1..8 for the value forms, which copy
+     * straight from the frame and leave the chunk loop of
+     * readBytes/writeBytes to frame-crossing accesses.
      */
     U64 read(GuestPhys paddr, unsigned bytes) const;
     void write(GuestPhys paddr, U64 value, unsigned bytes);
@@ -76,6 +78,10 @@ class PhysMem
         void operator()(U8 *p) const { std::free(p); }
     };
     using Storage = std::unique_ptr<U8[], FreeDeleter>;
+
+    /** Whole frames in `bytes` rounded up; fatal() when that is none
+     *  (zero bytes, or a size that wraps when rounded). */
+    static U64 framesFor(U64 bytes);
 
     /** calloc'd frames: the host maps a page only when it is written,
      *  so frames the guest never touches cost no memory. */

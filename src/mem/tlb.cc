@@ -1,11 +1,14 @@
 #include "mem/tlb.h"
 
+#include <algorithm>
+
 #include "lib/logging.h"
 
 namespace ptl {
 
 Tlb::Tlb(int entry_count, int way_count)
     : sets(entry_count / way_count), ways(way_count),
+      tags((size_t)entry_count, NO_TAG), stamps((size_t)entry_count, 0),
       entries((size_t)entry_count)
 {
     ptl_assert(entry_count > 0 && way_count > 0);
@@ -16,12 +19,12 @@ Tlb::Tlb(int entry_count, int way_count)
 const TlbEntry *
 Tlb::lookup(Vpn vpn)
 {
-    unsigned set = (unsigned)(vpn.raw() & (U64)(sets - 1));
-    TlbEntry *base = &entries[(size_t)set * ways];
+    size_t base = setBase(vpn);
+    const U64 *tag = &tags[base];
     for (int w = 0; w < ways; w++) {
-        if (base[w].valid && base[w].vpn == vpn) {
-            base[w].lru = ++tick;
-            return &base[w];
+        if (tag[w] == vpn.raw()) {
+            stamps[base + w] = ++tick;
+            return &entries[base + w];
         }
     }
     return nullptr;
@@ -30,37 +33,37 @@ Tlb::lookup(Vpn vpn)
 void
 Tlb::insert(const TlbEntry &entry)
 {
-    unsigned set = (unsigned)(entry.vpn.raw() & (U64)(sets - 1));
-    TlbEntry *base = &entries[(size_t)set * ways];
+    ptl_assert(entry.vpn.raw() != NO_TAG);
+    size_t base = setBase(entry.vpn);
+    // The first way with the smallest stamp: the first invalid way
+    // (stamp 0), else the least recently used one.
+    const U64 *stamp = &stamps[base];
     int victim = 0;
-    for (int w = 0; w < ways; w++) {
-        if (!base[w].valid) {
-            victim = w;
-            break;
-        }
-        if (base[w].lru < base[victim].lru)
+    for (int w = 1; w < ways; w++) {
+        if (stamp[w] < stamp[victim])
             victim = w;
     }
-    base[victim] = entry;
-    base[victim].valid = true;
-    base[victim].lru = ++tick;
+    tags[base + victim] = entry.vpn.raw();
+    stamps[base + victim] = ++tick;
+    entries[base + victim] = entry;
 }
 
 void
 Tlb::flushAll()
 {
-    for (TlbEntry &e : entries)
-        e.valid = false;
+    std::fill(tags.begin(), tags.end(), NO_TAG);
+    std::fill(stamps.begin(), stamps.end(), 0);
 }
 
 void
 Tlb::flushVpn(Vpn vpn)
 {
-    unsigned set = (unsigned)(vpn.raw() & (U64)(sets - 1));
-    TlbEntry *base = &entries[(size_t)set * ways];
+    size_t base = setBase(vpn);
     for (int w = 0; w < ways; w++) {
-        if (base[w].valid && base[w].vpn == vpn)
-            base[w].valid = false;
+        if (tags[base + w] == vpn.raw()) {
+            tags[base + w] = NO_TAG;
+            stamps[base + w] = 0;
+        }
     }
 }
 

@@ -29,11 +29,14 @@ struct TlbEntry
     bool user = false;
     bool noexec = false;
     bool dirty = false;   ///< leaf D bit known set (else stores re-walk)
-    bool valid = false;
-    U64 lru = 0;
 };
 
-/** One set-associative TLB level (entries == ways => fully associative). */
+/**
+ * One set-associative TLB level (entries == ways => fully associative).
+ * Validity and recency live in two packed arrays beside the payload, so
+ * a lookup scans 8-byte tags and an insert 8-byte stamps rather than
+ * whole entries.
+ */
 class Tlb
 {
   public:
@@ -52,10 +55,21 @@ class Tlb
     void flushVpn(Vpn vpn);
 
   private:
+    static constexpr U64 NO_TAG = ~0ULL;  ///< tag of an invalid way
+
+    /** Index of way 0 of `vpn`'s set. */
+    size_t
+    setBase(Vpn vpn) const
+    {
+        return (size_t)(vpn.raw() & (U64)(sets - 1)) * ways;
+    }
+
     int sets;
     int ways;
     U64 tick = 0;
-    std::vector<TlbEntry> entries;  ///< sets x ways
+    std::vector<U64> tags;          ///< VPN per way; NO_TAG = invalid
+    std::vector<U64> stamps;        ///< last-use tick; 0 = invalid
+    std::vector<TlbEntry> entries;  ///< sets x ways payload
 };
 
 /**

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
 #include <set>
+#include <vector>
 
+#include "lib/rng.h"
 #include "mem/cache.h"
 #include "mem/pagetable.h"
 #include "mem/physmem.h"
@@ -55,6 +59,11 @@ TEST(PhysMem, DeterministicShuffle)
     PhysMem a(1 << 18, 7, true), b(1 << 18, 7, true);
     for (int i = 0; i < 32; i++)
         EXPECT_EQ(a.allocFrame(), b.allocFrame());
+}
+
+TEST(PhysMem, ZeroSizeIsFatal)
+{
+    EXPECT_DEATH(PhysMem(0), "guest memory of 0 bytes holds no 4096-byte frame");
 }
 
 class PageTableTest : public ::testing::Test
@@ -133,6 +142,91 @@ TEST_F(PageTableTest, AccessedDirtyBits)
     EXPECT_FALSE(aspace.setAccessedDirty(w, true));
 }
 
+/** The A/D update as it was before walks carried their PTEs: every
+ *  level re-read from memory. The reference for the snapshot tests. */
+bool
+rereadingSetAccessedDirty(PhysMem &mem, const PageWalk &walk, bool is_write)
+{
+    bool changed = false;
+    for (int level = 0; level < 4; level++) {
+        U64 pte = mem.read(walk.pte_addr[level], 8);
+        U64 want = pte | Pte::A;
+        if (level == 3 && is_write)
+            want |= Pte::D;
+        if (want != pte) {
+            mem.write(walk.pte_addr[level], want, 8);
+            changed = true;
+        }
+    }
+    return changed;
+}
+
+TEST_F(PageTableTest, WalkCarriesEveryTouchedPte)
+{
+    Pfn cr3 = aspace.createRoot();
+    aspace.map(cr3, GuestVirt(0x400000), mem.allocFrame(), Pte::RW | Pte::US);
+    struct Case { U64 va; int levels; bool present; };
+    const Case cases[] = {
+        {0x400123, 4, true},          // mapped
+        {0x401000, 4, false},         // leaf not present
+        {0x40000000, 2, false},       // PDPT entry not present
+        {0x8000000000ULL, 1, false},  // PML4 entry not present
+    };
+    for (const Case &c : cases) {
+        PageWalk w = aspace.walk(cr3, GuestVirt(c.va));
+        ASSERT_EQ(w.levels, c.levels) << std::hex << c.va;
+        EXPECT_EQ(w.present, c.present) << std::hex << c.va;
+        for (int l = 0; l < w.levels; l++)
+            EXPECT_EQ(w.pte[l], mem.read(w.pte_addr[l], 8))
+                << std::hex << c.va << " level " << l;
+        EXPECT_EQ((w.pte[w.levels - 1] & Pte::P) != 0, c.present);
+    }
+}
+
+/**
+ * A PML4 entry that maps its own root: for a VA whose four indices all
+ * name that entry, every level of the walk reads the same PTE. Setting
+ * A (and D) through the walk's snapshot must leave memory and return
+ * values exactly as re-reading each level would.
+ */
+TEST(PageTableSnapshot, SelfMappedRootMatchesRereadingWalk)
+{
+    constexpr unsigned SELF = 5;
+    const GuestVirt va((U64(SELF) << 39) | (U64(SELF) << 30)
+                       | (U64(SELF) << 21) | (U64(SELF) << 12));
+    const std::vector<std::vector<bool>> sequences = {
+        {true, true}, {false, false, true, true}};
+    for (const std::vector<bool> &writes : sequences) {
+        PhysMem mem_a(1 << 20, 3, true), mem_b(1 << 20, 3, true);
+        AddressSpace as_a(mem_a), as_b(mem_b);
+        Pfn root = as_a.createRoot();
+        ASSERT_EQ(as_b.createRoot(), root);
+        U64 self_pte = root.pageBase().raw() | Pte::P | Pte::RW | Pte::US;
+        GuestPhys self_addr = root.pageBase().withOffset(SELF * 8);
+        mem_a.write(self_addr, self_pte, 8);
+        mem_b.write(self_addr, self_pte, 8);
+
+        PageWalk wa = as_a.walk(root, va);
+        PageWalk wb = as_b.walk(root, va);
+        ASSERT_TRUE(wa.present);
+        ASSERT_EQ(wa.mfn, root);
+        for (int l = 0; l < 4; l++)
+            ASSERT_EQ(wa.pte_addr[l], self_addr);
+        for (size_t i = 0; i < writes.size(); i++) {
+            EXPECT_EQ(as_a.setAccessedDirty(wa, writes[i]),
+                      rereadingSetAccessedDirty(mem_b, wb, writes[i]))
+                << "call " << i;
+            EXPECT_EQ(std::memcmp(mem_a.frameData(root),
+                                  mem_b.frameData(root), PAGE_SIZE), 0)
+                << "call " << i;
+            for (int l = 0; l < 4; l++)
+                EXPECT_EQ(wa.pte[l], mem_a.read(self_addr, 8))
+                    << "call " << i << " level " << l;
+        }
+        EXPECT_EQ(mem_a.read(self_addr, 8), self_pte | Pte::A | Pte::D);
+    }
+}
+
 TEST_F(PageTableTest, CloneRootSharesLowerLevels)
 {
     Pfn cr3a = aspace.createRoot();
@@ -198,6 +292,142 @@ TEST(TlbTest, FlushSemantics)
     tlb.insert(e);
     tlb.flushAll();
     EXPECT_EQ(tlb.lookup(Vpn(6)), nullptr);
+}
+
+/** The TLB as a full-way scan over {vpn, mfn, valid, lru} entries: the
+ *  organisation Tlb had before its tags and stamps were packed. */
+class ReferenceTlb
+{
+  public:
+    ReferenceTlb(int entry_count, int way_count)
+        : sets(entry_count / way_count), ways(way_count),
+          entries((size_t)entry_count)
+    {
+    }
+
+    std::optional<Pfn>
+    lookup(Vpn vpn)
+    {
+        Entry *base = setOf(vpn);
+        for (int w = 0; w < ways; w++) {
+            if (base[w].valid && base[w].vpn == vpn) {
+                base[w].lru = ++tick;
+                return base[w].mfn;
+            }
+        }
+        return std::nullopt;
+    }
+
+    /** Returns the VPN of the valid entry it evicted, if any. */
+    std::optional<Vpn>
+    insert(Vpn vpn, Pfn mfn)
+    {
+        Entry *base = setOf(vpn);
+        int victim = 0;
+        for (int w = 0; w < ways; w++) {
+            if (!base[w].valid) {
+                victim = w;
+                break;
+            }
+            if (base[w].lru < base[victim].lru)
+                victim = w;
+        }
+        std::optional<Vpn> evicted;
+        if (base[victim].valid)
+            evicted = base[victim].vpn;
+        base[victim] = {vpn, mfn, true, ++tick};
+        return evicted;
+    }
+
+    void
+    flushAll()
+    {
+        for (Entry &e : entries)
+            e.valid = false;
+    }
+
+    void
+    flushVpn(Vpn vpn)
+    {
+        Entry *base = setOf(vpn);
+        for (int w = 0; w < ways; w++) {
+            if (base[w].valid && base[w].vpn == vpn)
+                base[w].valid = false;
+        }
+    }
+
+  private:
+    struct Entry
+    {
+        Vpn vpn;
+        Pfn mfn;
+        bool valid = false;
+        U64 lru = 0;
+    };
+
+    Entry *
+    setOf(Vpn vpn)
+    {
+        return &entries[(size_t)(vpn.raw() & (U64)(sets - 1)) * ways];
+    }
+
+    int sets;
+    int ways;
+    U64 tick = 0;
+    std::vector<Entry> entries;
+};
+
+/**
+ * A seeded random stream of lookups, inserts (often of a VPN already
+ * resident, with a new frame), single-page and full flushes must give
+ * the same hits, frames and victims on Tlb as on the full-way scan.
+ */
+TEST(TlbTest, MatchesFullWayScanOnRandomStreams)
+{
+    struct Shape { int entries; int ways; };
+    for (Shape shape : {Shape{32, 32}, Shape{8, 2}, Shape{1024, 4}}) {
+        SCOPED_TRACE(testing::Message()
+                     << shape.entries << "x" << shape.ways);
+        Tlb tlb(shape.entries, shape.ways);
+        ReferenceTlb ref(shape.entries, shape.ways);
+        Rng rng(0x71B5EED ^ (U64)shape.entries);
+        const U64 vpn_space = 3 * (U64)shape.entries;
+        auto compareLookup = [&](Vpn vpn, int op) {
+            const TlbEntry *got = tlb.lookup(vpn);
+            std::optional<Pfn> want = ref.lookup(vpn);
+            ASSERT_EQ(got != nullptr, want.has_value())
+                << "op " << op << " vpn " << vpn.raw();
+            if (got) {
+                ASSERT_EQ(got->mfn, *want) << "op " << op;
+                ASSERT_EQ(got->vpn, vpn) << "op " << op;
+            }
+        };
+        for (int op = 0; op < 40'000; op++) {
+            Vpn vpn(rng.below(vpn_space));
+            U64 pick = rng.below(1000);
+            if (pick < 500) {
+                compareLookup(vpn, op);
+            } else if (pick < 850) {
+                TlbEntry e;
+                e.vpn = vpn;
+                e.mfn = Pfn(rng.below(1 << 20));
+                tlb.insert(e);
+                std::optional<Vpn> evicted = ref.insert(vpn, e.mfn);
+                // The victim must be gone from Tlb too (or, if another
+                // way still holds that VPN, hit there on both).
+                if (evicted)
+                    compareLookup(*evicted, op);
+            } else if (pick < 998) {
+                tlb.flushVpn(vpn);
+                ref.flushVpn(vpn);
+            } else {
+                tlb.flushAll();
+                ref.flushAll();
+            }
+            if (HasFatalFailure())
+                return;
+        }
+    }
 }
 
 TEST(PdeCacheTest, LookupInsertEvict)

@@ -105,6 +105,14 @@ TEST(Kernel, GuestCrashReportsAndShutsDown)
               std::string::npos);
 }
 
+TEST(MachineConfig, ZeroGuestMemoryIsFatal)
+{
+    SimConfig cfg = SimConfig::preset("k8");
+    cfg.applyOption("guest_mem_bytes=0");
+    EXPECT_DEATH({ Machine machine(cfg); },
+                 "guest memory of 0 bytes holds no 4096-byte frame");
+}
+
 TEST(OooDebug, DebugStateRendersPipeline)
 {
     SimConfig cfg = testConfig(SimConfig::preset("k8"));

@@ -9,6 +9,7 @@
  * fault semantics.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
 
@@ -333,6 +334,113 @@ TEST(TransCache, GuestFillWritesAndFaultsLikeCopy)
                               2 * PAGE_SIZE);
     EXPECT_FALSE(bad.ok());
     EXPECT_EQ(bad.copied, (size_t)PAGE_SIZE);
+}
+
+/**
+ * guestRead/guestWrite of 1, 2, 4 and 8 bytes that end on a page's last
+ * byte, and the same accesses one byte later (crossing into the next
+ * page, whose frame is elsewhere). Checked against the bulk copy path:
+ * the value read, the bytes written, and the bytes around them.
+ */
+TEST(GuestWordAccess, AccessesEndingOnAndCrossingAPageEnd)
+{
+    GuestRunner r;
+    const U64 page_end = DATA_BASE + 10 * PAGE_SIZE;  // next page's base
+    const U64 window = page_end - 16;
+    std::vector<U8> pattern(32);
+    for (size_t i = 0; i < pattern.size(); i++)
+        pattern[i] = (U8)(0xA0 + i);
+    for (unsigned size : {1u, 2u, 4u, 8u}) {
+        for (U64 shift : {0u, 1u}) {
+            const U64 va = page_end - size + shift;
+            SCOPED_TRACE(testing::Message() << "size " << size << " va "
+                                            << std::hex << va);
+            ASSERT_TRUE(guestCopyOut(r.aspace, r.ctx, GuestVirt(window),
+                                     pattern.data(), pattern.size()).ok());
+            const size_t at = (size_t)(va - window);
+
+            U64 want = 0;
+            for (unsigned i = 0; i < size; i++)
+                want |= (U64)pattern[at + i] << (8 * i);
+            U64 got = ~0ULL;
+            GuestAccess rd = guestRead(r.aspace, r.ctx, GuestVirt(va), size,
+                                       got);
+            ASSERT_TRUE(rd.ok());
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(rd.paddr, guestTranslate(r.aspace, r.ctx, GuestVirt(va),
+                                               MemAccess::Read).paddr);
+
+            const U64 value = 0x8877665544332211ULL;
+            GuestAccess wr = guestWrite(r.aspace, r.ctx, GuestVirt(va), size,
+                                        value);
+            ASSERT_TRUE(wr.ok());
+            EXPECT_EQ(wr.paddr, rd.paddr);
+            std::vector<U8> expect = pattern;
+            for (unsigned i = 0; i < size; i++)
+                expect[at + i] = (U8)(value >> (8 * i));
+            std::vector<U8> back(pattern.size());
+            ASSERT_TRUE(guestCopyIn(r.aspace, r.ctx, back.data(),
+                                    GuestVirt(window), back.size()).ok());
+            EXPECT_EQ(back, expect);
+        }
+    }
+}
+
+/** A crossing store whose second page is mapped read-only faults and
+ *  leaves both pages' bytes as they were; a crossing load of the same
+ *  bytes succeeds. */
+TEST(GuestWordAccess, CrossingStoreIntoReadOnlyPageChangesNeitherPage)
+{
+    GuestRunner r;
+    constexpr U64 VA = 0xA00000;  // PD slot 5: unused by the harness
+    Pfn rw_frame = r.physMem().allocFrame();
+    Pfn ro_frame = r.physMem().allocFrame();
+    r.aspace.map(r.root(), GuestVirt(VA), rw_frame, Pte::RW | Pte::US);
+    r.aspace.map(r.root(), GuestVirt(VA + PAGE_SIZE), ro_frame, Pte::US);
+    for (U64 i = 0; i < PAGE_SIZE; i++) {
+        r.physMem().frameData(rw_frame)[i] = (U8)(i * 3 + 1);
+        r.physMem().frameData(ro_frame)[i] = (U8)(i * 5 + 2);
+    }
+    const std::vector<U8> rw_before(r.physMem().frameData(rw_frame),
+                                    r.physMem().frameData(rw_frame) + PAGE_SIZE);
+    const std::vector<U8> ro_before(r.physMem().frameData(ro_frame),
+                                    r.physMem().frameData(ro_frame) + PAGE_SIZE);
+
+    const U64 va = VA + PAGE_SIZE - 3;
+    for (unsigned size : {4u, 8u}) {
+        GuestAccess st = guestWrite(r.aspace, r.ctx, GuestVirt(va), size,
+                                    0xFFFFFFFFFFFFFFFFULL);
+        EXPECT_EQ(st.fault, GuestFault::PageFaultWrite) << size;
+        EXPECT_TRUE(std::equal(rw_before.begin(), rw_before.end(),
+                               r.physMem().frameData(rw_frame)))
+            << size;
+        EXPECT_TRUE(std::equal(ro_before.begin(), ro_before.end(),
+                               r.physMem().frameData(ro_frame)))
+            << size;
+    }
+
+    U64 v = 0;
+    ASSERT_TRUE(guestRead(r.aspace, r.ctx, GuestVirt(va), 8, v).ok());
+    U64 want = 0;
+    for (unsigned i = 0; i < 3; i++)
+        want |= (U64)rw_before[PAGE_SIZE - 3 + i] << (8 * i);
+    for (unsigned i = 0; i < 5; i++)
+        want |= (U64)ro_before[i] << (8 * (3 + i));
+    EXPECT_EQ(v, want);
+}
+
+/** A crossing load whose second page is unmapped reports the second
+ *  page's fault with no address and reads nothing. */
+TEST(GuestWordAccess, CrossingLoadIntoUnmappedPageFaults)
+{
+    GuestRunner r;
+    const U64 va = DATA_BASE + 256 * PAGE_SIZE - 2;  // 0x700000 unmapped
+    ASSERT_TRUE(guestWrite(r.aspace, r.ctx, GuestVirt(va), 2, 0xBEEF).ok());
+    U64 v = ~0ULL;
+    GuestAccess a = guestRead(r.aspace, r.ctx, GuestVirt(va), 4, v);
+    EXPECT_EQ(a.fault, GuestFault::PageFaultRead);
+    EXPECT_EQ(a.paddr, GuestPhys(0));
+    EXPECT_EQ(v, 0ULL);
 }
 
 /** Engine-level sanity: running real guest code populates the cache
