@@ -1,7 +1,7 @@
 #include "core/context.h"
 
 #include <bit>
-#include <cstring>
+#include <vector>
 
 #include "lib/logging.h"
 #include "mem/transcache.h"
@@ -95,43 +95,58 @@ guestRead(AddressSpace &aspace, const Context &ctx, GuestVirt va,
     return first;
 }
 
-GuestAccess
+GuestStore
 guestWrite(AddressSpace &aspace, const Context &ctx, GuestVirt va,
            unsigned bytes, U64 value)
 {
     // Pre-check both pages so a cross-page store is all-or-nothing
     // (x86 stores are atomic with respect to faults); the copy below
     // reuses these translations instead of re-walking per chunk.
+    GuestStore out;
     GuestAccess first =
         guestTranslate(aspace, ctx, va, MemAccess::Write);
-    if (!first.ok())
-        return first;
-    PhysMem &mem = aspace.physMem();
+    GuestAccess last = first;
     unsigned first_chunk = (unsigned)std::min<U64>(
         bytes, PAGE_SIZE - va.pageOffset());
-    if (first_chunk < bytes) {
-        GuestAccess second =
-            guestTranslate(aspace, ctx, va + bytes - 1, MemAccess::Write);
-        if (!second.ok())
-            return second;
-        mem.write(first.paddr, value, first_chunk);
-        mem.write(second.paddr.pageBase(), value >> (first_chunk * 8),
+    if (first.ok() && first_chunk < bytes)
+        last = guestTranslate(aspace, ctx, va + bytes - 1, MemAccess::Write);
+    out.fault = first.ok() ? last.fault : first.fault;
+    if (!out.ok())
+        return out;
+    PhysMem &mem = aspace.physMem();
+    mem.write(first.paddr, value, first_chunk);
+    if (first_chunk < bytes)
+        mem.write(last.paddr.pageBase(), value >> (first_chunk * 8),
                   bytes - first_chunk);
-        aspace.notifyGuestStore(first.paddr.pfn());
-        aspace.notifyGuestStore(second.paddr.pfn());
-    } else {
-        mem.write(first.paddr, value, bytes);
-        aspace.notifyGuestStore(first.paddr.pfn());
-    }
-    return first;
+    out.paddr = first.paddr;
+    out.mfns[0] = first.paddr.pfn();
+    out.mfns[1] = last.paddr.pfn();
+    out.frames = (out.mfns[1] == out.mfns[0]) ? 1 : 2;
+    for (int f = 0; f < out.frames; f++)
+        aspace.notifyGuestStore(out.mfns[f]);
+    return out;
 }
 
+namespace {
+
+/** snoopCodeWrite for one frame just written. */
+bool
+snoopFrame(SystemInterface &sys, Pfn mfn)
+{
+    if (!sys.isCodeMfn(mfn))
+        return false;
+    sys.notifyCodeWrite(mfn);
+    return true;
+}
+
+/** The bulk helpers' page-chunk loop: translate each page of [va,
+ *  va + len) once and hand `move(paddr, done, chunk)` its piece. */
+template <typename Move>
 GuestCopy
-guestCopyIn(AddressSpace &aspace, const Context &ctx, void *dst,
-            GuestVirt va, size_t len, MemAccess kind)
+forEachGuestChunk(AddressSpace &aspace, const Context &ctx, GuestVirt va,
+                  size_t len, MemAccess kind, Move &&move)
 {
     GuestCopy out;
-    U8 *p = (U8 *)dst;
     while (out.copied < len) {
         GuestVirt cur = va + out.copied;
         size_t chunk = (size_t)std::min<U64>(
@@ -144,61 +159,56 @@ guestCopyIn(AddressSpace &aspace, const Context &ctx, void *dst,
         }
         if (out.copied == 0)
             out.first_paddr = a.paddr;
-        aspace.physMem().readBytes(a.paddr, p + out.copied, chunk);
+        move(a.paddr, out.copied, chunk);
         out.copied += chunk;
     }
     return out;
 }
 
+}  // namespace
+
+bool
+snoopCodeWrite(SystemInterface &sys, const GuestStore &store)
+{
+    bool hit = false;
+    for (int f = 0; f < store.frames; f++)
+        hit |= snoopFrame(sys, store.mfns[f]);
+    return hit;
+}
+
+GuestCopy
+guestCopyIn(AddressSpace &aspace, const Context &ctx, void *dst,
+            GuestVirt va, size_t len, MemAccess kind)
+{
+    U8 *p = (U8 *)dst;
+    return forEachGuestChunk(
+        aspace, ctx, va, len, kind,
+        [&](GuestPhys paddr, size_t done, size_t chunk) {
+            aspace.physMem().readBytes(paddr, p + done, chunk);
+        });
+}
+
 GuestCopy
 guestCopyOut(AddressSpace &aspace, const Context &ctx, GuestVirt va,
-             const void *src, size_t len)
+             const void *src, size_t len, SystemInterface *code)
 {
-    GuestCopy out;
     const U8 *p = (const U8 *)src;
-    while (out.copied < len) {
-        GuestVirt cur = va + out.copied;
-        size_t chunk = (size_t)std::min<U64>(
-            len - out.copied, PAGE_SIZE - cur.pageOffset());
-        GuestAccess a = guestTranslate(aspace, ctx, cur, MemAccess::Write);
-        if (!a.ok()) {
-            out.fault = a.fault;
-            out.fault_va = cur;
-            return out;
-        }
-        if (out.copied == 0)
-            out.first_paddr = a.paddr;
-        aspace.physMem().writeBytes(a.paddr, p + out.copied, chunk);
-        aspace.notifyGuestStore(a.paddr.pfn());
-        out.copied += chunk;
-    }
-    return out;
+    return forEachGuestChunk(
+        aspace, ctx, va, len, MemAccess::Write,
+        [&](GuestPhys paddr, size_t done, size_t chunk) {
+            aspace.physMem().writeBytes(paddr, p + done, chunk);
+            aspace.notifyGuestStore(paddr.pfn());
+            if (code)
+                snoopFrame(*code, paddr.pfn());
+        });
 }
 
 GuestCopy
 guestFill(AddressSpace &aspace, const Context &ctx, GuestVirt va,
           U8 value, size_t len)
 {
-    GuestCopy out;
-    U8 page[PAGE_SIZE];
-    std::memset(page, value, sizeof(page));
-    while (out.copied < len) {
-        GuestVirt cur = va + out.copied;
-        size_t chunk = (size_t)std::min<U64>(
-            len - out.copied, PAGE_SIZE - cur.pageOffset());
-        GuestAccess a = guestTranslate(aspace, ctx, cur, MemAccess::Write);
-        if (!a.ok()) {
-            out.fault = a.fault;
-            out.fault_va = cur;
-            return out;
-        }
-        if (out.copied == 0)
-            out.first_paddr = a.paddr;
-        aspace.physMem().writeBytes(a.paddr, page, chunk);
-        aspace.notifyGuestStore(a.paddr.pfn());
-        out.copied += chunk;
-    }
-    return out;
+    return guestCopyOut(aspace, ctx, va, std::vector<U8>(len, value).data(),
+                        len);
 }
 
 namespace {
@@ -475,14 +485,15 @@ executeAssist(AssistId id, Context &ctx, AddressSpace &aspace,
             return out;
         }
         U64 value = ctx.x87_stack[--ctx.x87_top];
-        GuestAccess a =
+        GuestStore st =
             guestWrite(aspace, ctx, GuestVirt(ctx.regs[REG_temp0]), 8,
                        value);
-        if (!a.ok()) {
+        if (!st.ok()) {
             ctx.x87_top++;  // restore on fault
-            out.fault = a.fault;
+            out.fault = st.fault;
             return out;
         }
+        snoopCodeWrite(sys, st);
         return out;
       }
       case AssistId::X87Fadd: case AssistId::X87Fmul: {

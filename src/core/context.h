@@ -118,10 +118,18 @@ GuestAccess guestTranslate(AddressSpace &aspace, const Context &ctx,
 GuestAccess guestRead(AddressSpace &aspace, const Context &ctx,
                       GuestVirt va, unsigned bytes, U64 &value_out);
 
+/** A functional store's outcome: on success, `paddr` of its first
+ *  byte and the one or two distinct frames it wrote. */
+struct GuestStore : GuestAccess
+{
+    Pfn mfns[2];
+    int frames = 0;
+};
+
 /** Write 1..8 bytes of guest-virtual memory functionally (may cross
- *  pages). */
-GuestAccess guestWrite(AddressSpace &aspace, const Context &ctx,
-                       GuestVirt va, unsigned bytes, U64 value);
+ *  pages); all or nothing if either page faults. */
+GuestStore guestWrite(AddressSpace &aspace, const Context &ctx,
+                      GuestVirt va, unsigned bytes, U64 value);
 
 /**
  * Result of a bulk guest-memory transfer. A fault stops the transfer
@@ -146,10 +154,6 @@ struct GuestCopy
 GuestCopy guestCopyIn(AddressSpace &aspace, const Context &ctx, void *dst,
                       GuestVirt va, size_t len,
                       MemAccess kind = MemAccess::Read);
-
-/** Copy host memory into the guest (DMA, domain building). */
-GuestCopy guestCopyOut(AddressSpace &aspace, const Context &ctx,
-                       GuestVirt va, const void *src, size_t len);
 
 /** Fill a guest-virtual range with one byte value. */
 GuestCopy guestFill(AddressSpace &aspace, const Context &ctx, GuestVirt va,
@@ -228,6 +232,18 @@ class SystemInterface
     /** True if `mfn` currently backs decoded basic blocks. */
     virtual bool isCodeMfn(Pfn mfn) const = 0;
 };
+
+/** The self-modifying-code rule (Section 2.1) for every guest writer:
+ *  report each frame `store` wrote that backs decoded code through
+ *  sys.notifyCodeWrite. True if any did. */
+bool snoopCodeWrite(SystemInterface &sys, const GuestStore &store);
+
+/** Copy host memory into the guest. Writers that run once code may
+ *  be decoded pass the machine as `code`, which snoops each page as
+ *  snoopCodeWrite does; only domain building leaves it null. */
+GuestCopy guestCopyOut(AddressSpace &aspace, const Context &ctx,
+                       GuestVirt va, const void *src, size_t len,
+                       SystemInterface *code = nullptr);
 
 /** Result of running an assist (microcode handler). */
 struct AssistResult

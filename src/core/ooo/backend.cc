@@ -439,10 +439,10 @@ OooCore::commitUopState(SimCycle now, Thread &t, RobEntry &e)
     if (u.isStore()) {
         st_stores++;
         LsqEntry &s = t.stq[e.lsq];
-        GuestAccess a = guestWrite(*aspace, ctx, s.va, u.size, s.data);
-        ptl_assert(a.ok());  // faults were resolved at issue
+        GuestStore st = guestWrite(*aspace, ctx, s.va, u.size, s.data);
+        ptl_assert(st.ok());  // faults were resolved at issue
         hierarchy->dataAccess(s.paddr, true, now, true);
-        noteCodeWrites(ctx, s, u.size);  // self-modifying code detection
+        snoopCodeWrite(pending_smc, st);  // self-modifying code detection
     }
     if (u.schedWritesRd()) {
         ctx.setReg(u.rd, prf[e.phys].value);
@@ -473,17 +473,26 @@ OooCore::commitUopState(SimCycle now, Thread &t, RobEntry &e)
     st_commit_uops++;
 }
 
-void
-OooCore::noteCodeWrites(const Context &ctx, const LsqEntry &s, int size)
+bool
+PendingCodeWrites::deliver()
 {
-    if (sys->isCodeMfn(s.paddr.pfn()))
-        pending_smc.push_back(s.paddr.pfn());
-    if (s.va.vpn() != (s.va + size - 1).vpn()) {
-        GuestAccess b = guestTranslate(*aspace, ctx, s.va + size - 1,
-                                       MemAccess::Write);
-        if (b.ok() && sys->isCodeMfn(b.paddr.pfn()))
-            pending_smc.push_back(b.paddr.pfn());
-    }
+    if (mfns.empty())
+        return false;
+    // The machine's hook may flush this core's pipeline; that leaves
+    // this list alone.
+    for (Pfn mfn : mfns)
+        sys->notifyCodeWrite(mfn);
+    mfns.clear();
+    return true;
+}
+
+void
+OooCore::restartThread(Thread &t, SimCycle now, CycleDelta delay)
+{
+    flushThread(t);
+    lockstepResync(t);
+    redirectFetch(t, t.ctx->rip, now, delay);
+    t.last_commit_cycle = now;
 }
 
 bool
@@ -500,11 +509,8 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
     if (at_boundary && ctx.running && ctx.event_pending && !ctx.event_mask
         && ctx.event_callback != 0) {
         deliverEvent(ctx, *aspace);
-        flushThread(t);  // after delivery: flush re-syncs PRF from ctx
         st_events++;
-        lockstepResync(t);
-        redirectFetch(t, ctx.rip, now, cycles(1));
-        t.last_commit_cycle = now;
+        restartThread(t, now, cycles(1));  // re-syncs PRF from ctx
         return true;
     }
     if (t.rob.empty())
@@ -579,16 +585,13 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
         // Speculative load issued before a conflicting older store:
         // flush and re-execute the instruction (replay storm model).
         st_hoist_flushes++;
-        flushThread(t);
         ctx.rip = insn_rip;
-        redirectFetch(t, insn_rip, now, cycles(2));
         // The refetch restarts from the instruction boundary, which
         // for multi-pseudo-op translations (rep string loops) can
         // re-commit a pseudo-op the reference already stepped past.
         // No reference memory writes are lost: the flushed group never
         // committed, so the reference never stepped it.
-        lockstepResync(t);
-        t.last_commit_cycle = now;
+        restartThread(t, now, cycles(2));
         budget = 0;
         return true;
     }
@@ -596,10 +599,7 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
     if (fault != GuestFault::None) {
         st_faults++;
         deliverFault(ctx, *aspace, fault, insn_rip, fault_addr);
-        flushThread(t);
-        lockstepResync(t);
-        redirectFetch(t, ctx.rip, now, cycles(1));
-        t.last_commit_cycle = now;
+        restartThread(t, now, cycles(1));
         budget = 0;
         return true;
     }
@@ -608,20 +608,11 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
     // flush (assists are serializing).
     bool has_assist = t.rob[group[count - 1]].uop.isAssist();
 
-    pending_smc.clear();
-
     // Assist microcode has system side effects that must not run
     // twice, so assist groups resync the shadow instead of replaying.
+    // The reference reports its code writes into pending_smc too.
     bool do_lockstep = lockstep_enabled && t.checker && !has_assist;
     if (do_lockstep) {
-        // The reference performs SMC stores itself and consumes the
-        // code-mfn flag as it does; capture the pipeline's view of
-        // which code frames this group touches before that happens.
-        for (int n = 0; n < count; n++) {
-            const RobEntry &e = t.rob[group[n]];
-            if (e.uop.isStore() && e.lsq >= 0)
-                noteCodeWrites(ctx, t.stq[e.lsq], e.uop.size);
-        }
         lockstepStepReference(t, now, insn_rip, t.rob[group[0]].uop);
         for (int n = 0; n < count; n++) {
             const RobEntry &e = t.rob[group[n]];
@@ -648,25 +639,20 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
         st_commit_uops++;
         AssistResult ar = executeAssist(e.uop.assist(), ctx, *aspace,
                                         *sys, GuestVirt(e.uop.ripseq));
+        // The leading stores may have hit decoded code; the flush
+        // below restarts fetch either way.
+        pending_smc.deliver();
         if (ar.fault != GuestFault::None) {
             st_faults++;
             deliverFault(ctx, *aspace, ar.fault, insn_rip, insn_rip);
-            flushThread(t);
-            lockstepResync(t);
-            redirectFetch(t, ctx.rip, now, cycles(1));
-            t.last_commit_cycle = now;
-            budget = 0;
-            return true;
+        } else {
+            ctx.rip = ar.next_rip;
+            st_commit_insns++;
         }
-        ctx.rip = ar.next_rip;
-        st_commit_insns++;
-        flushThread(t);
         // Assists run microcode with system side effects (hypercalls,
         // TSC reads) that must not execute twice: resync the lockstep
         // shadow instead of replaying.
-        lockstepResync(t);
-        redirectFetch(t, ctx.rip, now, cycles(1));
-        t.last_commit_cycle = now;
+        restartThread(t, now, cycles(1));
         budget = 0;
         return true;
     }
@@ -692,19 +678,12 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
     if (do_lockstep)
         lockstepCompare(t, now, insn_rip);
 
-    if (!pending_smc.empty()) {
+    if (pending_smc.deliver()) {
         // Committed stores hit translated code: invalidate and restart
         // the front end (our own pipeline is flushed by the hook).
-        std::vector<Pfn> mfns = pending_smc;
-        pending_smc.clear();
-        GuestVirt next = ctx.rip;
-        for (Pfn mfn : mfns)
-            sys->notifyCodeWrite(mfn);
         // Everything younger in flight may be stale translated code.
-        flushThread(t);
-        redirectFetch(t, next, now, cycles(2));
+        restartThread(t, now, cycles(2));
         budget = 0;
-        return true;
     }
     return true;
 }

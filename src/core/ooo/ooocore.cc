@@ -12,6 +12,7 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
     : cfg(*params.config), smt(smt_mode), aspace(params.aspace),
       bbcache(params.bbcache), sys(params.sys), stats(params.stats),
       interlocks(params.interlocks), coherence(params.coherence),
+      pending_smc(*params.sys),
       st_commit_insns(stats->counter(params.prefix + "commit/insns")),
       st_commit_uops(stats->counter(params.prefix + "commit/uops")),
       st_cycles(stats->counter(params.prefix + "cycles")),
@@ -143,7 +144,7 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
             Thread &t = threads[i];
             t.shadow_ctx = std::make_unique<Context>(*t.ctx);
             t.checker = std::make_unique<FunctionalEngine>(
-                *t.shadow_ctx, *aspace, *bbcache, *sys, *stats,
+                *t.shadow_ctx, *aspace, *bbcache, pending_smc, *stats,
                 params.prefix + "checker/t" + std::to_string(i) + "/");
         }
     }

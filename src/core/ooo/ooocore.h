@@ -41,6 +41,7 @@
 #ifndef PTLSIM_CORE_OOO_OOOCORE_H_
 #define PTLSIM_CORE_OOO_OOOCORE_H_
 
+#include <algorithm>
 #include <array>
 #include <memory>
 
@@ -54,6 +55,38 @@ namespace ptl {
 
 class InvariantChecker;
 struct VerifyTestHook;
+
+/**
+ * pending_smc: the code frames the commit group in flight wrote. The
+ * core's stores and its lockstep reference report here; notifyCodeWrite
+ * records a frame once, for delivery after the group commits. The
+ * reference runs no assists, so the assist hooks panic.
+ */
+class PendingCodeWrites final : public SystemInterface
+{
+  public:
+    explicit PendingCodeWrites(SystemInterface &machine) : sys(&machine) {}
+
+    bool isCodeMfn(Pfn mfn) const override { return sys->isCodeMfn(mfn); }
+    void
+    notifyCodeWrite(Pfn mfn) override
+    {
+        if (std::find(mfns.begin(), mfns.end(), mfn) == mfns.end())
+            mfns.push_back(mfn);
+    }
+    U64 hypercall(Context &, U64, U64, U64, U64) override { panic("assist"); }
+    U64 readTsc(const Context &) override { panic("assist"); }
+    void vcpuBlock(Context &) override { panic("assist"); }
+    U64 ptlcall(Context &, U64, U64, U64) override { panic("assist"); }
+
+    /** Report each recorded frame to the machine, then forget them;
+     *  false if there were none. */
+    bool deliver();
+
+  private:
+    SystemInterface *sys;
+    std::vector<Pfn> mfns;
+};
 
 class OooCore final : public CoreModel
 {
@@ -359,11 +392,9 @@ class OooCore final : public CoreModel
     SimCycle issueStore(SimCycle now, Thread &t, RobEntry &e);
     void resolveBranch(SimCycle now, Thread &t, int rob_idx, RobEntry &e);
     bool commitThread(SimCycle now, Thread &t, int &budget);
+    /** Squash `t`; refetch from its committed RIP after `delay`. */
+    void restartThread(Thread &t, SimCycle now, CycleDelta delay);
     void commitUopState(SimCycle now, Thread &t, RobEntry &e);
-    /** Queue in pending_smc the code frames the committed store `s`
-     *  (`size` bytes) writes: its first page and any page it spills
-     *  into. */
-    void noteCodeWrites(const Context &ctx, const LsqEntry &s, int size);
     void runChecker(Thread &t, const RobEntry &eom_entry);
     void lockstepStepReference(Thread &t, SimCycle now, GuestVirt insn_rip,
                                const Uop &first_uop);
@@ -423,7 +454,7 @@ class OooCore final : public CoreModel
      *  with zero activity may arm idle_until. Transient, reset at the
      *  top of every evaluated cycle. */
     bool cycle_activity = false;
-    std::vector<Pfn> pending_smc;   ///< code MFNs hit by committed stores
+    PendingCodeWrites pending_smc;  ///< code MFNs hit by committed stores
     bool trace_commits = false;     ///< PTLSIM_TRACE=1 commit logging
     bool renameOne(SimCycle now, Thread &t, int tid);
 

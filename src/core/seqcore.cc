@@ -100,6 +100,18 @@ FunctionalEngine::commitPending()
     }
 }
 
+bool
+FunctionalEngine::commitStores(int n)
+{
+    bool smc = false;
+    for (int s = 0; s < n; s++) {
+        const PendingWrite &w = stores[s];
+        smc |= snoopCodeWrite(
+            *sys, guestWrite(*aspace, *ctx, w.va, w.size, w.value));
+    }
+    return smc;
+}
+
 FunctionalEngine::StepResult
 FunctionalEngine::stepInsn(SimCycle now)
 {
@@ -200,23 +212,18 @@ FunctionalEngine::stepInsn(SimCycle now)
             } else {
                 mem_uops_this_insn++;
                 st_stores++;
-                // Validate the translation now; apply at EOM.
-                GuestAccess a =
-                    guestTranslate(*aspace, *ctx, va, MemAccess::Write);
-                if (!a.ok()) {
-                    fault = a.fault;
-                    fault_addr = va;
+                // Validate both pages' translations now; apply at EOM.
+                const GuestVirt last = va + u.size - 1;
+                fault_addr = va;
+                fault = guestTranslate(*aspace, *ctx, va,
+                                       MemAccess::Write).fault;
+                if (fault == GuestFault::None && last.vpn() != va.vpn()) {
+                    fault_addr = last;
+                    fault = guestTranslate(*aspace, *ctx, last,
+                                           MemAccess::Write).fault;
+                }
+                if (fault != GuestFault::None)
                     break;
-                }
-                if (va.vpn() != (va + u.size - 1).vpn()) {
-                    GuestAccess b = guestTranslate(
-                        *aspace, *ctx, va + u.size - 1, MemAccess::Write);
-                    if (!b.ok()) {
-                        fault = b.fault;
-                        fault_addr = va + u.size - 1;
-                        break;
-                    }
-                }
                 if (hier) {
                     TranslateResult t = hier->translateData(
                         ctx->cr3, va, true, !ctx->kernel_mode, now);
@@ -238,15 +245,20 @@ FunctionalEngine::stepInsn(SimCycle now)
 
         if (u.isAssist()) {
             // Assists are the final uop: commit earlier effects first.
+            // Those stores, or the assist, may free this block (SMC):
+            // read the uop first, drop the block after.
+            ptl_assert(u.eom);
+            const AssistId assist = u.assist();
+            const GuestVirt ripseq = GuestVirt(u.ripseq);
             commitPending();
-            for (int s = 0; s < n_stores; s++)
-                guestWrite(*aspace, *ctx, stores[s].va, stores[s].size,
-                           stores[s].value);
+            commitStores(n_stores);
             n_stores = 0;
             pending_valid = pending_hasflags = 0;
             st_assists++;
-            AssistResult ar = executeAssist(u.assist(), *ctx, *aspace,
-                                            *sys, GuestVirt(u.ripseq));
+            AssistResult ar =
+                executeAssist(assist, *ctx, *aspace, *sys, ripseq);
+            if (bb_generation != bbcache->generation())
+                reposition();
             if (ar.fault != GuestFault::None) {
                 fault = ar.fault;
                 fault_addr = insn_rip;
@@ -256,7 +268,6 @@ FunctionalEngine::stepInsn(SimCycle now)
             redirect = true;
             if (ar.blocked)
                 res.blocked_now = true;
-            ptl_assert(u.eom);
             break;
         }
 
@@ -337,7 +348,7 @@ FunctionalEngine::stepInsn(SimCycle now)
 
     // Capture block-relative facts before store commit: an SMC store
     // below may invalidate cur_bb (repositioning this engine), and an
-    // assist's hypercall hooks may already have done so.
+    // assist above may already have done so.
     GuestVirt fall_rip;
     bool more_in_block = false;
     if (cur_bb != nullptr) {
@@ -346,27 +357,7 @@ FunctionalEngine::stepInsn(SimCycle now)
         more_in_block = (i + 1 < cur_bb->uops.size());
     }
 
-    bool smc = false;
-    for (int s = 0; s < n_stores; s++) {
-        const PendingWrite &w = stores[s];
-        guestWrite(*aspace, *ctx, w.va, w.size, w.value);
-        GuestAccess a = guestTranslate(*aspace, *ctx, w.va,
-                                       MemAccess::Write);
-        if (a.ok() && sys->isCodeMfn(a.paddr.pfn())) {
-            sys->notifyCodeWrite(a.paddr.pfn());
-            smc = true;
-        }
-        if (w.size > 1) {
-            GuestAccess b = guestTranslate(*aspace, *ctx,
-                                           w.va + w.size - 1,
-                                           MemAccess::Write);
-            if (b.ok() && b.paddr.pfn() != a.paddr.pfn()
-                && sys->isCodeMfn(b.paddr.pfn())) {
-                sys->notifyCodeWrite(b.paddr.pfn());
-                smc = true;
-            }
-        }
-    }
+    bool smc = commitStores(n_stores);
 
     st_insns++;
     st_uops += (U64)uops_done;

@@ -99,6 +99,9 @@ class FunctionalEngine
     U16 readFlags(int reg) const;
     /** Commit the pending register values and attached flags. */
     void commitPending();
+    /** Write this instruction's first `n` stores in program order;
+     *  true if any landed on decoded code (snoopCodeWrite). */
+    bool commitStores(int n);
 
     Context *ctx;
     AddressSpace *aspace;

@@ -41,11 +41,8 @@ BasicBlockCache::get(const CodeSource &code, GuestFault *fault)
         u.precomputeSched();
     BasicBlock *raw = bb.get();
     mfn_index[bb->mfn_lo.raw()].insert(raw);
-    code_mfns.insert(bb->mfn_lo.raw());
-    if (bb->mfn_hi != bb->mfn_lo) {
+    if (bb->mfn_hi != bb->mfn_lo)
         mfn_index[bb->mfn_hi.raw()].insert(raw);
-        code_mfns.insert(bb->mfn_hi.raw());
-    }
     blocks.emplace(key, std::move(bb));
     count++;
     return raw;
@@ -136,7 +133,6 @@ BasicBlockCache::invalidateMfn(Pfn mfn)
     // Collect the victim blocks, then erase them from the key map.
     std::unordered_set<const BasicBlock *> victims = std::move(it->second);
     mfn_index.erase(it);
-    code_mfns.erase(mfn.raw());
     // Erase-only sweep over the victim set: membership decides the
     // outcome, not visit order — every victim is removed and the
     // counters see only the total, so unordered iteration is safe.
@@ -167,7 +163,6 @@ BasicBlockCache::invalidateAll()
 {
     blocks.clear();
     mfn_index.clear();
-    code_mfns.clear();
     count = 0;
     gen++;
 }

@@ -100,11 +100,11 @@ class BasicBlockCache
      *  (self-modifying code). Returns the number invalidated. */
     int invalidateMfn(Pfn mfn);
 
-    /** True if decoded blocks currently live on `mfn`. */
+    /** True if `mfn` has an entry in the frame index (mfn_index). */
     bool
     isCodeMfn(Pfn mfn) const
     {
-        return code_mfns.count(mfn.raw()) != 0;
+        return mfn_index.count(mfn.raw()) != 0;
     }
 
     /** Drop everything (native<->sim transitions, tests). */
@@ -143,7 +143,6 @@ class BasicBlockCache
     std::unordered_map<Key, std::unique_ptr<BasicBlock>, KeyHash> blocks;
     std::unordered_map<U64, std::unordered_set<const BasicBlock *>>
         mfn_index;
-    std::unordered_set<U64> code_mfns;
     size_t count = 0;
     U64 gen = 0;
 

@@ -328,22 +328,10 @@ MemoryHierarchy::translateCommon(Pfn cr3, GuestVirt va, MemAccess kind,
             hits++;
             out.tlb_hit = true;
             // Permission check straight from the cached entry.
-            if (is_write && !e->writable) {
-                out.fault = GuestFault::PageFaultWrite;
-                return out;
-            }
-            if (user_mode && !e->user) {
-                out.fault = (kind == MemAccess::Execute)
-                                ? GuestFault::PageFaultFetch
-                                : (is_write ? GuestFault::PageFaultWrite
-                                            : GuestFault::PageFaultRead);
-                return out;
-            }
-            if (kind == MemAccess::Execute && e->noexec) {
-                out.fault = GuestFault::PageFaultFetch;
-                return out;
-            }
-            out.paddr = e->mfn.pageBase().withOffset(va.pageOffset());
+            out.fault = checkPageAccess(true, e->writable, e->user,
+                                        e->noexec, kind, user_mode);
+            if (out.fault == GuestFault::None)
+                out.paddr = e->mfn.pageBase().withOffset(va.pageOffset());
             return out;
         }
         // First store to a clean page: hardware re-walks to set D.
@@ -361,16 +349,10 @@ MemoryHierarchy::translateCommon(Pfn cr3, GuestVirt va, MemAccess kind,
                 st_dtlb_l2_hits++;
                 out.tlb2_hit = true;
                 out.latency = cycles(2);
-                GuestFault f = GuestFault::None;
-                if (is_write && !e2->writable)
-                    f = GuestFault::PageFaultWrite;
-                else if (user_mode && !e2->user)
-                    f = is_write ? GuestFault::PageFaultWrite
-                                 : GuestFault::PageFaultRead;
-                if (f != GuestFault::None) {
-                    out.fault = f;
+                out.fault = checkPageAccess(true, e2->writable, e2->user,
+                                            e2->noexec, kind, user_mode);
+                if (out.fault != GuestFault::None)
                     return out;
-                }
                 tlb.insert(*e2);
                 out.paddr = e2->mfn.pageBase().withOffset(va.pageOffset());
                 return out;

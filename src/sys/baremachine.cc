@@ -39,7 +39,8 @@ BareMachine::map(U64 va, U64 bytes, U64 flags)
 void
 BareMachine::writeGuest(U64 va, const void *data, size_t n)
 {
-    GuestCopy g = guestCopyOut(aspace, *contexts[0], GuestVirt(va), data, n);
+    GuestCopy g =
+        guestCopyOut(aspace, *contexts[0], GuestVirt(va), data, n, this);
     if (!g.ok())
         fatal("guest write of %zu bytes at %#llx faults", n,
               (unsigned long long)va);
@@ -62,6 +63,9 @@ BareMachine::load(Assembler &assembler)
     writeGuest(assembler.baseVa(), image.data(), image.size());
     for (auto &ctx : contexts)
         ctx->rip = GuestVirt(assembler.baseVa());
+    // Cores already built restart from the new RIP.
+    for (auto &core : hw.cores)
+        core->flushPipeline();
 }
 
 void

@@ -17,7 +17,8 @@
  *  - hypercalls and ptlcalls are recorded and answered with
  *    setCallResult()'s value (0 by default);
  *  - the TSC advances by 100 per read;
- *  - stores to code pages invalidate the bbcache.
+ *  - writes to code pages (stores, writeGuest, load) invalidate the
+ *    bbcache.
  */
 
 #ifndef PTLSIM_SYS_BAREMACHINE_H_
@@ -60,8 +61,8 @@ class BareMachine : public SystemInterface
     void writeGuest(U64 va, const void *data, size_t n);
     U64 readGuest(U64 va, unsigned bytes);
 
-    /** Write an assembled image at its base VA and point every VCPU's
-     *  RIP there. */
+    /** Write an assembled image at its base VA (as writeGuest) and
+     *  point every VCPU's RIP there, flushing any built core. */
     void load(Assembler &assembler);
 
     // ---- cores ----

@@ -9,9 +9,10 @@ namespace ptl {
 
 VirtualDisk::VirtualDisk(EventChannels &channels, EventQueue &eventq,
                          TimeKeeper &timekeeper, int latency_us,
-                         AddressSpace &addrspace, StatsTree &stats)
+                         AddressSpace &addrspace, SystemInterface &system,
+                         StatsTree &stats)
     : events(&channels), queue(&eventq), time(&timekeeper),
-      aspace(&addrspace),
+      aspace(&addrspace), sys(&system),
       latency_cycles(timekeeper.usToCycles((U64)latency_us)),
       st_reads(stats.counter("disk/reads")),
       st_sectors(stats.counter("disk/sectors"))
@@ -71,7 +72,7 @@ VirtualDisk::processDue(SimCycle now)
         size_t bytes = (size_t)(p.count * DISK_SECTOR_BYTES);
         size_t offset = (size_t)(p.sector * DISK_SECTOR_BYTES);
         GuestCopy g = guestCopyOut(*aspace, dma_ctx, p.dest_va,
-                                   &image[offset], bytes);
+                                   &image[offset], bytes, sys);
         if (!g.ok())
             panic("disk DMA target unmapped at va %llx",
                   (unsigned long long)g.fault_va.raw());

@@ -70,7 +70,7 @@ class VirtualDisk
 
     VirtualDisk(EventChannels &events, EventQueue &queue,
                 TimeKeeper &time, int latency_us, AddressSpace &aspace,
-                StatsTree &stats);
+                SystemInterface &sys, StatsTree &stats);
 
     void setImage(std::vector<U8> data) { image = std::move(data); }
     U64 sectorCount() const { return image.size() / DISK_SECTOR_BYTES; }
@@ -114,6 +114,7 @@ class VirtualDisk
     EventQueue *const queue;
     TimeKeeper *const time;
     AddressSpace *const aspace;
+    SystemInterface *const sys;  ///< snoops DMA writes for code
     const CycleDelta latency_cycles;
     std::vector<U8> image;  // simlint: transient (disk contents, setImage)
     std::deque<Pending> pending;

@@ -5,30 +5,15 @@
 namespace ptl {
 
 Hypervisor::Hypervisor(TimeKeeper &timekeeper, EventChannels &channels,
-                       Console &cons, VirtualDisk &vdisk,
-                       VirtualNet &vnet, AddressSpace &addrspace,
+                       Console &cons, VirtualNet &vnet,
+                       AddressSpace &addrspace,
                        BasicBlockCache &bbs, StatsTree &stats)
-    : time(&timekeeper), events(&channels), console(&cons), disk(&vdisk),
-      net(&vnet), aspace(&addrspace), bbcache(&bbs),
+    : time(&timekeeper), events(&channels), console(&cons), net(&vnet),
+      aspace(&addrspace), bbcache(&bbs),
       st_hypercalls(stats.counter("hypervisor/hypercalls")),
       st_ptlcalls(stats.counter("hypervisor/ptlcalls")),
       st_cr3_switches(stats.counter("hypervisor/cr3_switches"))
 {
-}
-
-bool
-Hypervisor::copyFromGuest(Context &ctx, GuestVirt va, size_t len,
-                          std::vector<U8> &out)
-{
-    out.resize(len);
-    return guestCopyIn(*aspace, ctx, out.data(), va, len).ok();
-}
-
-bool
-Hypervisor::copyToGuest(Context &ctx, GuestVirt va, const U8 *data,
-                        size_t len)
-{
-    return guestCopyOut(*aspace, ctx, va, data, len).ok();
 }
 
 U64
@@ -39,8 +24,8 @@ Hypervisor::hypercall(Context &ctx, U64 nr, U64 a1, U64 a2, U64 a3)
       case HC_console_write: {
         if (a2 > 65536)
             return HC_ERROR;
-        std::vector<U8> buf;
-        if (!copyFromGuest(ctx, GuestVirt(a1), (size_t)a2, buf))
+        std::vector<U8> buf((size_t)a2);
+        if (!guestCopyIn(*aspace, ctx, buf.data(), GuestVirt(a1), a2).ok())
             return HC_ERROR;
         console->write(buf.data(), buf.size());
         return a2;
@@ -73,8 +58,8 @@ Hypervisor::hypercall(Context &ctx, U64 nr, U64 a1, U64 a2, U64 a3)
       case HC_net_send: {
         if ((int)a1 >= net->endpointCount() || a3 > 1 << 20)
             return HC_ERROR;
-        std::vector<U8> buf;
-        if (!copyFromGuest(ctx, GuestVirt(a2), (size_t)a3, buf))
+        std::vector<U8> buf((size_t)a3);
+        if (!guestCopyIn(*aspace, ctx, buf.data(), GuestVirt(a2), a3).ok())
             return HC_ERROR;
         net->send((int)a1, buf.data(), buf.size());
         return a3;
@@ -84,7 +69,8 @@ Hypervisor::hypercall(Context &ctx, U64 nr, U64 a1, U64 a2, U64 a3)
             return HC_ERROR;
         std::vector<U8> buf((size_t)a3);
         size_t n = net->recv((int)a1, buf.data(), buf.size());
-        if (n && !copyToGuest(ctx, GuestVirt(a2), buf.data(), n))
+        if (n && !guestCopyOut(*aspace, ctx, GuestVirt(a2), buf.data(), n,
+                               this).ok())
             return HC_ERROR;
         return n;
       }
@@ -185,12 +171,6 @@ Hypervisor::notifyCodeWrite(Pfn mfn)
     bbcache->invalidateMfn(mfn);
     if (code_hook)
         code_hook(mfn);
-}
-
-bool
-Hypervisor::isCodeMfn(Pfn mfn) const
-{
-    return bbcache->isCodeMfn(mfn);
 }
 
 }  // namespace ptl

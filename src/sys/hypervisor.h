@@ -36,8 +36,11 @@ class Hypervisor : public SystemInterface
 {
   public:
     Hypervisor(TimeKeeper &time, EventChannels &events, Console &console,
-               VirtualDisk &disk, VirtualNet &net, AddressSpace &aspace,
+               VirtualNet &net, AddressSpace &aspace,
                BasicBlockCache &bbcache, StatsTree &stats);
+
+    /** The disk, built after this hypervisor (its DMA reports here). */
+    void attachDisk(VirtualDisk &d) { disk = &d; }
 
     // ---- SystemInterface ----
     U64 hypercall(Context &ctx, U64 nr, U64 a1, U64 a2, U64 a3) override;
@@ -45,7 +48,10 @@ class Hypervisor : public SystemInterface
     void vcpuBlock(Context &ctx) override;
     U64 ptlcall(Context &ctx, U64 op, U64 arg1, U64 arg2) override;
     void notifyCodeWrite(Pfn mfn) override;
-    bool isCodeMfn(Pfn mfn) const override;
+    bool isCodeMfn(Pfn mfn) const override
+    {
+        return bbcache->isCodeMfn(mfn);
+    }
 
     // ---- machine-facing state ----
     bool shutdownRequested() const { return shutdown; }
@@ -98,16 +104,10 @@ class Hypervisor : public SystemInterface
             attention_hook();
     }
 
-    /** Copy a guest buffer out (for console/net hypercalls). */
-    bool copyFromGuest(Context &ctx, GuestVirt va, size_t len,
-                       std::vector<U8> &out);
-    bool copyToGuest(Context &ctx, GuestVirt va, const U8 *data,
-                     size_t len);
-
     TimeKeeper *time;
     EventChannels *events;
     Console *console;
-    VirtualDisk *disk;
+    VirtualDisk *disk = nullptr;
     VirtualNet *net;
     AddressSpace *aspace;
     BasicBlockCache *bbcache;

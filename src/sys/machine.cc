@@ -38,15 +38,16 @@ Machine::Machine(const SimConfig &config)
     events = std::make_unique<EventChannels>(vcpu_ptrs, eventq,
                                              stats_tree);
     console_dev = std::make_unique<Console>(stats_tree);
-    disk_dev = std::make_unique<VirtualDisk>(*events, eventq, time,
-                                             cfg.disk_latency_us, *aspace,
-                                             stats_tree);
     net_dev = std::make_unique<VirtualNet>(*events, eventq, time,
                                            cfg.net_latency_us, 8,
                                            stats_tree);
     hv = std::make_unique<Hypervisor>(time, *events, *console_dev,
-                                      *disk_dev, *net_dev, *aspace,
-                                      *bbcache, stats_tree);
+                                      *net_dev, *aspace, *bbcache,
+                                      stats_tree);
+    disk_dev = std::make_unique<VirtualDisk>(*events, eventq, time,
+                                             cfg.disk_latency_us, *aspace,
+                                             *hv, stats_tree);
+    hv->attachDisk(*disk_dev);
     interlock_ctrl = std::make_unique<InterlockController>(stats_tree);
 
     for (int i = 0; i < cfg.vcpu_count; i++) {

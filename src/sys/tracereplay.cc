@@ -6,8 +6,9 @@
 namespace ptl {
 
 TraceReplayer::TraceReplayer(const DeviceTrace &recorded,
-                             EventChannels &channels, AddressSpace &addrspace)
-    : trace(&recorded), events(&channels), aspace(&addrspace)
+                             EventChannels &channels, AddressSpace &addrspace,
+                             SystemInterface &system)
+    : trace(&recorded), events(&channels), aspace(&addrspace), sys(&system)
 {
 }
 
@@ -26,7 +27,7 @@ TraceReplayer::processDue(SimCycle now)
             GuestCopy g = guestCopyOut(*aspace, dma_ctx,
                                        GuestVirt(r.dma_va),
                                        r.dma_data.data(),
-                                       r.dma_data.size());
+                                       r.dma_data.size(), sys);
             if (!g.ok())
                 panic("trace replay: DMA target unmapped");
         }

@@ -23,6 +23,7 @@
 namespace ptl {
 
 class EventChannels;
+class SystemInterface;
 
 /** One recorded external event: an interrupt, optionally with the DMA
  *  bytes the device wrote immediately before raising it. */
@@ -63,7 +64,7 @@ class TraceReplayer
 {
   public:
     TraceReplayer(const DeviceTrace &trace, EventChannels &events,
-                  AddressSpace &aspace);
+                  AddressSpace &aspace, SystemInterface &sys);
 
     /** Inject everything stamped at or before `now`; returns count. */
     int processDue(SimCycle now);
@@ -75,6 +76,7 @@ class TraceReplayer
     const DeviceTrace *trace;
     EventChannels *events;
     AddressSpace *aspace;
+    SystemInterface *sys;  ///< snoops replayed DMA writes for code
     size_t next = 0;
 };
 

@@ -488,6 +488,42 @@ TEST(Exec, SelfModifyingCodeInvalidatesAndReexecutes)
     EXPECT_GT(g.stats().get("bbcache/smc_invalidations"), 0ULL);
 }
 
+TEST(Exec, X87StoreOverCodeReexecutes)
+{
+    // fstp (a microcode store) writes 8 bytes over a routine that has
+    // already run; the next call must run the stored bytes.
+    Assembler patch(0);
+    patch.mov(R::rax, 2);         // B8 02 00 00 00
+    patch.ret();
+    patch.nop();
+    patch.nop();
+    std::vector<U8> bytes = patch.finalize();
+    ASSERT_EQ(bytes.size(), 8u);
+
+    GuestRunner g;
+    Assembler a(CODE_BASE);
+    Label routine = a.newLabel();
+    a.call(routine);
+    a.mov(R::rbx, R::rax);        // first result
+    a.movImm64(R::rsi, DATA_BASE);
+    a.fldQ(Mem::at(R::rsi));
+    a.movLabel(R::rdx, routine);
+    a.fstpQ(Mem::at(R::rdx));
+    a.call(routine);
+    a.hlt();
+    a.bind(routine);
+    a.mov(R::rax, 1);
+    a.ret();
+    a.nop();
+    a.nop();
+    g.load(a);
+    g.writeGuest(DATA_BASE, bytes.data(), bytes.size());
+    g.execute();
+    EXPECT_EQ(g.reg(R::rbx), 1ULL);
+    EXPECT_EQ(g.reg(R::rax), 2ULL);
+    EXPECT_GT(g.stats().get("bbcache/smc_invalidations"), 0ULL);
+}
+
 TEST(Exec, DivideErrorDeliveredToHandler)
 {
     GuestRunner g;

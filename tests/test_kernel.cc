@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "guest_harness.h"
 
 namespace ptl {
@@ -236,6 +239,76 @@ TEST_P(KernelP, DiskReadDmaIntoGuest)
     EXPECT_EQ(r.exit_code, 0x77ULL);
     EXPECT_EQ(bm.machine.stats().get("disk/reads"), 1ULL);
     EXPECT_EQ(bm.machine.stats().get("disk/sectors"), 4ULL);
+}
+
+/** The kernel of Exec.SelfModifyingCodeInvalidatesAndReexecutes as
+ *  the init task, with the commit checker armed (bootConfig): the
+ *  patched immediate must run, and on ooo the lockstep reference's
+ *  own copy of the store must not flush the pipeline mid-commit. */
+TEST_P(KernelP, SelfModifyingCodeReexecutes)
+{
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+        Label again = a.newLabel(), done = a.newLabel();
+        Label site = a.newLabel();
+        a.mov(R::rbx, 0);             // pass counter
+        a.bind(again);
+        a.bind(site);
+        a.mov(R::rax, 1);             // B8 01 00 00 00 (patched later)
+        a.inc(R::rbx);
+        a.cmp(R::rbx, 2);
+        a.jcc(COND_e, done);
+        a.movLabel(R::rdx, site);
+        a.mov(R::rcx, 2);
+        a.mov8(Mem::at(R::rdx, 1), R::rcx);  // overwrite imm byte
+        a.jmp(again);
+        a.bind(done);
+        a.mov(R::rdi, R::rax);
+        lib.syscall(GSYS_exit);
+    });
+    Machine::RunResult r = bm.machine.run(500'000'000);
+    EXPECT_TRUE(r.shutdown);
+    EXPECT_EQ(r.exit_code, 2ULL);
+    EXPECT_GT(bm.machine.stats().get("bbcache/smc_invalidations"), 0ULL);
+    if (std::string(GetParam()) == "ooo") {
+        EXPECT_GT(bm.machine.stats().get("core0/checker/lockstep_commits"),
+                  0ULL);
+    }
+}
+
+/** Disk DMA over a code page that has already run: the second call
+ *  must run the bytes the disk wrote. */
+TEST_P(KernelP, DiskReadOverRunCodeRunsNewBytes)
+{
+    BootedMachine bm(bootConfig(GetParam()), [](Assembler &a, GuestLib &lib) {
+        Label start = a.newLabel(), routine = a.newLabel();
+        a.jmp(start);
+        a.align(PAGE_SIZE);           // the routine has its page alone
+        a.bind(routine);
+        a.mov(R::rax, 1);
+        a.ret();
+        a.align(PAGE_SIZE);
+        a.bind(start);
+        a.call(routine);              // decode and run the old bytes
+        a.mov(R::rdi, 0);             // sector 0 over the routine
+        a.mov(R::rsi, 1);
+        a.movLabel(R::rdx, routine);
+        lib.syscall(GSYS_disk_read);
+        a.call(routine);
+        a.mov(R::rdi, R::rax);
+        lib.syscall(GSYS_exit);
+    });
+    Assembler patch(0);
+    patch.mov(R::rax, 2);
+    patch.ret();
+    std::vector<U8> code = patch.finalize();
+    std::vector<U8> image(16 * DISK_SECTOR_BYTES, 0);
+    std::copy(code.begin(), code.end(), image.begin());
+    bm.machine.disk().setImage(std::move(image));
+
+    Machine::RunResult r = bm.machine.run(500'000'000);
+    EXPECT_TRUE(r.shutdown);
+    EXPECT_EQ(r.exit_code, 2ULL);
+    EXPECT_GT(bm.machine.stats().get("bbcache/smc_invalidations"), 0ULL);
 }
 
 TEST_P(KernelP, YieldBetweenCpuBoundTasks)

@@ -545,7 +545,8 @@ TEST(Native, DeviceTraceRecordsDiskDma)
     rb.setInitTask(USER_TEXT_VA, 0);
     rb.build();
     TraceReplayer replayer(trace, replay_machine.eventChannels(),
-                           replay_machine.addressSpace());
+                           replay_machine.addressSpace(),
+                           replay_machine.hypervisor());
     // Fix the replayed CR3 context by construction: same builder
     // layout gives the same mappings.
     int injected = replayer.processDue(SimCycle(~0ULL - 1));
@@ -557,6 +558,74 @@ TEST(Native, DeviceTraceRecordsDiskDma)
     guestRead(replay_machine.addressSpace(), probe, GuestVirt(USER_DATA_VA),
               1, v);
     EXPECT_EQ(v, 0x3CULL);
+}
+
+/** A replayer attached to a second machine (Machine::attachReplayer)
+ *  injects the recorded DMA and disk event when run() reaches the
+ *  recorded cycle, and not before. */
+TEST(Native, AttachedReplayerInjectsAtRecordedCycle)
+{
+    SimConfig cfg = SimConfig::preset("k8");
+    cfg.core = "seq";
+    cfg.core_freq_hz = 10'000'000;
+    cfg.guest_mem_bytes = 32 << 20;
+    BootedMachine rec(cfg, [](Assembler &a, GuestLib &lib) {
+        a.mov(R::rdi, 0);
+        a.mov(R::rsi, 2);
+        a.movImm64(R::rdx, USER_DATA_VA);
+        lib.syscall(GSYS_disk_read);
+        a.mov(R::rdi, 0);
+        lib.syscall(GSYS_exit);
+    });
+    rec.machine.disk().setImage(
+        std::vector<U8>(16 * DISK_SECTOR_BYTES, 0x3C));
+    DeviceTrace trace;
+    rec.machine.recordDevices(&trace);
+    ASSERT_TRUE(rec.machine.run(100'000'000).shutdown);
+    ASSERT_EQ(trace.size(), 1u);
+    const TraceRecord &dma = trace.all()[0];
+    ASSERT_EQ(dma.port, PORT_DISK);
+    ASSERT_EQ(dma.dma_va, USER_DATA_VA);
+
+    // The replay domain never touches the disk: it polls the DMA
+    // target and exits with the first byte that lands there.
+    BootedMachine rep(cfg, [](Assembler &a, GuestLib &lib) {
+        a.movImm64(R::rbx, USER_DATA_VA);
+        Label poll = a.label();
+        a.movzx8(R::rdi, Mem::at(R::rbx));
+        a.cmp(R::rdi, 0);
+        a.jcc(COND_e, poll);
+        lib.syscall(GSYS_exit);
+    });
+    Machine &m = rep.machine;
+    TraceReplayer replayer(trace, m.eventChannels(), m.addressSpace(),
+                           m.hypervisor());
+    m.attachReplayer(&replayer);
+    auto first_byte = [&] {
+        Context probe;
+        probe.cr3 = rep.builder.taskCr3(0);
+        probe.kernel_mode = true;
+        U64 v = 0;
+        guestRead(m.addressSpace(), probe, GuestVirt(USER_DATA_VA), 1, v);
+        return v;
+    };
+
+    // Cycles [0, recorded) run without the injection...
+    Machine::RunResult before = m.run(dma.cycle.raw());
+    ASSERT_FALSE(before.shutdown);
+    EXPECT_EQ(before.cycles, dma.cycle.raw());
+    EXPECT_FALSE(replayer.finished());
+    EXPECT_EQ(first_byte(), 0ULL);
+    const U64 sent = m.stats().get("events/sent");
+    // ...and the recorded cycle itself starts with it.
+    m.run(1);
+    EXPECT_TRUE(replayer.finished());
+    EXPECT_EQ(first_byte(), 0x3CULL);
+    EXPECT_GE(m.stats().get("events/sent"), sent + 1);
+
+    Machine::RunResult after = m.run(100'000'000);
+    EXPECT_TRUE(after.shutdown);
+    EXPECT_EQ(after.exit_code, 0x3CULL);
 }
 
 }  // namespace

@@ -484,6 +484,36 @@ TEST(OooCoreTest, SelfModifyingCodeFlushesPipeline)
     EXPECT_GT(r.stats().get("bbcache/smc_invalidations"), 0ULL);
 }
 
+/** Code rewritten by BareMachine::load after it has run must execute
+ *  as rewritten: the write invalidates its decoded blocks. */
+class LoadOverCodeP : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(LoadOverCodeP, RewrittenImageRunsNewBytes)
+{
+    SimConfig cfg = oooConfig();
+    cfg.core = GetParam();
+    BareMachine m(cfg);
+    Assembler first(CODE_BASE);
+    first.mov(R::rax, 1);
+    first.hlt();
+    runOnCores(m, first);
+    ASSERT_EQ(m.vcpu(0).regs[REG_rax], 1ULL);
+
+    Assembler second(CODE_BASE);
+    second.mov(R::rax, 2);
+    second.hlt();
+    m.vcpu(0).running = true;     // before load() resyncs the checker
+    m.load(second);
+    runToHalt(m);
+    EXPECT_EQ(m.vcpu(0).regs[REG_rax], 2ULL);
+    EXPECT_GT(m.stats().get("bbcache/smc_invalidations"), 0ULL);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cores, LoadOverCodeP,
+                         ::testing::Values("seq", "ooo"));
+
 TEST(OooCoreTest, EventDeliveryAtInstructionBoundary)
 {
     BareMachine r(oooConfig());
