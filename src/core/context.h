@@ -170,12 +170,18 @@ GuestCopy guestFill(AddressSpace &aspace, const Context &ctx, GuestVirt va,
 class ContextCodeSource final : public CodeSource
 {
   public:
+    /** Code at `fetch_rip`, under c's translation context. */
+    ContextCodeSource(AddressSpace &as, const Context &c,
+                      GuestVirt fetch_rip)
+        : aspace(&as), ctx(&c), start(fetch_rip)
+    {
+    }
     ContextCodeSource(AddressSpace &as, const Context &c)
-        : aspace(&as), ctx(&c)
+        : ContextCodeSource(as, c, c.rip)
     {
     }
 
-    GuestVirt rip() const override { return ctx->rip; }
+    GuestVirt rip() const override { return start; }
     bool kernelMode() const override { return ctx->kernel_mode; }
 
     GuestFault
@@ -203,6 +209,7 @@ class ContextCodeSource final : public CodeSource
   private:
     AddressSpace *aspace;
     const Context *ctx;
+    GuestVirt start;
 };
 
 /**

@@ -105,11 +105,11 @@ class CoreModel
 
     /**
      * Earliest cycle at which this core needs to run again if no new
-     * external event arrives (the machine's idle fast-forward hint).
-     * The default is conservative: an idle core never wakes on its
-     * own, and a core with any runnable thread needs the very next
-     * cycle. Models with autonomous in-flight work (e.g. a draining
-     * writeback queue) override this to report its completion cycle.
+     * external event arrives: an idle core never wakes on its own, and
+     * a core with any runnable thread needs the very next cycle. No
+     * model overrides it and the machine loop no longer asks (its
+     * all-idle fast-forward waits on the event queue alone); it stays
+     * because perfbench's tracing decorator overrides it.
      */
     virtual SimCycle
     sleepUntil(SimCycle now) const

@@ -264,6 +264,10 @@ OooCore::resolveBranch(SimCycle now, Thread &t, int rob_idx, RobEntry &e)
  * reference load sees pre-instruction memory rather than the value
  * this very commit is about to write. Register state is then compared
  * after the pipeline finishes committing the group (lockstepCompare).
+ *
+ * Every step starts from the committed context: whatever changed it
+ * outside commit (assists, delivered events and faults, the machine)
+ * is input to the reference, and only what commit computes is checked.
  */
 void
 OooCore::lockstepStepReference(Thread &t, SimCycle now, GuestVirt insn_rip,
@@ -272,33 +276,33 @@ OooCore::lockstepStepReference(Thread &t, SimCycle now, GuestVirt insn_rip,
     Context &shadow = *t.shadow_ctx;
     st_lockstep_commits++;
 
-    if (shadow.rip != insn_rip)
-        panic("[cycle %llu] lockstep divergence: pipeline committed rip "
-              "%llx but the reference is at %llx (RIP stream desync)",
-              (unsigned long long)now.raw(),
-              (unsigned long long)insn_rip.raw(),
-              (unsigned long long)shadow.rip.raw());
+    // The reference never delivers events: the pipeline takes them.
+    shadow = *t.ctx;
+    shadow.event_pending = false;
 
-    // A mispredicted not-taken branch inside a multi-pseudo-op
-    // translation (a rep string loop's exit check) redirects fetch to
-    // the instruction's own rip, so the pipeline re-fetches and
-    // re-commits pseudo-ops the reference has already executed. The
-    // re-execution starts from the same committed state and is
-    // idempotent; recognize it by the committing group's first uop
-    // differing from the reference's pending uop, and skip the step
-    // (the post-commit state compare still runs).
-    const Uop *ref_next = t.checker->peekUop();
-    if (ref_next
-        && (ref_next->rip != first_uop.rip || ref_next->op != first_uop.op
-            || ref_next->rd != first_uop.rd || ref_next->ra != first_uop.ra
-            || ref_next->imm != first_uop.imm)) {
-        st_lockstep_skips++;
-        return;
+    // The reference's decode position is its own: re-acquire it at the
+    // committed rip when it is not at the committing group's first uop
+    // (a redirect outside commit, or a rep string's pseudo-ops
+    // re-fetched from the instruction's own rip after a mispredicted
+    // exit check). The group must start at the committed rip too.
+    auto at_group = [&](const Uop *u) {
+        return u && u->rip == first_uop.rip && u->rip == shadow.rip.raw()
+               && u->op == first_uop.op && u->rd == first_uop.rd
+               && u->ra == first_uop.ra && u->imm == first_uop.imm;
+    };
+    if (!at_group(t.checker->peekUop())) {
+        t.checker->reposition();
+        const Uop *u = t.checker->peekUop();
+        if (!at_group(u))
+            panic("[cycle %llu] lockstep divergence: pipeline committed "
+                  "%s at rip %llx but the reference decodes %s at %llx",
+                  (unsigned long long)now.raw(),
+                  uopInfo(first_uop.op).name,
+                  (unsigned long long)insn_rip.raw(),
+                  u ? uopInfo(u->op).name : "nothing",
+                  (unsigned long long)shadow.rip.raw());
     }
 
-    // The reference never delivers events on its own: the pipeline
-    // resyncs the shadow explicitly whenever it takes one.
-    shadow.event_pending = false;
     FunctionalEngine::StepResult r = t.checker->stepInsn(now);
     if (r.fault_delivered != GuestFault::None)
         panic("[cycle %llu] lockstep divergence at rip %llx: pipeline "
@@ -354,17 +358,6 @@ OooCore::lockstepCompare(Thread &t, SimCycle now, GuestVirt insn_rip)
         panic("[cycle %llu] lockstep divergence after commit of rip "
               "%llx:\n%s", (unsigned long long)now.raw(),
               (unsigned long long)insn_rip.raw(), diff.c_str());
-}
-
-/** Re-seed the lockstep shadow from the real context after microcode
- *  (assists), event or fault delivery mutated it out of band. */
-void
-OooCore::lockstepResync(Thread &t)
-{
-    if (!t.shadow_ctx)
-        return;
-    *t.shadow_ctx = *t.ctx;
-    t.checker->reposition();
 }
 
 void
@@ -490,7 +483,6 @@ void
 OooCore::restartThread(Thread &t, SimCycle now, CycleDelta delay)
 {
     flushThread(t);
-    lockstepResync(t);
     redirectFetch(t, t.ctx->rip, now, delay);
     t.last_commit_cycle = now;
 }
@@ -586,11 +578,6 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
         // flush and re-execute the instruction (replay storm model).
         st_hoist_flushes++;
         ctx.rip = insn_rip;
-        // The refetch restarts from the instruction boundary, which
-        // for multi-pseudo-op translations (rep string loops) can
-        // re-commit a pseudo-op the reference already stepped past.
-        // No reference memory writes are lost: the flushed group never
-        // committed, so the reference never stepped it.
         restartThread(t, now, cycles(2));
         budget = 0;
         return true;
@@ -609,8 +596,9 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
     bool has_assist = t.rob[group[count - 1]].uop.isAssist();
 
     // Assist microcode has system side effects that must not run
-    // twice, so assist groups resync the shadow instead of replaying.
-    // The reference reports its code writes into pending_smc too.
+    // twice, so the reference never replays an assist group: the next
+    // step starts from the context the assist left behind. The
+    // reference reports its code writes into pending_smc too.
     bool do_lockstep = lockstep_enabled && t.checker && !has_assist;
     if (do_lockstep) {
         lockstepStepReference(t, now, insn_rip, t.rob[group[0]].uop);
@@ -649,9 +637,6 @@ OooCore::commitThread(SimCycle now, Thread &t, int &budget)
             ctx.rip = ar.next_rip;
             st_commit_insns++;
         }
-        // Assists run microcode with system side effects (hypercalls,
-        // TSC reads) that must not execute twice: resync the lockstep
-        // shadow instead of replaying.
         restartThread(t, now, cycles(1));
         budget = 0;
         return true;

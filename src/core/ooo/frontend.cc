@@ -33,10 +33,8 @@ OooCore::stageFetch(SimCycle now)
         // (Re)acquire the fetch block.
         if (!t.fetch_bb || t.fetch_idx >= t.fetch_bb->uops.size()
             || t.bb_generation != bbcache->generation()) {
-            Context fctx = *t.ctx;
-            fctx.rip = t.fetch_rip;
             GuestFault ff = GuestFault::None;
-            ContextCodeSource code(*aspace, fctx);
+            ContextCodeSource code(*aspace, *t.ctx, t.fetch_rip);
             const BasicBlock *bb = bbcache->get(code, &ff);
             if (!bb) {
                 // Speculative fetch fault: carried by a pseudo-uop and

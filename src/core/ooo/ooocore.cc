@@ -41,8 +41,6 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
       st_checker_commits(stats->counter(params.prefix + "checker/commits")),
       st_lockstep_commits(
           stats->counter(params.prefix + "checker/lockstep_commits")),
-      st_lockstep_skips(
-          stats->counter(params.prefix + "checker/lockstep_skips")),
       st_skipped_cycles(
           stats->counter(params.prefix + "ooocore/skipped_cycles")),
       st_wakeup_broadcasts(
@@ -363,13 +361,8 @@ OooCore::flushThread(Thread &t)
 void
 OooCore::flushPipeline()
 {
-    for (Thread &t : threads) {
+    for (Thread &t : threads)
         flushThread(t);
-        // External flushes mean the context may have been advanced
-        // outside this core (native mode, checkpoint restore, CR3
-        // switch); the lockstep shadow must restart from the new state.
-        lockstepResync(t);
-    }
     // The flush itself is pipeline activity the sleep decision never
     // saw; force a full evaluation next cycle.
     idle_until = SimCycle(0);

@@ -259,7 +259,6 @@ class OooCore final : public CoreModel
         U64 bb_generation = 0;
         SimCycle fetch_stall_until;
         bool fetch_faulted = false;
-        GuestFault fetch_fault = GuestFault::None;
         // Fetch queue: uops waiting for rename (with ready-at cycle).
         struct FetchedUop
         {
@@ -401,7 +400,6 @@ class OooCore final : public CoreModel
     void lockstepCheckStore(Thread &t, SimCycle now, GuestVirt insn_rip,
                             const LsqEntry &s, int size);
     void lockstepCompare(Thread &t, SimCycle now, GuestVirt insn_rip);
-    void lockstepResync(Thread &t);
     int pickFetchThread(SimCycle now);
     int ownerId(const Thread &t) const;
 
@@ -482,7 +480,6 @@ class OooCore final : public CoreModel
     Counter &st_deadlock_rescues;
     Counter &st_checker_commits;
     Counter &st_lockstep_commits;
-    Counter &st_lockstep_skips;
     Counter &st_skipped_cycles;
     Counter &st_wakeup_broadcasts;
     Counter &st_select_fast_skips;

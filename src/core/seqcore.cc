@@ -49,8 +49,10 @@ FunctionalEngine::reposition()
 bool
 FunctionalEngine::reacquireBlock(GuestFault &ff)
 {
-    if (cur_bb && uop_idx < cur_bb->uops.size()
-        && bb_generation == bbcache->generation())
+    // The generation test comes first: after an invalidation cur_bb
+    // may already be freed.
+    if (cur_bb && bb_generation == bbcache->generation()
+        && uop_idx < cur_bb->uops.size())
         return false;
     ContextCodeSource code(*aspace, *ctx);
     cur_bb = bbcache->get(code, &ff);

@@ -69,7 +69,7 @@ class FunctionalEngine
      * The next uop stepInsn() would execute, or nullptr if the decode
      * position cannot be (re)acquired without faulting. Re-acquires
      * the cached block exactly as stepInsn() would; used by the OoO
-     * core's lockstep checker to recognize pseudo-op re-executions.
+     * core's lockstep checker to find the committing instruction.
      */
     const Uop *peekUop();
 

@@ -129,33 +129,25 @@ BasicBlockCache::invalidateMfn(Pfn mfn)
     if (it == mfn_index.end())
         return 0;
     gen++;
-    int n = 0;
-    // Collect the victim blocks, then erase them from the key map.
     std::unordered_set<const BasicBlock *> victims = std::move(it->second);
     mfn_index.erase(it);
-    // Erase-only sweep over the victim set: membership decides the
-    // outcome, not visit order — every victim is removed and the
-    // counters see only the total, so unordered iteration is safe.
-    for (auto bit = blocks.begin();  // simlint: nondet-taint-ok
-         bit != blocks.end();) {
-        if (victims.count(bit->second.get())) {
-            // Also unhook from the other frame's index.
-            const BasicBlock *bb = bit->second.get();
-            Pfn other = (bb->mfn_lo == mfn) ? bb->mfn_hi : bb->mfn_lo;
-            if (other != mfn) {
-                auto oit = mfn_index.find(other.raw());
-                if (oit != mfn_index.end())
-                    oit->second.erase(bb);
-            }
-            bit = blocks.erase(bit);
-            n++;
-            count--;
-        } else {
-            ++bit;
+    // Erase-only loop over the victim set: every victim is removed by
+    // its own key and the counters see only the total, so unordered
+    // iteration is safe.
+    for (const BasicBlock *bb : victims) {  // simlint: nondet-taint-ok
+        // Also unhook from the other frame's index.
+        Pfn other = (bb->mfn_lo == mfn) ? bb->mfn_hi : bb->mfn_lo;
+        if (other != mfn) {
+            auto oit = mfn_index.find(other.raw());
+            if (oit != mfn_index.end())
+                oit->second.erase(bb);
         }
+        size_t erased = blocks.erase(Key{bb->rip, bb->mfn_lo, bb->kernel});
+        ptl_assert(erased == 1);
     }
-    st_smc_invalidations += (U64)n;
-    return n;
+    count -= victims.size();
+    st_smc_invalidations += (U64)victims.size();
+    return (int)victims.size();
 }
 
 void

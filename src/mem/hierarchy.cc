@@ -117,26 +117,32 @@ MemoryHierarchy::missPath(GuestPhys paddr, bool is_write, bool is_fetch,
                 l3.insert(paddr, fill_state, &ev);
             }
         }
-        if (l2.enabled()) {
-            CacheArray::Eviction ev;
-            l2.insert(paddr, fill_state, &ev);
-            if (ev.valid) {
-                // Enforce inclusion and report the eviction upstream;
-                // dirty victims write back through the backend.
-                l1d.invalidate(ev.line_addr);
-                l1i.invalidate(ev.line_addr);
-                if (lineDirty(ev.state)) {
-                    st_writebacks++;
-                    st_mem_accesses++;
-                    backend->request(ev.line_addr, true, now);
-                }
-                if (coherence)
-                    coherence->onEvict(core_id, ev.line_addr, ev.state);
-            }
-        }
+        if (l2.enabled())
+            fillL2(paddr, fill_state, now);
     }
     (is_fetch ? l1i : l1d).insert(paddr, fill_state);
     return latency;
+}
+
+CacheArray::Line *
+MemoryHierarchy::fillL2(GuestPhys paddr, LineState state, SimCycle now)
+{
+    CacheArray::Eviction ev;
+    CacheArray::Line *line = l2.insert(paddr, state, &ev);
+    if (ev.valid) {
+        // Enforce inclusion and report the eviction upstream; dirty
+        // victims write back through the backend.
+        l1d.invalidate(ev.line_addr);
+        l1i.invalidate(ev.line_addr);
+        if (lineDirty(ev.state)) {
+            st_writebacks++;
+            st_mem_accesses++;
+            backend->request(ev.line_addr, true, now);
+        }
+        if (coherence)
+            coherence->onEvict(core_id, ev.line_addr, ev.state);
+    }
+    return line;
 }
 
 MemResult
@@ -232,16 +238,7 @@ MemoryHierarchy::issuePrefetch(GuestPhys next_line, SimCycle now)
         return;
     st_prefetches++;
     backend->request(next_line, false, now);
-    CacheArray::Eviction ev;
-    CacheArray::Line *line =
-        l2.insert(next_line, LineState::Exclusive, &ev);
-    line->prefetched = true;
-    if (ev.valid) {
-        l1d.invalidate(ev.line_addr);
-        l1i.invalidate(ev.line_addr);
-        if (coherence)
-            coherence->onEvict(core_id, ev.line_addr, ev.state);
-    }
+    fillL2(next_line, LineState::Exclusive, now)->prefetched = true;
 }
 
 MemResult
@@ -266,16 +263,8 @@ MemoryHierarchy::fetchAccess(GuestPhys paddr, SimCycle now)
         bool from_memory = !(l2.enabled() && l2.lookup(next, false));
         if (from_memory)
             backend->request(next, false, now);
-        if (l2.enabled() && from_memory) {
-            CacheArray::Eviction ev;
-            l2.insert(next, LineState::Exclusive, &ev);
-            if (ev.valid) {
-                l1d.invalidate(ev.line_addr);
-                l1i.invalidate(ev.line_addr);
-                if (coherence)
-                    coherence->onEvict(core_id, ev.line_addr, ev.state);
-            }
-        }
+        if (l2.enabled() && from_memory)
+            fillL2(next, LineState::Exclusive, now);
         l1i.insert(next, LineState::Exclusive);
     }
     return out;

@@ -136,6 +136,9 @@ class MemoryHierarchy
                         SimCycle now);
     /** Bring `next_line` into L1D/L2 ahead of demand (stream prefetch). */
     void issuePrefetch(GuestPhys next_line, SimCycle now);
+    /** The one L2 fill: insert the line and retire the victim (L1
+     *  inclusion, dirty writeback, coherence eviction notice). */
+    CacheArray::Line *fillL2(GuestPhys paddr, LineState state, SimCycle now);
     TranslateResult translateCommon(Pfn cr3, GuestVirt va, MemAccess kind,
                                     bool user_mode, SimCycle now, Tlb &tlb,
                                     Counter &hits, Counter &misses);

@@ -632,13 +632,17 @@ VerifyTestHook::orphanInterlock(OooCore &core, int thread)
 }
 
 bool
-VerifyTestHook::skewShadowReg(OooCore &core, int thread, int reg)
+VerifyTestHook::skewStoreData(OooCore &core, int thread)
 {
     OooCore::Thread &t = core.threads[thread];
-    if (!t.shadow_ctx)
-        return false;
-    t.shadow_ctx->regs[reg] ^= 0x1;
-    return true;
+    for (int i = 0; i < t.stq.size(); i++) {
+        OooCore::LsqEntry &s = t.stq[t.stq.slotAt(i)];
+        if (t.rob[s.rob].state == OooCore::RobState::Done) {
+            s.data ^= 0x1;
+            return true;
+        }
+    }
+    return false;
 }
 
 void

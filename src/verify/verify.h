@@ -151,9 +151,9 @@ struct VerifyTestHook
     static bool dropWaiterSubscription(OooCore &core);
     /** Acquire an interlock for `thread` that no LSQ entry holds. */
     static bool orphanInterlock(OooCore &core, int thread);
-    /** Flip one bit in the lockstep checker's shadow architectural
-     *  register, so the next commit diverges from the reference. */
-    static bool skewShadowReg(OooCore &core, int thread, int reg);
+    /** Flip one bit of the data of the oldest executed store in the
+     *  STQ, so its commit writes what the reference did not. */
+    static bool skewStoreData(OooCore &core, int thread);
     /** Set the SMT rename and commit rotors to `value`, the state a
      *  free-running rotor would reach after `value` cycles. */
     static void setSmtRotors(OooCore &core, int value);

@@ -219,6 +219,29 @@ TEST_F(HierarchyTest, DirtyEvictionWritesBack)
               mem_before + 16ULL);  // 17 fills + >=1 writeback
 }
 
+TEST_F(HierarchyTest, PrefetchEvictingDirtyLineWritesBack)
+{
+    // Every L2 fill retires its victim the same way: a stream prefetch
+    // that evicts a dirty line must write it back like a demand fill.
+    cfg.hw_prefetch = true;
+    hier = std::make_unique<MemoryHierarchy>(cfg, aspace, stats, "c1/");
+    // L2 set 1 (stride 64KB): a dirty line first, so it is the LRU
+    // victim once 15 clean demand lines fill the rest of the set.
+    const U64 set_stride = 64 * 1024;
+    hier->dataAccess(GuestPhys(64), true, SimCycle(10));
+    for (U64 i = 1; i < 16; i++)
+        hier->dataAccess(GuestPhys(64 + i * set_stride), false,
+                         SimCycle(1000 * i));
+    EXPECT_EQ(stats.get("c1/mem/writebacks"), 0ULL);
+    U64 mem_before = stats.get("c1/mem/accesses");
+    // A demand miss in set 0 prefetches the next line, into set 1.
+    hier->dataAccess(GuestPhys(16 * set_stride), false, SimCycle(20000));
+    EXPECT_EQ(stats.get("c1/dcache/prefetches"), 16ULL);
+    EXPECT_EQ(stats.get("c1/mem/writebacks"), 1ULL);
+    EXPECT_EQ(stats.get("c1/mem/accesses"),
+              mem_before + 2ULL);  // the demand fill + the writeback
+}
+
 TEST_F(HierarchyTest, TlbCachesDirtyBitFromPte)
 {
     // Store once (sets PTE.D). After a full TLB flush, a read

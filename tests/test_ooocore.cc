@@ -504,8 +504,8 @@ TEST_P(LoadOverCodeP, RewrittenImageRunsNewBytes)
     Assembler second(CODE_BASE);
     second.mov(R::rax, 2);
     second.hlt();
-    m.vcpu(0).running = true;     // before load() resyncs the checker
     m.load(second);
+    m.vcpu(0).running = true;
     runToHalt(m);
     EXPECT_EQ(m.vcpu(0).regs[REG_rax], 2ULL);
     EXPECT_GT(m.stats().get("bbcache/smc_invalidations"), 0ULL);

@@ -253,18 +253,18 @@ TEST(VerifyTest, PanicModeDiesOnCorruption)
     EXPECT_DEATH(chk.checkCore(rig.core(), rig.now), "double.free|free list");
 }
 
-TEST(VerifyTest, LockstepCatchesShadowRegisterDivergence)
+TEST(VerifyTest, LockstepCatchesStoreDataDivergence)
 {
     SimConfig cfg = verifyConfig();
     cfg.commit_checker = true;
     EXPECT_DEATH(
         {
             VerifyRig rig(cfg);
-            // Flip one architectural register bit in the reference's
-            // shadow context; the next commits must detect that the
-            // pipeline and the reference no longer agree.
+            // Flip one bit of an executed store's data; its commit must
+            // detect that the pipeline and the reference no longer
+            // agree.
             ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
-                return VerifyTestHook::skewShadowReg(c, 0, REG_rdx);
+                return VerifyTestHook::skewStoreData(c, 0);
             }));
             for (int i = 0; i < 10000 && !rig.runner.core(0).allIdle(); i++)
                 rig.runner.core(0).cycle(++rig.now);
