@@ -272,7 +272,7 @@ MemoryHierarchy::fetchAccess(GuestPhys paddr, SimCycle now)
 
 CycleDelta
 MemoryHierarchy::walkTiming(Pfn /*cr3*/, GuestVirt va, PageWalk &walk,
-                            bool is_write, SimCycle now)
+                            bool permitted, bool is_write, SimCycle now)
 {
     // The walk engine injects one dependent load per level; the PDE
     // cache (when configured) jumps straight to the leaf table.
@@ -292,8 +292,7 @@ MemoryHierarchy::walkTiming(Pfn /*cr3*/, GuestVirt va, PageWalk &walk,
             dataAccess(walk.pte_addr[level], false, now + latency, true);
         latency += r.latency;
     }
-    if (walk.present
-        && aspace->setAccessedDirty(walk, is_write)) {
+    if (permitted && aspace->setAccessedDirty(walk, is_write)) {
         // Microcode performs a locked RMW on the changed PTE.
         MemResult r =
             dataAccess(walk.pte_addr[3], true, now + latency, true);
@@ -353,9 +352,13 @@ MemoryHierarchy::translateCommon(Pfn cr3, GuestVirt va, MemAccess kind,
     // Hardware page walk.
     misses++;
     st_walks++;
+    // A/D are set only once the walk passes its permission check, as
+    // guestTranslate does: a store that faults on a read-only page
+    // leaves the PTE clean and pays no locked RMW.
     PageWalk walk = aspace->walk(cr3, va);
-    out.latency += walkTiming(cr3, va, walk, is_write, now);
     out.fault = checkWalkAccess(walk, kind, user_mode);
+    out.latency += walkTiming(cr3, va, walk,
+                              out.fault == GuestFault::None, is_write, now);
     if (out.fault != GuestFault::None)
         return out;
 

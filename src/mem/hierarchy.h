@@ -142,8 +142,11 @@ class MemoryHierarchy
     TranslateResult translateCommon(Pfn cr3, GuestVirt va, MemAccess kind,
                                     bool user_mode, SimCycle now, Tlb &tlb,
                                     Counter &hits, Counter &misses);
+    /** The walk's dependent PTE loads; when `permitted` (the access
+     *  passed its permission check), also the A/D update and its
+     *  locked RMW. */
     CycleDelta walkTiming(Pfn cr3, GuestVirt va, PageWalk &walk,
-                          bool is_write, SimCycle now);
+                          bool permitted, bool is_write, SimCycle now);
 
     SimConfig cfg;
     AddressSpace *aspace;
