@@ -43,15 +43,38 @@ churnProgram(Assembler &a)
     a.hlt();
 }
 
-/** Harness: an OoO core mid-flight through the churn program. */
+/** Each store's address waits on a divide and the load after it reads
+ *  elsewhere: without load hoisting, every load parks behind its
+ *  store until the store's address resolves. */
+void
+parkProgram(Assembler &a)
+{
+    a.movImm64(R::rbx, DATA_BASE);
+    a.mov(R::rsi, 3);
+    a.mov(R::rcx, 256);
+    Label top = a.label();
+    a.mov(R::rax, R::rcx);
+    a.mov(R::rdx, 0);
+    a.div(R::rsi);
+    a.mov(Mem::idx(R::rbx, R::rax, 8), R::rcx);
+    a.add(R::r8, Mem::idx(R::rbx, R::rcx, 8, 0x1000));
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+}
+
+/** Harness: an OoO core mid-flight through a program (by default the
+ *  churn program). */
 class VerifyRig
 {
   public:
-    explicit VerifyRig(SimConfig cfg = verifyConfig()) : runner(cfg)
+    explicit VerifyRig(SimConfig cfg = verifyConfig(),
+                       void (*program)(Assembler &) = churnProgram)
+        : runner(cfg)
     {
         mapTestLayout(runner);
         Assembler a(CODE_BASE);
-        churnProgram(a);
+        program(a);
         runner.load(a);
         runner.finalizeCores();
     }
@@ -206,6 +229,25 @@ TEST(VerifyTest, DetectsMissingWakeupSubscription)
                          InvariantChecker::Action::Count);
     EXPECT_GT(rig.audit(chk), 0);
     EXPECT_GT(chk.counters().iq_state.value(), 0u);
+}
+
+TEST(VerifyTest, DetectsLostMemoryWakeup)
+{
+    // Every cycle audits clean until a store's address is marked known
+    // without waking the load parked behind it.
+    SimConfig cfg = verifyConfig();
+    cfg.load_hoisting = false;
+    VerifyRig rig(cfg, parkProgram);
+    InvariantChecker chk(rig.runner.stats(), "verify/",
+                         InvariantChecker::Action::Count);
+    int clean = 0;
+    ASSERT_TRUE(rig.corruptMidFlight([&](OooCore &c) {
+        clean += rig.audit(chk);
+        return VerifyTestHook::resolveStoreWithoutWake(c, 0);
+    }));
+    EXPECT_EQ(clean, 0);
+    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(chk.counters().lsq_state.value(), 0u);
 }
 
 TEST(VerifyTest, DetectsOrphanedInterlock)
