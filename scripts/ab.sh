@@ -15,12 +15,16 @@
 # change/parent pair ratio, each side's median and the parent's
 # interquartile range. A gain holds when the change wins at least nine
 # pairs in ten and the medians differ by more than the parent IQR; the
-# script exits 0 either way and says which. Every run must also report
-# correct=true with the same model.digest on both sides of a pair.
+# script exits 0 either way and says which. Every run must report
+# correct=true (perfbench fails a run whose digest differs from an
+# earlier run of the same binary, workload and seed). Each pair's line
+# shows both sides' model.digest, and the last line says whether the
+# two checkouts simulated identically, so a named modelling change can
+# be measured too.
 set -eu
 
 if [ $# -lt 3 ]; then
-    sed -n '5,19p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '5,23p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -88,19 +92,19 @@ for row in open(path):
         sys.exit("ab.sh: pair %s %s run failed its correctness gate"
                  % (pair, side))
     runs.setdefault(int(pair), {})[side] = result["metrics"][metric]["value"]
-    digests.setdefault(int(pair), set()).add(digest)
+    digests.setdefault(int(pair), {})[side] = digest
 
 ratios, parent_v, change_v = [], [], []
+identical = True
 for pair in sorted(runs):
-    if len(digests[pair]) != 1:
-        sys.exit("ab.sh: pair %d: the two sides simulate differently "
-                 "(model.digest %s)" % (pair, " vs ".join(digests[pair])))
     p, c = runs[pair]["parent"], runs[pair]["change"]
+    pd, cd = digests[pair]["parent"], digests[pair]["change"]
+    identical &= pd == cd
     parent_v.append(p)
     change_v.append(c)
     ratios.append(c / p)
-    print("pair %2d  parent %.4g %s  change %.4g %s  ratio %.3f"
-          % (pair, p, unit, c, unit, c / p))
+    print("pair %2d  parent %.4g %s  change %.4g %s  ratio %.3f  "
+          "digests %s %s" % (pair, p, unit, c, unit, c / p, pd, cd))
 
 won = sum((r < 1) if lower else (r > 1) for r in ratios)
 q1, _, q3 = statistics.quantiles(parent_v, n=4, method="inclusive")
@@ -116,4 +120,5 @@ print("parent median %.4g %s (IQR %.4g-%.4g), change median %.4g %s"
       % (p_med, unit, q1, q3, c_med, unit))
 print("gain holds (>= 9 in 10 won, median gap > parent IQR): %s"
       % ("yes" if holds else "no"))
+print("simulated results: %s" % ("identical" if identical else "differ"))
 EOF
